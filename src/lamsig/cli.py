@@ -29,12 +29,13 @@ from .solver import (
     Aborted,
     ExhaustedNoSolution,
     SearchConfig,
+    SearchOutcome,
     Solved,
     check_solution,
     decide_small_lambda,
     solve_sigma,
 )
-from .sorts import IllTyped, validate_problem
+from .sorts import IllTyped, UnifProblem, validate_problem
 from .surface import (
     NClo,
     NShift,
@@ -56,17 +57,28 @@ from .terms import EqMode
 from .transform import InvalidProblem, precook, reduce_problem
 
 
-def _default_fuel() -> int:
+def _fuel_value(raw: str) -> int:
+    """Parse a fuel budget: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _fuel(args) -> int:
+    """The rewrite fuel: --fuel, else LSF_FUEL, else the default."""
+    if args.fuel is not None:
+        return args.fuel
     raw = os.environ.get("LSF_FUEL")
     if raw is None:
         return DEFAULT_FUEL
     try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"LSF_FUEL must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError("LSF_FUEL must be >= 1")
-    return value
+        return _fuel_value(raw)
+    except argparse.ArgumentTypeError as err:
+        raise UsageError(f"LSF_FUEL {err}")
 
 
 class UsageError(Exception):
@@ -83,7 +95,7 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_fuel(p):
-        p.add_argument("--fuel", type=int, default=None, help="rewrite step budget")
+        p.add_argument("--fuel", type=_fuel_value, default=None, help="rewrite step budget")
 
     p_check = sub.add_parser("check", help="validate a problem file")
     p_check.add_argument("file")
@@ -176,7 +188,7 @@ def _cmd_precook(args) -> int:
 
 def _cmd_reduce(args) -> int:
     pf = _load(args.file)
-    cert = reduce_problem(pf.problem, fuel=args.fuel or _default_fuel())
+    cert = reduce_problem(pf.problem, fuel=_fuel(args))
     target = cert.target
     out = ProblemFile(
         problem=target,
@@ -193,6 +205,14 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _search(problem: UnifProblem, cfg: SearchConfig, oracle: bool) -> SearchOutcome:
+    """The bounded lambda-side search when asked for or when the problem is
+    in full equality; the substitution-only search otherwise."""
+    if oracle or problem.mode is EqMode.LAMBDA_SIGMA:
+        return decide_small_lambda(problem, cfg)
+    return solve_sigma(problem, cfg)
+
+
 def _cmd_solve(args) -> int:
     pf = _load(args.file)
     problem = pf.problem
@@ -201,16 +221,11 @@ def _cmd_solve(args) -> int:
     cfg = SearchConfig(
         size_bound=args.bound,
         depth_bound=args.depth,
-        fuel=args.fuel or _default_fuel(),
+        fuel=_fuel(args),
         find_all=args.all,
         max_solutions=args.max_solutions,
     )
-    if args.oracle:
-        outcome = decide_small_lambda(problem, cfg)
-    elif problem.mode is EqMode.SIGMA_ONLY:
-        outcome = solve_sigma(problem, cfg)
-    else:
-        outcome = decide_small_lambda(problem, cfg)
+    outcome = _search(problem, cfg, oracle=args.oracle)
     match outcome:
         case Solved(solutions):
             for theta in solutions:
@@ -232,7 +247,7 @@ def _cmd_verify(args) -> int:
     except OSError as err:
         raise UsageError(f"cannot read {args.subst}: {err.strerror}")
     theta = parse_subst_file(subst_text, pf)
-    ok = check_solution(pf.problem, theta, fuel=args.fuel or _default_fuel())
+    ok = check_solution(pf.problem, theta, fuel=_fuel(args))
     if ok:
         print("solution verified")
         return 0
@@ -254,7 +269,7 @@ def _cmd_normalize(args) -> int:
     else:
         term = pf.problem.lhs
     mode = EqMode.SIGMA_ONLY if args.mode == "sigma" else EqMode.LAMBDA_SIGMA
-    normal, trace = normalize_traced(term, mode, LEFTMOST_OUTERMOST, args.fuel or _default_fuel())
+    normal, trace = normalize_traced(term, mode, LEFTMOST_OUTERMOST, _fuel(args))
     if args.trace:
         for step_entry in trace.steps:
             print(f"{_path_str(step_entry.path)}\t{step_entry.rule.value}\t{render_debruijn(step_entry.result)}")
@@ -275,7 +290,7 @@ def _corpus_files(directory: Optional[str]):
 
 
 def _cmd_corpus(args) -> int:
-    fuel = args.fuel or _default_fuel()
+    fuel = _fuel(args)
     files = _corpus_files(args.dir)
     if not files:
         raise UsageError("no corpus files found")
@@ -288,11 +303,7 @@ def _cmd_corpus(args) -> int:
             continue
         checked += 1
         cfg = SearchConfig(size_bound=pf.expect.bound, fuel=fuel, find_all=False)
-        if pf.problem.mode is EqMode.LAMBDA_SIGMA:
-            outcome = decide_small_lambda(pf.problem, cfg)
-        else:
-            outcome = solve_sigma(pf.problem, cfg)
-        solved = isinstance(outcome, Solved)
+        solved = isinstance(_search(pf.problem, cfg, oracle=False), Solved)
         expected_solved = pf.expect.kind == "solvable"
         ok = solved == expected_solved
         all_ok = all_ok and ok

@@ -38,7 +38,6 @@ from .terms import (
     Shift,
     Subst,
     Term,
-    canonicalize_shifts,
     canonicalize_shifts_in_term,
 )
 
@@ -349,18 +348,17 @@ def replay_trace(trace: RewriteTrace, ruleset: EqMode) -> bool:
 
 
 def sigma_equal(t1: Term, t2: Term, fuel: int = DEFAULT_FUEL) -> bool:
-    """Equality modulo the substitution rules: identical normal forms after
-    shift canonicalization."""
-    n1 = canonicalize_shifts_in_term(normalize_sigma(t1, fuel))
-    n2 = canonicalize_shifts_in_term(normalize_sigma(t2, fuel))
-    return n1 == n2
+    """Equality modulo the substitution rules: identical normal forms.
+
+    Normal forms are shift-canonical already: _normalize canonicalizes its
+    input, and every rule and _rebuild composes through _comp.
+    """
+    return normalize_sigma(t1, fuel) == normalize_sigma(t2, fuel)
 
 
 def lambda_sigma_equal(t1: Term, t2: Term, fuel: int = DEFAULT_FUEL) -> bool:
     """Equality modulo Beta plus the substitution rules."""
-    n1 = canonicalize_shifts_in_term(normalize_lambda_sigma(t1, fuel))
-    n2 = canonicalize_shifts_in_term(normalize_lambda_sigma(t2, fuel))
-    return n1 == n2
+    return normalize_lambda_sigma(t1, fuel) == normalize_lambda_sigma(t2, fuel)
 
 
 # --- unit-shift index encoding -------------------------------------------

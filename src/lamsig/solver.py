@@ -2,18 +2,23 @@
 
 Unification modulo the substitution rules is undecidable, so every negative
 answer here means "no solution within the stated bounds" and nothing more.
-The search itself is deliberately unclever: enumerate well-sorted candidate
-terms for every unknown in a deterministic order and test total assignments
-one by one.  That keeps the trusted core small enough for the transfer
-properties to be checked against it rather than through it.
+The search itself is deliberately unclever, and there is one of it:
+_product_search enumerates well-sorted candidate terms for every unknown in
+a deterministic order, tries total assignments one by one in product order,
+and compares the normal forms of the two grafted sides.  solve_sigma and
+match_sigma run it with the substitution rules, decide_small_lambda with
+Beta added; check_solution re-checks every hit.  That keeps the trusted core
+small enough for the transfer properties to be checked against it rather
+than through it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .rewrite import (
     DEFAULT_FUEL,
@@ -180,11 +185,20 @@ def _arg_combos(ctx, arg_types, sizes, depth, pool) -> Iterator[tuple[Term, ...]
 # --- solution checking ----------------------------------------------------
 
 
+def _graftable_sides(p: UnifProblem) -> UnifProblem:
+    """The sides that grafting is sound on: a full-equality problem in plain
+    lambda syntax is precooked, so a binding grafted under a binder still
+    refers to the right context slots; anything else is used as written."""
+    if p.mode is EqMode.LAMBDA_SIGMA and not any(
+        isinstance(node, Closure) for side in (p.lhs, p.rhs) for node in subterms(side)
+    ):
+        return precook(p)
+    return p
+
+
 def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -> bool:
     """True iff grafting theta makes the two sides equal in p's equality.
 
-    Full-equality problems in plain lambda syntax are precooked first, so a
-    binding grafted under a binder still refers to the right context slots.
     Bindings are sort-checked against their declarations; non-simple
     bindings and bindings with inert redexes are accepted but logged.
     """
@@ -203,40 +217,54 @@ def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -
         if normalize_lambda_sigma(term, fuel) != term:
             log.warning("binding for %s contains redexes", name)
 
-    if p.mode is EqMode.LAMBDA_SIGMA:
-        sides = p
-        if not any(
-            isinstance(node, Closure)
-            for side in (p.lhs, p.rhs)
-            for node in subterms(side)
-        ):
-            sides = precook(p)
-        return lambda_sigma_equal(graft(theta, sides.lhs), graft(theta, sides.rhs), fuel)
-    return sigma_equal(graft(theta, p.lhs), graft(theta, p.rhs), fuel)
+    sides = _graftable_sides(p)
+    equal = lambda_sigma_equal if p.mode is EqMode.LAMBDA_SIGMA else sigma_equal
+    return equal(graft(theta, sides.lhs), graft(theta, sides.rhs), fuel)
 
 
-# --- bounded solvers -------------------------------------------------------
+# --- bounded search ---------------------------------------------------------
+
+
+def _validate(p: UnifProblem, mode: EqMode, caller: str) -> None:
+    if p.mode is not mode:
+        kind = "substitution-only" if mode is EqMode.SIGMA_ONLY else "full-equality"
+        raise ValueError(f"{caller} expects a {kind} problem")
+    report = validate_problem(p)
+    if not report.ok:
+        raise InvalidProblem(report)
 
 
 def _product_search(
     p: UnifProblem,
+    lhs: Term,
+    rhs: Term,
     cfg: SearchConfig,
-    equal,
-    prune=None,
+    normalize: Callable[[Term, int], Term],
 ) -> SearchOutcome:
+    """Try every assignment of the candidate streams in product order,
+    grafting it into lhs and rhs and comparing their normal forms.
+
+    A side without unknowns is normalized once, at the first comparison, so
+    an empty product normalizes nothing.  Every hit is re-checked against
+    the problem by check_solution.
+    """
     names = list(p.metavars)
     streams = [
         list(enumerate_simple_terms(p.metavars[name], {}, cfg)) for name in names
     ]
+
+    def normal_form(side: Term) -> Callable[[MetaSubst], Term]:
+        if free_metavars(side):
+            return lambda theta: normalize(graft(theta, side), cfg.fuel)
+        once = functools.cache(lambda: normalize(side, cfg.fuel))
+        return lambda theta: once()
+
+    lhs_nf, rhs_nf = normal_form(lhs), normal_form(rhs)
     solutions: list[MetaSubst] = []
     try:
         for combo in itertools.product(*streams):
             theta = MetaSubst(dict(zip(names, combo)))
-            lhs = graft(theta, p.lhs)
-            rhs = graft(theta, p.rhs)
-            if prune is not None and prune(lhs):
-                continue
-            if equal(lhs, rhs, cfg.fuel):
+            if lhs_nf(theta) == rhs_nf(theta):
                 assert check_solution(p, theta, cfg.fuel)
                 solutions.append(theta)
                 if not cfg.find_all or len(solutions) >= cfg.max_solutions:
@@ -255,83 +283,31 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
     assignments are tried in deterministic product order.  A negative
     outcome only rules out the searched bounds.
     """
-    if p.mode is not EqMode.SIGMA_ONLY:
-        raise ValueError("solve_sigma expects a substitution-only problem")
-    report = validate_problem(p)
-    if not report.ok:
-        raise InvalidProblem(report)
-    return _product_search(p, cfg, sigma_equal)
-
-
-def _head_signature(t: Term) -> tuple[int, int, int] | None:
-    """(binder depth, head index, spine length) of a rigid normal term."""
-    lams = 0
-    while isinstance(t, Lam):
-        lams += 1
-        t = t.body
-    spine = 0
-    while isinstance(t, App):
-        spine += 1
-        t = t.fun
-    if isinstance(t, Index):
-        return lams, t.n, spine
-    return None
+    _validate(p, EqMode.SIGMA_ONLY, "solve_sigma")
+    return _product_search(p, p.lhs, p.rhs, cfg, normalize_sigma)
 
 
 def match_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """solve_sigma for a ground right-hand side, with a sound head prune.
+    """solve_sigma restricted to a ground right-hand side.
 
-    Candidates whose grafted left side normalizes to a rigid head different
-    from the right side's are skipped without the full comparison; anything
-    the prune skips could not have been a solution, so the outcome matches
-    solve_sigma at equal bounds.
+    The search loop normalizes a side without unknowns only once, so
+    matching needs no search of its own; the outcome is solve_sigma's.
     """
-    if p.mode is not EqMode.SIGMA_ONLY:
-        raise ValueError("match_sigma expects a substitution-only problem")
     if free_metavars(p.rhs):
         raise ValueError("match_sigma expects a ground right-hand side")
-    report = validate_problem(p)
-    if not report.ok:
-        raise InvalidProblem(report)
-
-    rhs_sig = _head_signature(normalize_sigma(p.rhs, cfg.fuel))
-
-    def prune(lhs_grafted: Term) -> bool:
-        if rhs_sig is None:
-            return False
-        sig = _head_signature(normalize_sigma(lhs_grafted, cfg.fuel))
-        return sig is not None and sig != rhs_sig
-
-    return _product_search(p, cfg, sigma_equal, prune=prune)
+    return solve_sigma(p, cfg)
 
 
 def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Bounded full-equality oracle: enumerate normal lambda terms for every
-    unknown and test assignments with check_solution.
+    """Bounded full-equality oracle: the same product search as solve_sigma,
+    over normal lambda terms for every unknown, compared modulo Beta plus
+    the substitution rules.
 
-    Kept independent of the reduction machinery so transfer results can be
-    checked against it.
+    The sides are precooked once, as check_solution would precook them.
+    The candidates need no per-assignment checks: enumeration yields only
+    well-sorted, simple, normal terms.  Nothing here goes through the
+    reduction machinery, so transfer results can be checked against it.
     """
-    if p.mode is not EqMode.LAMBDA_SIGMA:
-        raise ValueError("decide_small_lambda expects a full-equality problem")
-    report = validate_problem(p)
-    if not report.ok:
-        raise InvalidProblem(report)
-
-    names = list(p.metavars)
-    streams = [
-        list(enumerate_simple_terms(p.metavars[name], {}, cfg)) for name in names
-    ]
-    solutions: list[MetaSubst] = []
-    try:
-        for combo in itertools.product(*streams):
-            theta = MetaSubst(dict(zip(names, combo)))
-            if check_solution(p, theta, cfg.fuel):
-                solutions.append(theta)
-                if not cfg.find_all or len(solutions) >= cfg.max_solutions:
-                    break
-    except FuelExhausted as err:
-        return Aborted(f"fuel exhausted: {err}")
-    if solutions:
-        return Solved(solutions)
-    return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
+    _validate(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda")
+    sides = _graftable_sides(p)
+    return _product_search(p, sides.lhs, sides.rhs, cfg, normalize_lambda_sigma)

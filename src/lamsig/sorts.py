@@ -85,15 +85,6 @@ def check_second_order_context(ctx: Context) -> bool:
     return all(order_of_type(ty) <= 2 for ty in ctx)
 
 
-def type_arity(ty: SimpleType) -> int:
-    """Number of arrows to strip before reaching a base type."""
-    n = 0
-    while isinstance(ty, Arrow):
-        ty = ty.cod
-        n += 1
-    return n
-
-
 def argument_types(ty: SimpleType) -> tuple[SimpleType, ...]:
     args = []
     while isinstance(ty, Arrow):

@@ -364,14 +364,6 @@ def render_named(nt: NamedTerm | NamedSubst) -> str:
     raise TypeError(f"not named syntax: {nt!r}")
 
 
-def render_term(t: Term, ctx_names: tuple[str, ...] = (), debruijn: bool = True) -> str:
-    """Render a term either compactly (de Bruijn debug form) or as the named
-    file syntax rebuilt over the given context names."""
-    if debruijn:
-        return render_debruijn(t)
-    return render_named(term_to_named(t, ctx_names))
-
-
 def term_with_sort_to_named(
     t: Term,
     sort: Sort,
@@ -457,11 +449,18 @@ class ProblemFile:
     certificate: Optional[dict[str, tuple[str, int]]] = None
 
 
+def _named_form(node, what: str) -> tuple[SAtom, SList]:
+    """A non-empty list and the atom that heads it."""
+    lst = expect_list(node, what)
+    if not lst.items:
+        raise ParseError(lst.line, lst.col, f"expected {what}, found ()")
+    return expect_atom(lst[0], f"the name of {what}"), lst
+
+
 def _block_map(forms: SList) -> dict[str, SList]:
     blocks: dict[str, SList] = {}
     for item in forms.items[1:]:
-        lst = expect_list(item, "a problem block")
-        head = expect_atom(lst[0], "a block name")
+        head, lst = _named_form(item, "a problem block")
         if head.text in blocks:
             raise ParseError(lst.line, lst.col, f"duplicate block {head.text!r}")
         blocks[head.text] = lst
@@ -474,8 +473,7 @@ def parse_problem(text: str) -> ProblemFile:
     problem_form = None
     cert_form = None
     for form in forms:
-        lst = expect_list(form, "a top-level form")
-        head = expect_atom(lst[0], "a form name")
+        head, lst = _named_form(form, "a top-level form")
         if head.text == "problem":
             if problem_form is not None:
                 raise ParseError(lst.line, lst.col, "more than one (problem ...) form")
@@ -534,7 +532,10 @@ def parse_problem(text: str) -> ProblemFile:
         metavars[name] = Sort(mv_ctx, ty)
         _check_base_names((ty,) + mv_ctx, base_types, entry)
 
-    mode_atom = expect_atom(blocks["mode"][1], "a mode name")
+    mode_block = blocks["mode"]
+    if len(mode_block.items) != 2:
+        raise ParseError(mode_block.line, mode_block.col, "(mode sigma|lambdasigma) expected")
+    mode_atom = expect_atom(mode_block[1], "a mode name")
     try:
         mode = EqMode(mode_atom.text)
     except ValueError:
@@ -571,8 +572,10 @@ def parse_problem(text: str) -> ProblemFile:
     certificate = None
     if cert_form is not None:
         certificate = {}
-        mapping = expect_list(cert_form[1], "a (map ...) block")
-        if expect_atom(mapping[0], "map keyword").text != "map":
+        if len(cert_form.items) != 2:
+            raise ParseError(cert_form.line, cert_form.col, "(certificate (map ...)) expected")
+        keyword, mapping = _named_form(cert_form[1], "a (map ...) block")
+        if keyword.text != "map":
             raise ParseError(mapping.line, mapping.col, "(map (X Y n) ...) expected")
         for item in mapping.items[1:]:
             triple = expect_list(item, "an (X Y n) entry")

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from lamsig.cli import run_command
 
 HERE = Path(__file__).parent
@@ -195,6 +197,57 @@ def test_explicit_fuel_beats_env(monkeypatch):
         ]
     )
     assert status == 0
+
+
+@pytest.mark.parametrize("fuel", ["0", "-3"])
+def test_fuel_below_one_is_a_usage_error(fuel):
+    status, out = run_command(["normalize", corpus_file("xc_eq_c.sig"), "--fuel", fuel])
+    assert status == 2
+    assert "--fuel" in out and "Traceback" not in out
+
+
+def test_explicit_fuel_beats_larger_env(monkeypatch):
+    monkeypatch.setenv("LSF_FUEL", "50")
+    status, out = run_command(
+        [
+            "normalize",
+            corpus_file("xc_eq_c.sig"),
+            "--expr",
+            "(app (lam (x iota) x) c)",
+            "--mode",
+            "lambdasigma",
+            "--fuel",
+            "1",
+        ]
+    )
+    assert status == 2
+    assert "no normal form within 1 rewrite steps" in out
+
+
+# --- malformed problem files ---
+
+
+MALFORMED = {
+    "empty_form": "()\n",
+    "empty_block": "(problem ())\n",
+    "mode_no_arg": (
+        "(problem\n  (base-types iota)\n  (context (c iota))\n  (metavars (?X iota))\n"
+        "  (mode)\n  (equation ?X c))\n"
+    ),
+    "bare_certificate": (
+        "(problem\n  (base-types iota)\n  (context (c iota))\n  (metavars (?X iota))\n"
+        "  (mode sigma)\n  (equation ?X c))\n(certificate)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_exits_two(tmp_path, name):
+    path = tmp_path / f"{name}.sig"
+    path.write_text(MALFORMED[name])
+    status, out = run_command(["check", str(path)])
+    assert status == 2
+    assert out.startswith("error: ") and "Traceback" not in out
 
 
 # --- console entry point ---

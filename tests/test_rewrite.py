@@ -24,6 +24,7 @@ from lamsig import (
     RuleId,
     SIGMA_RULES,
     Shift,
+    canonicalize_shifts_in_term,
     normalize_lambda_sigma,
     normalize_sigma,
     normalize_traced,
@@ -214,6 +215,8 @@ def test_normalize_idempotent():
         ctx, m, t, ty = gen_checked_term(seed)
         nf = normalize_sigma(t)
         assert normalize_sigma(nf) == nf
+        # the *_equal functions compare normal forms without canonicalizing
+        assert canonicalize_shifts_in_term(nf) == nf
 
 
 def test_subject_reduction_sigma():

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gen import gen_second_order_problem
 from oracles import brute_simple_terms
 
 from lamsig import (
@@ -29,9 +31,13 @@ from lamsig import (
     enumerate_simple_terms,
     is_simple_subst,
     match_sigma,
+    reduce_problem,
     solve_sigma,
     term_size,
 )
+from lamsig.surface import parse_problem
+
+CORPUS = Path(__file__).parent.parent / "src" / "lamsig" / "corpus"
 
 iota = Base("iota")
 ii = Arrow(iota, iota)
@@ -278,3 +284,75 @@ def test_oracle_occurs_style_exhausts():
 def test_oracle_requires_lambda_mode():
     with pytest.raises(ValueError):
         decide_small_lambda(reduced_worked_problem(), SearchConfig())
+
+
+# --- the search loop against a brute-force filter ---
+
+
+def brute_solutions(p, cfg):
+    """Every assignment of the enumerated streams, in product order, that
+    check_solution accepts."""
+    names = list(p.metavars)
+    streams = [list(enumerate_simple_terms(p.metavars[x], {}, cfg)) for x in names]
+    return [
+        theta
+        for theta in (MetaSubst(dict(zip(names, combo))) for combo in itertools.product(*streams))
+        if check_solution(p, theta, cfg.fuel)
+    ]
+
+
+def scaling_family_problem():
+    """X a (Y b) = f (g b) (g a) over (f: i->i->i, g: i->i, a, b: i): the
+    source has one solution at bound 6, among 16 x 23 assignments."""
+    iii = Arrow(iota, ii)
+    ctx = (iota, iota, ii, iii)
+    return lp(
+        ctx,
+        {"X": Sort(ctx, iii), "Y": Sort(ctx, ii)},
+        App(App(Meta("X"), Index(2)), App(Meta("Y"), Index(1))),
+        App(App(Index(4), App(Index(3), Index(1))), App(Index(3), Index(2))),
+    )
+
+
+def unknown_under_binder_problem():
+    """(lam x. X) c = g c with X declared in the binder's context.  Plain
+    syntax validates with an unknown under a binder only in this way, and
+    precooking changes the sides only then."""
+    ctx = (iota, ii)
+    return lp(
+        ctx,
+        {"X": Sort((iota,) + ctx, iota)},
+        App(Lam(Meta("X")), Index(1)),
+        App(Index(2), Index(1)),
+    )
+
+
+def differential_cases():
+    """(name, problem, search, bounds): each full-equality source under the
+    oracle and its reduction under solve_sigma."""
+    sources = [(path.name, parse_problem(path.read_text(encoding="utf-8")).problem, (1, 2, 3))
+               for path in sorted(CORPUS.glob("*.sig"))]
+    sources += [(f"seed {seed}", gen_second_order_problem(seed), (1, 2, 3)) for seed in range(60)]
+    sources.append(("scaling family", scaling_family_problem(), (6,)))
+    for name, p, bounds in sources:
+        if p.mode is EqMode.SIGMA_ONLY:
+            yield name, p, solve_sigma, bounds
+            continue
+        yield name, p, decide_small_lambda, bounds
+        yield f"{name}, reduced", reduce_problem(p).target, solve_sigma, bounds
+    # its reduction fails validation, so only the oracle runs on it
+    yield "unknown under a binder", unknown_under_binder_problem(), decide_small_lambda, (2, 3)
+
+
+def test_search_matches_brute_force_filter():
+    hits = 0
+    for name, problem, search, bounds in differential_cases():
+        for bound in bounds:
+            cfg = SearchConfig(size_bound=bound, find_all=True, max_solutions=10_000)
+            expected = brute_solutions(problem, cfg)
+            out = search(problem, cfg)
+            assert isinstance(out, Solved if expected else ExhaustedNoSolution), (name, bound)
+            if expected:
+                assert out.solutions == expected, (name, bound)
+            hits += len(expected)
+    assert hits > 300
