@@ -37,21 +37,12 @@ from .solver import (
 )
 from .sorts import IllTyped, UnifProblem, validate_problem
 from .surface import (
-    NClo,
-    NShift,
-    NamedTerm,
-    NApp,
-    NLam,
-    NMeta,
     ProblemFile,
-    UnboundName,
-    parse_named_term,
     parse_problem,
     parse_subst_file,
+    parse_term,
     render_debruijn,
     render_problem,
-    term_to_named,
-    to_de_bruijn,
 )
 from .terms import EqMode
 from .transform import InvalidProblem, precook, reduce_problem
@@ -160,28 +151,9 @@ def _cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def _precook_named(nt: NamedTerm, depth: int = 0) -> NamedTerm:
-    match nt:
-        case NMeta():
-            return nt if depth == 0 else NClo(nt, NShift(depth))
-        case NApp(fun, arg):
-            return NApp(_precook_named(fun, depth), _precook_named(arg, depth))
-        case NLam(var, ty, body):
-            return NLam(var, ty, _precook_named(body, depth + 1))
-        case _:
-            return nt
-
-
 def _cmd_precook(args) -> int:
     pf = _load(args.file)
-    cooked = precook(pf.problem)
-    out = ProblemFile(
-        problem=cooked,
-        ctx_names=pf.ctx_names,
-        named_lhs=_precook_named(pf.named_lhs),
-        named_rhs=_precook_named(pf.named_rhs),
-        expect=pf.expect,
-    )
+    out = ProblemFile(precook(pf.problem), pf.ctx_names, pf.expect)
     print(render_problem(out), end="")
     return 0
 
@@ -189,15 +161,7 @@ def _cmd_precook(args) -> int:
 def _cmd_reduce(args) -> int:
     pf = _load(args.file)
     cert = reduce_problem(pf.problem, fuel=_fuel(args))
-    target = cert.target
-    out = ProblemFile(
-        problem=target,
-        ctx_names=pf.ctx_names,
-        named_lhs=term_to_named(target.lhs, pf.ctx_names),
-        named_rhs=term_to_named(target.rhs, pf.ctx_names),
-        expect=pf.expect,
-        certificate=cert.var_map,
-    )
+    out = ProblemFile(cert.target, pf.ctx_names, pf.expect, cert.var_map)
     text = render_problem(out)
     print(text, end="")
     if args.output:
@@ -261,11 +225,7 @@ def _cmd_normalize(args) -> int:
         forms = parse_sexprs(args.expr)
         if len(forms) != 1:
             raise ParseError(1, 1, "expected exactly one expression")
-        named = parse_named_term(forms[0])
-        try:
-            term = to_de_bruijn(named, pf.ctx_names)
-        except UnboundName as err:
-            raise ParseError(err.line, err.col, f"unbound name {err.name!r}")
+        term = parse_term(forms[0], pf.ctx_names)
     else:
         term = pf.problem.lhs
     mode = EqMode.SIGMA_ONLY if args.mode == "sigma" else EqMode.LAMBDA_SIGMA
@@ -343,6 +303,9 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
         status = 2
     except (ParseError, IllTyped, InvalidProblem, FuelExhausted, ValueError) as err:
         print(f"error: {err}", file=buf)
+        status = 2
+    except RecursionError:
+        print("error: input nested too deeply", file=buf)
         status = 2
     return status, buf.getvalue()
 

@@ -1,4 +1,4 @@
-"""Surface syntax: named terms, problem files, and both renderers.
+"""Surface syntax: problem files, term parsing and printing.
 
 Problem files are s-expressions.  Context entries are listed outermost
 first, so the *last* entry of the ``context`` block is index 1; the same
@@ -6,11 +6,18 @@ convention applies to the ``:ctx`` override in a metavariable declaration,
 which is how a problem declares an unknown living in an extension of the
 problem context (emitted reductions need this).
 
-Terms come in a named grammar — ``c``, ``?X``, ``(app f a)``,
+Terms have one grammar — ``c``, ``?X``, ``(app f a)``,
 ``(lam (x iota) body)``, ``(clo t s)`` with substitutions ``(shift k)``,
 ``(cons t s)``, ``(comp s t)`` — plus bare integers as de Bruijn indices,
 which is the only way to reach context slots that have no name (binder
-extensions of a reduced problem's unknowns).
+extensions of a reduced problem's unknowns).  ``parse_term`` reads it
+straight into de Bruijn terms: a name is its innermost binder, else its
+context slot behind all binders in force.
+
+``render_term`` prints the same grammar back: context slots by name, slots
+past the named context as integers, and binders under fresh names ``x1``,
+``x2``, ...  The de Bruijn form keeps no binder domains, so printing a
+binder needs the term's sort, from which the domains are re-typed.
 
 The debug renderer prints compact de Bruijn forms (``λ.1``, ``?Y[^3]``,
 ``1 . ^0``) and is the canonical form golden tests pin down.
@@ -18,18 +25,25 @@ The debug renderer prints compact de Bruijn forms (``λ.1``, ``?Y[^3]``,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .sexpr import ParseError, SAtom, SList, expect_atom, expect_list, parse_sexprs
 from .sorts import (
     Arrow,
     Base,
     Context,
+    IllTyped,
     SimpleType,
     Sort,
+    UnannotatedBinder,
     UnifProblem,
+    _apply_type,
+    _infer,
+    equation_type,
     render_type,
+    sort_check_subst,
 )
 from .terms import (
     App,
@@ -44,91 +58,8 @@ from .terms import (
     Shift,
     Subst,
     Term,
+    subterms,
 )
-
-
-class UnboundName(Exception):
-    def __init__(self, name: str, line: int = 0, col: int = 0):
-        self.name = name
-        self.line = line
-        self.col = col
-        super().__init__(f"unbound name {name}")
-
-
-# --- named syntax ----------------------------------------------------------
-
-
-@dataclass
-class NVar:
-    name: str
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class NIndex:
-    n: int
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class NMeta:
-    name: str
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class NApp:
-    fun: "NamedTerm"
-    arg: "NamedTerm"
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class NLam:
-    var: str
-    ty: SimpleType
-    body: "NamedTerm"
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class NClo:
-    term: "NamedTerm"
-    subst: "NamedSubst"
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class NShift:
-    k: int
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class NCons:
-    head: "NamedTerm"
-    tail: "NamedSubst"
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class NComp:
-    first: "NamedSubst"
-    second: "NamedSubst"
-    line: int = 0
-    col: int = 0
-
-
-NamedTerm = Union[NVar, NIndex, NMeta, NApp, NLam, NClo]
-NamedSubst = Union[NShift, NCons, NComp]
 
 
 def parse_type(node) -> SimpleType:
@@ -146,19 +77,25 @@ def parse_type(node) -> SimpleType:
     return result
 
 
-def parse_named_term(node) -> NamedTerm:
+def parse_term(node, ctx_names: tuple[str, ...], _binders: tuple[str, ...] = ()) -> Term:
+    """Parse a term straight to de Bruijn form: index 1 is the innermost
+    binder, context names sit behind all binders in force."""
     if isinstance(node, SAtom):
         text = node.text
         if text.startswith("?"):
             if len(text) < 2:
                 raise ParseError(node.line, node.col, "metavariable name missing after ?")
-            return NMeta(text[1:], node.line, node.col)
+            return Meta(text[1:])
         if text.isdigit():
             n = int(text)
             if n < 1:
                 raise ParseError(node.line, node.col, "de Bruijn index must be >= 1")
-            return NIndex(n, node.line, node.col)
-        return NVar(text, node.line, node.col)
+            return Index(n)
+        if text in _binders:
+            return Index(_binders.index(text) + 1)
+        if text in ctx_names:
+            return Index(len(_binders) + ctx_names.index(text) + 1)
+        raise ParseError(node.line, node.col, f"unbound name {text!r}")
     lst = expect_list(node, "a term")
     if not lst.items:
         raise ParseError(lst.line, lst.col, "empty term")
@@ -166,9 +103,9 @@ def parse_named_term(node) -> NamedTerm:
     if head.text == "app":
         if len(lst.items) < 3:
             raise ParseError(lst.line, lst.col, "(app ...) needs a function and arguments")
-        result = parse_named_term(lst[1])
+        result = parse_term(lst[1], ctx_names, _binders)
         for item in lst.items[2:]:
-            result = NApp(result, parse_named_term(item), lst.line, lst.col)
+            result = App(result, parse_term(item, ctx_names, _binders))
         return result
     if head.text == "lam":
         if len(lst.items) != 3:
@@ -177,16 +114,18 @@ def parse_named_term(node) -> NamedTerm:
         if len(binder.items) != 2:
             raise ParseError(binder.line, binder.col, "(name type) expected")
         name = expect_atom(binder[0], "a binder name").text
-        ty = parse_type(binder[1])
-        return NLam(name, ty, parse_named_term(lst[2]), lst.line, lst.col)
+        parse_type(binder[1])  # checked for shape; de Bruijn terms keep no binder types
+        if name in _binders:
+            raise ParseError(lst.line, lst.col, f"binder {name!r} shadows an enclosing binder")
+        return Lam(parse_term(lst[2], ctx_names, (name,) + _binders))
     if head.text == "clo":
         if len(lst.items) != 3:
             raise ParseError(lst.line, lst.col, "(clo term subst) expected")
-        return NClo(parse_named_term(lst[1]), parse_named_subst(lst[2]), lst.line, lst.col)
+        return Closure(parse_term(lst[1], ctx_names, _binders), _parse_subst(lst[2], ctx_names, _binders))
     raise ParseError(head.line, head.col, f"unknown term form {head.text!r}")
 
 
-def parse_named_subst(node) -> NamedSubst:
+def _parse_subst(node, ctx_names: tuple[str, ...], binders: tuple[str, ...]) -> Subst:
     lst = expect_list(node, "a substitution")
     if not lst.items:
         raise ParseError(lst.line, lst.col, "empty substitution")
@@ -197,55 +136,16 @@ def parse_named_subst(node) -> NamedSubst:
         k_atom = expect_atom(lst[1], "a shift amount")
         if not k_atom.text.isdigit():
             raise ParseError(k_atom.line, k_atom.col, "shift amount must be a number")
-        return NShift(int(k_atom.text), lst.line, lst.col)
+        return Shift(int(k_atom.text))
     if head.text == "cons":
         if len(lst.items) != 3:
             raise ParseError(lst.line, lst.col, "(cons term subst) expected")
-        return NCons(parse_named_term(lst[1]), parse_named_subst(lst[2]), lst.line, lst.col)
+        return Cons(parse_term(lst[1], ctx_names, binders), _parse_subst(lst[2], ctx_names, binders))
     if head.text == "comp":
         if len(lst.items) != 3:
             raise ParseError(lst.line, lst.col, "(comp subst subst) expected")
-        return NComp(parse_named_subst(lst[1]), parse_named_subst(lst[2]), lst.line, lst.col)
+        return Comp(_parse_subst(lst[1], ctx_names, binders), _parse_subst(lst[2], ctx_names, binders))
     raise ParseError(head.line, head.col, f"unknown substitution form {head.text!r}")
-
-
-def to_de_bruijn(nt: NamedTerm, ctx_names: tuple[str, ...], _binders: tuple[str, ...] = ()) -> Term:
-    """Elaborate a named term; index 1 is the innermost binder, context
-    names sit behind all binders in force."""
-    match nt:
-        case NVar(name, line, col):
-            if name in _binders:
-                return Index(_binders.index(name) + 1)
-            if name in ctx_names:
-                return Index(len(_binders) + ctx_names.index(name) + 1)
-            raise UnboundName(name, line, col)
-        case NIndex(n):
-            return Index(n)
-        case NMeta(name):
-            return Meta(name)
-        case NApp(fun, arg):
-            return App(to_de_bruijn(fun, ctx_names, _binders), to_de_bruijn(arg, ctx_names, _binders))
-        case NLam(var, _, body, line, col):
-            if var in _binders:
-                raise ParseError(line, col, f"binder {var!r} shadows an enclosing binder")
-            return Lam(to_de_bruijn(body, ctx_names, (var,) + _binders))
-        case NClo(term, subst):
-            return Closure(
-                to_de_bruijn(term, ctx_names, _binders),
-                _subst_to_de_bruijn(subst, ctx_names, _binders),
-            )
-    raise TypeError(f"not a named term: {nt!r}")
-
-
-def _subst_to_de_bruijn(ns: NamedSubst, ctx_names, binders) -> Subst:
-    match ns:
-        case NShift(k):
-            return Shift(k)
-        case NCons(head, tail):
-            return Cons(to_de_bruijn(head, ctx_names, binders), _subst_to_de_bruijn(tail, ctx_names, binders))
-        case NComp(first, second):
-            return Comp(_subst_to_de_bruijn(first, ctx_names, binders), _subst_to_de_bruijn(second, ctx_names, binders))
-    raise TypeError(f"not a named substitution: {ns!r}")
 
 
 # --- rendering --------------------------------------------------------------
@@ -300,134 +200,85 @@ def render_debruijn_subst(s: Subst) -> str:
     raise TypeError(f"not a substitution: {s!r}")
 
 
-def term_to_named(t: Term, ctx_names: tuple[str, ...]) -> NamedTerm:
-    """Rebuild a named tree for file emission.
-
-    Binders cannot be rebuilt without annotations, so this covers exactly
-    the binder-free terms reduced problems consist of; indices that point
-    past the named context come out as bare integers.
-    """
-    match t:
-        case Index(n):
-            if n <= len(ctx_names):
-                return NVar(ctx_names[n - 1])
-            return NIndex(n)
-        case Meta(name):
-            return NMeta(name)
-        case App(fun, arg):
-            return NApp(term_to_named(fun, ctx_names), term_to_named(arg, ctx_names))
-        case Closure(body, subst):
-            return NClo(term_to_named(body, ctx_names), _subst_to_named(subst, ctx_names))
-        case Lam(_):
-            raise ValueError("cannot rebuild a named binder without its domain type")
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _subst_to_named(s: Subst, ctx_names) -> NamedSubst:
-    match s:
-        case Shift(k):
-            return NShift(k)
-        case Cons(head, tail):
-            return NCons(term_to_named(head, ctx_names), _subst_to_named(tail, ctx_names))
-        case Comp(first, second):
-            return NComp(_subst_to_named(first, ctx_names), _subst_to_named(second, ctx_names))
-    raise TypeError(f"not a substitution: {s!r}")
-
-
-def render_named(nt: NamedTerm | NamedSubst) -> str:
-    match nt:
-        case NVar(name):
-            return name
-        case NIndex(n):
-            return str(n)
-        case NMeta(name):
-            return f"?{name}"
-        case NApp():
-            args = []
-            node = nt
-            while isinstance(node, NApp):
-                args.append(node.arg)
-                node = node.fun
-            args.reverse()
-            inner = " ".join(render_named(a) for a in args)
-            return f"(app {render_named(node)} {inner})"
-        case NLam(var, ty, body):
-            return f"(lam ({var} {render_type(ty)}) {render_named(body)})"
-        case NClo(term, subst):
-            return f"(clo {render_named(term)} {render_named(subst)})"
-        case NShift(k):
-            return f"(shift {k})"
-        case NCons(head, tail):
-            return f"(cons {render_named(head)} {render_named(tail)})"
-        case NComp(first, second):
-            return f"(comp {render_named(first)} {render_named(second)})"
-    raise TypeError(f"not named syntax: {nt!r}")
-
-
-def term_with_sort_to_named(
+def render_term(
     t: Term,
-    sort: Sort,
     ctx_names: tuple[str, ...],
+    sort: Optional[Sort] = None,
     metavars: Optional[dict[str, Sort]] = None,
-    prefix: str = "x",
-) -> NamedTerm:
-    """Named tree for a well-sorted term, recovering every binder's domain
-    by bidirectional re-typing against the declared sort."""
-    from .sorts import UnannotatedBinder, _apply_type, _infer, sort_check_subst
+) -> str:
+    """Surface text of a term, which ``parse_term`` reads back.
 
+    Context slots print by name, slots past the named context as integers,
+    and binders get fresh names ``x1``, ``x2``, ...  A binder's domain is
+    recovered by bidirectional re-typing against ``sort`` (a well-sorted
+    term's context and type); without a sort a binder is a ValueError.
+    """
     metavars = metavars or {}
-    counter = [0]
+    counter = itertools.count(1)
 
-    def fresh(binders):
-        counter[0] += 1
-        while f"{prefix}{counter[0]}" in ctx_names or f"{prefix}{counter[0]}" in binders:
-            counter[0] += 1
-        return f"{prefix}{counter[0]}"
+    def fresh(binders: tuple[str, ...]) -> str:
+        while True:
+            name = f"x{next(counter)}"
+            if name not in ctx_names and name not in binders:
+                return name
 
-    def go(node: Term, ctx, binders, expected: Optional[SimpleType]) -> NamedTerm:
+    # ctx and expected are None when untyped
+    def term(node: Term, binders, ctx, expected) -> str:
         match node:
+            case Index(n):
+                names = binders + ctx_names
+                return names[n - 1] if n <= len(names) else str(n)
+            case Meta(name):
+                return f"?{name}"
+            case App():
+                return f"(app {' '.join(spine(node, binders, ctx, expected))})"
             case Lam(body):
                 if not isinstance(expected, Arrow):
-                    raise ValueError("cannot annotate a binder without an arrow type")
+                    raise ValueError("cannot print a binder without its domain type")
                 name = fresh(binders)
-                inner = go(body, (expected.dom,) + ctx, (name,) + binders, expected.cod)
-                return NLam(name, expected.dom, inner, 0, 0)
-            case App(fun, arg):
-                try:
-                    fun_ty = _infer(ctx, metavars, fun, ())
-                except UnannotatedBinder:
-                    arg_ty = _infer(ctx, metavars, arg, ())
-                    result = expected or _apply_type(ctx, metavars, fun, arg_ty, ())
-                    fun_ty = Arrow(arg_ty, result)
-                return NApp(
-                    go(fun, ctx, binders, fun_ty),
-                    go(arg, ctx, binders, fun_ty.dom),
-                )
-            case Closure(body, subst):
-                target = sort_check_subst(ctx, metavars, subst, ())
-                return NClo(
-                    go(body, target, binders, expected),
-                    _typed_subst_to_named(subst, ctx, binders),
-                )
-            case _:
-                return term_to_named(node, binders + ctx_names)
+                inner = term(body, (name,) + binders, (expected.dom,) + ctx, expected.cod)
+                return f"(lam ({name} {render_type(expected.dom)}) {inner})"
+            case Closure(body, s):
+                target = None if ctx is None else sort_check_subst(ctx, metavars, s)
+                return f"(clo {term(body, binders, target, expected)} {subst(s, binders, ctx)})"
+        raise TypeError(f"not a term: {node!r}")
 
-    def _typed_subst_to_named(s: Subst, ctx, binders) -> NamedSubst:
+    def spine(node: Term, binders, ctx, expected) -> list[str]:
+        if not isinstance(node, App):
+            return [term(node, binders, ctx, expected)]
+        fun_ty = None if ctx is None else _function_type(ctx, metavars, node, expected)
+        arg_ty = None if fun_ty is None else fun_ty.dom
+        return spine(node.fun, binders, ctx, fun_ty) + [term(node.arg, binders, ctx, arg_ty)]
+
+    def subst(s: Subst, binders, ctx) -> str:
         match s:
             case Shift(k):
-                return NShift(k)
+                return f"(shift {k})"
             case Cons(head, tail):
-                head_ty = _infer(ctx, metavars, head, ())
-                return NCons(go(head, ctx, binders, head_ty), _typed_subst_to_named(tail, ctx, binders))
+                head_ty = None if ctx is None else _infer(ctx, metavars, head, ())
+                return f"(cons {term(head, binders, ctx, head_ty)} {subst(tail, binders, ctx)})"
             case Comp(first, second):
-                mid = sort_check_subst(ctx, metavars, second, ())
-                return NComp(
-                    _typed_subst_to_named(first, mid, binders),
-                    _typed_subst_to_named(second, ctx, binders),
-                )
+                mid = None if ctx is None else sort_check_subst(ctx, metavars, second)
+                return f"(comp {subst(first, binders, mid)} {subst(second, binders, ctx)})"
         raise TypeError(f"not a substitution: {s!r}")
 
-    return go(t, sort.ctx, (), sort.ty)
+    if sort is None:
+        return term(t, (), None, None)
+    return term(t, (), sort.ctx, sort.ty)
+
+
+def _function_type(ctx: Context, metavars, node: App, expected: Optional[SimpleType]) -> Arrow:
+    """The type of an application's function part; a binder there takes its
+    domain from the argument."""
+    try:
+        fun_ty = _infer(ctx, metavars, node.fun, ())
+    except UnannotatedBinder:
+        arg_ty = _infer(ctx, metavars, node.arg, ())
+        result = expected or _apply_type(ctx, metavars, node.fun, arg_ty, ())
+        return Arrow(arg_ty, result)
+    if not isinstance(fun_ty, Arrow):
+        raise IllTyped("application head is not of arrow type")
+    return fun_ty
 
 
 # --- problem files -----------------------------------------------------------
@@ -443,8 +294,6 @@ class Expectation:
 class ProblemFile:
     problem: UnifProblem
     ctx_names: tuple[str, ...]
-    named_lhs: NamedTerm
-    named_rhs: NamedTerm
     expect: Optional[Expectation] = None
     certificate: Optional[dict[str, tuple[str, int]]] = None
 
@@ -544,13 +393,8 @@ def parse_problem(text: str) -> ProblemFile:
     eq = blocks["equation"]
     if len(eq.items) != 3:
         raise ParseError(eq.line, eq.col, "(equation lhs rhs) expected")
-    named_lhs = parse_named_term(eq[1])
-    named_rhs = parse_named_term(eq[2])
-    try:
-        lhs = to_de_bruijn(named_lhs, ctx_names)
-        rhs = to_de_bruijn(named_rhs, ctx_names)
-    except UnboundName as err:
-        raise ParseError(err.line, err.col, f"unbound name {err.name!r}") from err
+    lhs = parse_term(eq[1], ctx_names)
+    rhs = parse_term(eq[2], ctx_names)
     for side in (lhs, rhs):
         undeclared = _undeclared_metas(side, metavars)
         if undeclared:
@@ -589,7 +433,7 @@ def parse_problem(text: str) -> ProblemFile:
             certificate[x] = (y, int(n_atom.text))
 
     problem = UnifProblem(base_types, ctx, metavars, lhs, rhs, mode)
-    return ProblemFile(problem, ctx_names, named_lhs, named_rhs, expect, certificate)
+    return ProblemFile(problem, ctx_names, expect, certificate)
 
 
 def _undeclared_metas(t: Term, metavars) -> set[str]:
@@ -632,7 +476,12 @@ def render_problem(pf: ProblemFile) -> str:
             mv_entries.append(f"(?{name} {render_type(sort.ty)} :ctx ({override}))")
     lines.append(f"  (metavars {' '.join(mv_entries)})")
     lines.append(f"  (mode {p.mode.value})")
-    lines.append(f"  (equation {render_named(pf.named_lhs)} {render_named(pf.named_rhs)})")
+    sort = None
+    if any(isinstance(node, Lam) for side in (p.lhs, p.rhs) for node in subterms(side)):
+        sort = Sort(p.ctx, equation_type(p))
+    lhs = render_term(p.lhs, pf.ctx_names, sort, p.metavars)
+    rhs = render_term(p.rhs, pf.ctx_names, sort, p.metavars)
+    lines.append(f"  (equation {lhs} {rhs})")
     if pf.expect is not None:
         lines.append(f"  (expect {pf.expect.kind} :bound {pf.expect.bound})")
     lines.append(")")
@@ -667,14 +516,10 @@ def parse_subst_file(text: str, pf: ProblemFile) -> MetaSubst:
         name = raw[1:] if raw.startswith("?") else raw
         if name not in pf.problem.metavars:
             raise ParseError(entry.line, entry.col, f"undeclared metavariable {name!r}")
-        named = parse_named_term(entry[1])
         sort = pf.problem.metavars[name]
         # names make sense only when the unknown lives in the problem context
         ctx_names = pf.ctx_names if sort.ctx == pf.problem.ctx else ()
-        try:
-            bindings[name] = to_de_bruijn(named, ctx_names)
-        except UnboundName as err:
-            raise ParseError(err.line, err.col, f"unbound name {err.name!r}") from err
+        bindings[name] = parse_term(entry[1], ctx_names)
     return MetaSubst(bindings)
 
 
@@ -684,9 +529,5 @@ def render_subst(theta: MetaSubst, pf: ProblemFile) -> str:
     for name, term in theta.items():
         sort = pf.problem.metavars.get(name)
         ctx_names = pf.ctx_names if sort is not None and sort.ctx == pf.problem.ctx else ()
-        if sort is not None:
-            named = term_with_sort_to_named(term, sort, ctx_names, pf.problem.metavars)
-        else:
-            named = term_to_named(term, ctx_names)
-        parts.append(f"(?{name} {render_named(named)})")
+        parts.append(f"(?{name} {render_term(term, ctx_names, sort, pf.problem.metavars)})")
     return f"(subst {' '.join(parts)})\n"

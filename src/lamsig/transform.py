@@ -99,10 +99,13 @@ class ReductionCertificate:
 
 
 def precook(p: UnifProblem) -> UnifProblem:
-    """Close each metavariable occurrence over the shift of its binder depth.
+    """Close each metavariable occurrence over the shift of the binders
+    between it and the context the unknown is declared in.
 
-    Requires plain lambda syntax (no closures) in full-equality mode; a bare
-    metavariable at depth zero stays bare.
+    Requires plain lambda syntax (no closures) in full-equality mode.  An
+    unknown declared in the problem context is shifted by its binder depth;
+    one declared ``:ctx`` in an extension by n binders is shifted n less,
+    and stays bare where no binder lies between.
     """
     if p.mode is not EqMode.LAMBDA_SIGMA:
         raise ValueError("precooking applies to full-equality problems only")
@@ -112,8 +115,13 @@ def precook(p: UnifProblem) -> UnifProblem:
 
     def go(t: Term, depth: int) -> Term:
         match t:
-            case Meta():
-                return t if depth == 0 else Closure(t, Shift(depth))
+            case Meta(name):
+                if name not in p.metavars:
+                    raise ValueError(f"undeclared metavariable {name}")
+                k = depth - (len(p.metavars[name].ctx) - len(p.ctx))
+                if k < 0:
+                    raise ValueError(f"metavariable {name} occurs outside its declared context")
+                return t if k == 0 else Closure(t, Shift(k))
             case Index():
                 return t
             case App(fun, arg):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from lamsig import EqMode
 from lamsig.cli import run_command
 
 HERE = Path(__file__).parent
@@ -250,6 +251,19 @@ def test_malformed_file_exits_two(tmp_path, name):
     assert out.startswith("error: ") and "Traceback" not in out
 
 
+def test_deep_input_exits_two(tmp_path):
+    term = "(app f " * 30_000 + "c" + ")" * 30_000
+    path = tmp_path / "deep.sig"
+    path.write_text(
+        "(problem (base-types iota) (context (f (-> iota iota)) (c iota))"
+        f" (metavars) (mode sigma) (equation {term} c))"
+    )
+    for command in ("check", "normalize"):
+        status, out = run_command([command, str(path)])
+        assert status == 2, command
+        assert out == "error: input nested too deeply\n", command
+
+
 # --- console entry point ---
 
 
@@ -263,10 +277,13 @@ def test_console_script_runs():
 
 
 def test_precook_round_trips_through_parser(tmp_path):
-    status, out = run_command(["precook", corpus_file("xc_eq_c.sig")])
-    assert status == 0
     from lamsig.surface import parse_problem
     from lamsig.transform import precook as precook_problem
 
-    pf = parse_problem((CORPUS / "xc_eq_c.sig").read_text(encoding="utf-8"))
-    assert parse_problem(out).problem == precook_problem(pf.problem)
+    for path in sorted(CORPUS.glob("*.sig")):
+        pf = parse_problem(path.read_text(encoding="utf-8"))
+        if pf.problem.mode is not EqMode.LAMBDA_SIGMA:
+            continue
+        status, out = run_command(["precook", str(path)])
+        assert status == 0, path.name
+        assert parse_problem(out).problem == precook_problem(pf.problem), path.name

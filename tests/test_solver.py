@@ -34,6 +34,8 @@ from lamsig import (
     reduce_problem,
     solve_sigma,
     term_size,
+    validate_problem,
+    validate_reduced_problem,
 )
 from lamsig.surface import parse_problem
 
@@ -316,8 +318,8 @@ def scaling_family_problem():
 
 def unknown_under_binder_problem():
     """(lam x. X) c = g c with X declared in the binder's context.  Plain
-    syntax validates with an unknown under a binder only in this way, and
-    precooking changes the sides only then."""
+    syntax validates with an unknown under a binder only in this way; X := g x
+    solves it."""
     ctx = (iota, ii)
     return lp(
         ctx,
@@ -325,6 +327,17 @@ def unknown_under_binder_problem():
         App(Lam(Meta("X")), Index(1)),
         App(Index(2), Index(1)),
     )
+
+
+def test_unknown_declared_under_a_binder():
+    p = unknown_under_binder_problem()
+    g_x = App(Index(3), Index(1))
+    assert check_solution(p, MetaSubst({"X": g_x}))
+    assert decide_small_lambda(p, SearchConfig(size_bound=3)) == Solved([MetaSubst({"X": g_x})])
+    cert = reduce_problem(p)
+    assert validate_problem(cert.target).ok
+    assert validate_reduced_problem(cert).ok
+    assert isinstance(solve_sigma(cert.target, SearchConfig(size_bound=3)), Solved)
 
 
 def differential_cases():
@@ -340,8 +353,9 @@ def differential_cases():
             continue
         yield name, p, decide_small_lambda, bounds
         yield f"{name}, reduced", reduce_problem(p).target, solve_sigma, bounds
-    # its reduction fails validation, so only the oracle runs on it
-    yield "unknown under a binder", unknown_under_binder_problem(), decide_small_lambda, (2, 3)
+    p = unknown_under_binder_problem()
+    yield "unknown under a binder", p, decide_small_lambda, (2, 3)
+    yield "unknown under a binder, reduced", reduce_problem(p).target, solve_sigma, (2, 3)
 
 
 def test_search_matches_brute_force_filter():

@@ -20,14 +20,17 @@ from lamsig import (
 )
 from lamsig.sexpr import ParseError, parse_sexprs
 from lamsig.surface import (
-    parse_named_term,
+    ProblemFile,
     parse_problem,
     parse_subst_file,
+    parse_term,
     render_debruijn,
     render_problem,
     render_subst,
-    to_de_bruijn,
+    render_term,
 )
+
+from gen import gen_checked_term
 
 CORPUS = Path(__file__).parent.parent / "src" / "lamsig" / "corpus"
 
@@ -122,33 +125,28 @@ def test_parse_shadowed_binder_rejected():
     assert "shadows" in str(err.value)
 
 
-# --- to_de_bruijn ---
+# --- parse_term ---
 
 
 def test_to_de_bruijn_binder():
-    nt = parse_named_term(parse_sexprs("(lam (x iota) x)")[0])
-    assert to_de_bruijn(nt, ()) == Lam(Index(1))
+    assert parse_term(parse_sexprs("(lam (x iota) x)")[0], ()) == Lam(Index(1))
 
 
 def test_to_de_bruijn_context_positions():
     # ctx names ordered with index 1 first: c most recent, then f
-    nt = parse_named_term(parse_sexprs("(app f c)")[0])
-    assert to_de_bruijn(nt, ("c", "f")) == App(Index(2), Index(1))
+    assert parse_term(parse_sexprs("(app f c)")[0], ("c", "f")) == App(Index(2), Index(1))
 
 
 def test_to_de_bruijn_metavariable():
-    nt = parse_named_term(parse_sexprs("(app ?X c)")[0])
-    assert to_de_bruijn(nt, ("c",)) == App(Meta("X"), Index(1))
+    assert parse_term(parse_sexprs("(app ?X c)")[0], ("c",)) == App(Meta("X"), Index(1))
 
 
 def test_to_de_bruijn_binders_shadow_context():
-    nt = parse_named_term(parse_sexprs("(lam (c iota) c)")[0])
-    assert to_de_bruijn(nt, ("c",)) == Lam(Index(1))
+    assert parse_term(parse_sexprs("(lam (c iota) c)")[0], ("c",)) == Lam(Index(1))
 
 
 def test_to_de_bruijn_integer_atoms():
-    nt = parse_named_term(parse_sexprs("(app 2 1)")[0])
-    assert to_de_bruijn(nt, ()) == App(Index(2), Index(1))
+    assert parse_term(parse_sexprs("(app 2 1)")[0], ()) == App(Index(2), Index(1))
 
 
 # --- rendering ---
@@ -190,20 +188,25 @@ def test_round_trip_over_corpus():
 
 def test_round_trip_reduced_problem():
     from lamsig import reduce_problem
-    from lamsig.surface import ProblemFile, term_to_named
 
     pf = parse_problem((CORPUS / "xc_eq_fc.sig").read_text(encoding="utf-8"))
     cert = reduce_problem(pf.problem)
-    out = ProblemFile(
-        problem=cert.target,
-        ctx_names=pf.ctx_names,
-        named_lhs=term_to_named(cert.target.lhs, pf.ctx_names),
-        named_rhs=term_to_named(cert.target.rhs, pf.ctx_names),
-        certificate=cert.var_map,
-    )
+    out = ProblemFile(problem=cert.target, ctx_names=pf.ctx_names, certificate=cert.var_map)
     again = parse_problem(render_problem(out))
     assert again.problem == cert.target
     assert again.certificate == cert.var_map
+
+
+def test_render_parse_round_trip_over_generated_terms():
+    # the inner half of each context is named, the rest prints as integers
+    binders = 0
+    for seed in range(2000):
+        ctx, metavars, t, ty = gen_checked_term(seed)
+        names = tuple(f"v{i}" for i in range(1, len(ctx) // 2 + 1))
+        text = render_term(t, names, Sort(ctx, ty), metavars)
+        assert parse_term(parse_sexprs(text)[0], names) == t, (seed, text)
+        binders += "(lam " in text
+    assert binders > 1000
 
 
 # --- substitution files ---

@@ -65,6 +65,16 @@ def test_precook_tags_binder_depth():
     assert cooked.lhs == Lam(App(Closure(Meta("X"), Shift(1)), Index(1)))
 
 
+def test_precook_counts_binders_past_the_declared_context():
+    # X lives in the context of one binder: bare under it, ^1 under two
+    p = lp((iota,), {"X": Sort((iota, iota), iota)}, Lam(Meta("X")), Lam(Lam(Meta("X"))))
+    cooked = precook(p)
+    assert cooked.lhs == Lam(Meta("X"))
+    assert cooked.rhs == Lam(Lam(Closure(Meta("X"), Shift(1))))
+    with pytest.raises(ValueError):
+        precook(lp((iota,), p.metavars, Meta("X"), Index(1)))
+
+
 def test_precook_closed_term_unchanged():
     p = lp((iota,), {}, Lam(Lam(Index(2))), Lam(Lam(Index(2))))
     cooked = precook(p)
