@@ -5,8 +5,6 @@ of second-order unification problems to substitution-only ones, bounded
 unifier search, and an s-expression problem format with a CLI.
 """
 
-import sys
-
 from .terms import (
     App,
     Closure,
@@ -87,7 +85,3 @@ from .solver import (
     match_sigma,
     solve_sigma,
 )
-
-# Normal forms of deeply substituted terms recurse to roughly their node
-# count; the default limit is too tight for the sizes the test harness uses.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))

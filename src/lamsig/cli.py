@@ -311,6 +311,10 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
 
 
 def main() -> None:
+    # The term parser, the sort checker and the printers recurse once per level
+    # of nesting; the console script allows deeper files than the default
+    # limit does.
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     status, output = run_command(sys.argv[1:])
     stream = sys.stderr if status == 2 else sys.stdout
     stream.write(output)

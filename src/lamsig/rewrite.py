@@ -17,14 +17,22 @@ The second is the first with s a plain shift, after the index and shift
 arithmetic that the primitive representation performs eagerly.  Without it
 distinct strategies can reach distinct normal forms when metavariables are
 around.
+
+Stepping rests on one invariant: a contraction at path p changes only the
+subtree at p and the ancestors of p, and every other node keeps its path.
+The leftmost-outermost scan therefore resumes at p instead of restarting
+from the root, and the randomized strategy re-collects only the redex paths
+under p.  Both produce the steps a fresh scan of each intermediate term
+would.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .terms import (
     App,
@@ -121,7 +129,7 @@ LEFTMOST_OUTERMOST = LeftmostOutermost()
 
 def _comp(s: Subst, t: Subst) -> Subst:
     """Compose, merging adjacent shifts so that no Shift-of-Shift node exists."""
-    if isinstance(s, Shift) and isinstance(t, Shift):
+    if type(s) is Shift and type(t) is Shift:
         return Shift(s.k + t.k)
     return Comp(s, t)
 
@@ -178,90 +186,200 @@ def _subst_rule(s: Subst) -> Optional[tuple[RuleId, Subst]]:
 
 
 def _rule_at(node: Term | Subst, beta: bool) -> Optional[tuple[RuleId, Term | Subst]]:
-    if isinstance(node, (Index, Meta, App, Lam, Closure)):
+    # Only closures, Beta's applications and the two compound substitutions
+    # head a rule; indices, metavariables, binders and shifts never do.
+    tp = type(node)
+    if tp is Closure or (beta and tp is App):
         return _term_rule(node, beta)
-    return _subst_rule(node)
-
-
-_CHILDREN = {
-    App: ("fun", "arg"),
-    Lam: ("body",),
-    Closure: ("body", "subst"),
-    Cons: ("head", "tail"),
-    Comp: ("first", "second"),
-}
+    if tp is Comp or tp is Cons:
+        return _subst_rule(node)
+    return None
 
 
 def _children(node: Term | Subst) -> tuple:
-    names = _CHILDREN.get(type(node))
-    if names is None:
-        return ()
-    return tuple(getattr(node, name) for name in names)
+    tp = type(node)
+    if tp is App:
+        return node.fun, node.arg
+    if tp is Closure:
+        return node.body, node.subst
+    if tp is Cons:
+        return node.head, node.tail
+    if tp is Comp:
+        return node.first, node.second
+    if tp is Lam:
+        return (node.body,)
+    return ()
 
 
 def _rebuild(node: Term | Subst, i: int, child: Term | Subst) -> Term | Subst:
     # Comp is rebuilt through _comp: a child step may turn both sides into
     # plain shifts, and no rule reduces a composition of two shifts — the
     # canonical form has to be restored on the way up.
-    match node, i:
-        case App(_, arg), 0:
-            return App(child, arg)
-        case App(fun, _), 1:
-            return App(fun, child)
-        case Lam(_), 0:
-            return Lam(child)
-        case Closure(_, subst), 0:
-            return Closure(child, subst)
-        case Closure(body, _), 1:
-            return Closure(body, child)
-        case Cons(_, tail), 0:
-            return Cons(child, tail)
-        case Cons(head, _), 1:
-            return Cons(head, child)
-        case Comp(_, second), 0:
-            return _comp(child, second)
-        case Comp(first, _), 1:
-            return _comp(first, child)
+    tp = type(node)
+    if tp is App:
+        return App(child, node.arg) if i == 0 else App(node.fun, child)
+    if tp is Closure:
+        return Closure(child, node.subst) if i == 0 else Closure(node.body, child)
+    if tp is Cons:
+        return Cons(child, node.tail) if i == 0 else Cons(node.head, child)
+    if tp is Comp:
+        return _comp(child, node.second) if i == 0 else _comp(node.first, child)
+    if tp is Lam:
+        return Lam(child)
     raise ValueError(f"no child {i} in {node!r}")
 
 
-def _step_leftmost(node: Term | Subst, beta: bool) -> Optional[tuple[Term | Subst, list[int], RuleId]]:
-    hit = _rule_at(node, beta)
-    if hit is not None:
-        rule, new = hit
-        return new, [], rule
-    for i, child in enumerate(_children(node)):
-        sub = _step_leftmost(child, beta)
-        if sub is not None:
-            new_child, path, rule = sub
-            path.insert(0, i)
-            return _rebuild(node, i, new_child), path, rule
-    return None
+# --- positions --------------------------------------------------------------
+
+
+def _descend(t: Term | Subst, path: Path) -> tuple[list, Term | Subst]:
+    """The nodes along path, root first, and the node the path ends at."""
+    parents = []
+    for i in path:
+        parents.append(t)
+        t = _children(t)[i]
+    return parents, t
+
+
+def _replace(parents: list, idx, new: Term | Subst) -> tuple[Term | Subst, int]:
+    """Put new where the path given by parents and idx ends, rebuilding every
+    ancestor through _rebuild and storing it back into parents.
+
+    Returns the new root and the depth of the subtree that changed: the
+    path's length, or the depth of the highest Comp ancestor that _comp
+    merged into a Shift.  Such merges are contiguous above the path's end,
+    because a Comp merges only when the rebuilt child is itself a shift.
+    """
+    depth = len(parents)
+    for k in range(depth - 1, -1, -1):
+        parent = parents[k]
+        new = _rebuild(parent, idx[k], new)
+        if type(new) is Shift and type(parent) is Comp:
+            depth = k
+        parents[k] = new
+    return new, depth
 
 
 def _collect_redexes(node: Term | Subst, beta: bool, path: Path, acc: list[Path]) -> None:
-    if _rule_at(node, beta) is not None:
-        acc.append(path)
-    for i, child in enumerate(_children(node)):
-        _collect_redexes(child, beta, path + (i,), acc)
+    """Append the path of every redex under node, prefixed by path, in
+    pre-order."""
+    stack = [(node, path)]
+    while stack:
+        node, path = stack.pop()
+        if _rule_at(node, beta) is not None:
+            acc.append(path)
+        kids = _children(node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], path + (i,)))
+
+
+Steps = Iterator[tuple[Term, Optional[Path], RuleId]]
+
+
+def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
+    """Contract the redexes of t in leftmost-outermost order, yielding the
+    new term, the path (None unless paths is set) and the rule of each step.
+
+    One pre-order scan serves every step.  After a contraction at p,
+    everything left of p is unchanged and still redex-free, so the next
+    redex is the first ancestor of p that has become one, tested from the
+    root down, or else the first at or after p in pre-order.  When p sat
+    under compositions that merged into a shift, the scan resumes at the
+    highest of them, because the nodes below it are gone.
+    """
+    parents: list = []  # ancestors of node, root first
+    idx: list[int] = []  # the child of each ancestor that the path takes
+    node = t
+    hit = _rule_at(node, beta)
+    while True:
+        while hit is None:
+            kids = _children(node)
+            if kids:
+                parents.append(node)
+                idx.append(0)
+                node = kids[0]
+            else:
+                while True:  # climb to the next unvisited sibling
+                    if not parents:
+                        return
+                    i = idx[-1] + 1
+                    kids = _children(parents[-1])
+                    if i < len(kids):
+                        idx[-1] = i
+                        node = kids[i]
+                        break
+                    parents.pop()
+                    idx.pop()
+            hit = _rule_at(node, beta)
+        rule, new = hit
+        path = tuple(idx) if paths else None
+        root, depth = _replace(parents, idx, new)
+        if depth < len(parents):
+            node = parents[depth]
+            del parents[depth:], idx[depth:]
+        else:
+            node = new
+        yield root, path, rule
+        for k, ancestor in enumerate(parents):
+            hit = _rule_at(ancestor, beta)
+            if hit is not None:
+                node = ancestor
+                del parents[k:], idx[k:]
+                break
+        else:
+            hit = _rule_at(node, beta)
+
+
+def _randomized(t: Term, beta: bool, strategy: RandomizedPosition) -> Steps:
+    """Contract a redex drawn by strategy until none is left, yielding as
+    _leftmost does.
+
+    The redex paths are kept sorted, which for tuples is pre-order.  After a
+    contraction only the changed subtree's slice of paths is collected
+    again, and only the ancestors above it are tested again, so the list
+    the strategy draws from is the one a full collection would give.
+    """
+    positions: list[Path] = []
+    _collect_redexes(t, beta, (), positions)
+    root = t
+    while positions:
+        path = positions[strategy.pick(len(positions))]
+        parents, node = _descend(root, path)
+        rule, new = _rule_at(node, beta)
+        root, depth = _replace(parents, path, new)
+        top = path[:depth]
+        lo = bisect_left(positions, top)
+        hi = bisect_left(positions, top[:-1] + (top[-1] + 1,)) if top else len(positions)
+        fresh: list[Path] = []
+        _collect_redexes(parents[depth] if depth < len(path) else new, beta, top, fresh)
+        positions[lo:hi] = fresh
+        for k in range(depth):
+            above = path[:k]
+            i = bisect_left(positions, above)
+            listed = i < len(positions) and positions[i] == above
+            if _rule_at(parents[k], beta) is None:
+                if listed:
+                    del positions[i]
+            elif not listed:
+                positions.insert(i, above)
+        yield root, path, rule
+
+
+def _steps(t: Term, ruleset: EqMode, strategy: Strategy, paths: bool) -> Steps:
+    beta = ruleset is EqMode.LAMBDA_SIGMA
+    if isinstance(strategy, LeftmostOutermost):
+        return _leftmost(t, beta, paths)
+    return _randomized(t, beta, strategy)
 
 
 def contract_at(t: Term, path: Path, ruleset: EqMode) -> tuple[Term, RuleId]:
     """Apply the priority rule at the given position; used by replay."""
-    beta = ruleset is EqMode.LAMBDA_SIGMA
-
-    def go(node: Term | Subst, rest: Path) -> tuple[Term | Subst, RuleId]:
-        if not rest:
-            hit = _rule_at(node, beta)
-            if hit is None:
-                raise ValueError(f"no redex at path {path}")
-            rule, new = hit
-            return new, rule
-        new_child, rule = go(_children(node)[rest[0]], rest[1:])
-        return _rebuild(node, rest[0], new_child), rule
-
-    new, rule = go(t, path)
-    return new, rule
+    parents, node = _descend(t, path)
+    hit = _rule_at(node, ruleset is EqMode.LAMBDA_SIGMA)
+    if hit is None:
+        raise ValueError(f"no redex at path {path}")
+    rule, new = hit
+    return _replace(parents, path, new)[0], rule
 
 
 def step(
@@ -274,20 +392,7 @@ def step(
     The caller is responsible for t being sort-checked; rule application
     itself is purely syntactic.
     """
-    beta = ruleset is EqMode.LAMBDA_SIGMA
-    if isinstance(strategy, LeftmostOutermost):
-        hit = _step_leftmost(t, beta)
-        if hit is None:
-            return None
-        new, path, rule = hit
-        return new, tuple(path), rule
-    positions: list[Path] = []
-    _collect_redexes(t, beta, (), positions)
-    if not positions:
-        return None
-    path = positions[strategy.pick(len(positions))]
-    new, rule = contract_at(t, path, ruleset)
-    return new, path, rule
+    return next(_steps(t, ruleset, strategy, True), None)
 
 
 def _normalize(
@@ -300,16 +405,14 @@ def _normalize(
     current = canonicalize_shifts_in_term(t)
     if trace is not None:
         trace.initial = current
-    for _ in range(fuel):
-        hit = step(current, ruleset, strategy)
-        if hit is None:
-            return current
-        current, path, rule = hit
+    spent = 0
+    for current, path, rule in _steps(current, ruleset, strategy, trace is not None):
+        if spent >= fuel:
+            raise FuelExhausted(fuel, trace)
+        spent += 1
         if trace is not None:
             trace.steps.append(TraceStep(path, rule, current))
-    if step(current, ruleset, strategy) is None:
-        return current
-    raise FuelExhausted(fuel, trace)
+    return current
 
 
 def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:

@@ -44,6 +44,7 @@ from .sorts import (
     equation_type,
     render_type,
     sort_check_subst,
+    sort_check_term,
 )
 from .terms import (
     App,
@@ -77,9 +78,18 @@ def parse_type(node) -> SimpleType:
     return result
 
 
-def parse_term(node, ctx_names: tuple[str, ...], _binders: tuple[str, ...] = ()) -> Term:
+def parse_term(
+    node,
+    ctx_names: tuple[str, ...],
+    _binders: tuple[str, ...] = (),
+    annotations: Optional[list[tuple[SimpleType, SList]]] = None,
+) -> Term:
     """Parse a term straight to de Bruijn form: index 1 is the innermost
-    binder, context names sit behind all binders in force."""
+    binder, context names sit behind all binders in force.
+
+    De Bruijn terms keep no binder types; when ``annotations`` is given,
+    each binder's written type and its ``(name type)`` node are appended
+    to it in reading order."""
     if isinstance(node, SAtom):
         text = node.text
         if text.startswith("?"):
@@ -103,9 +113,9 @@ def parse_term(node, ctx_names: tuple[str, ...], _binders: tuple[str, ...] = ())
     if head.text == "app":
         if len(lst.items) < 3:
             raise ParseError(lst.line, lst.col, "(app ...) needs a function and arguments")
-        result = parse_term(lst[1], ctx_names, _binders)
+        result = parse_term(lst[1], ctx_names, _binders, annotations)
         for item in lst.items[2:]:
-            result = App(result, parse_term(item, ctx_names, _binders))
+            result = App(result, parse_term(item, ctx_names, _binders, annotations))
         return result
     if head.text == "lam":
         if len(lst.items) != 3:
@@ -114,18 +124,23 @@ def parse_term(node, ctx_names: tuple[str, ...], _binders: tuple[str, ...] = ())
         if len(binder.items) != 2:
             raise ParseError(binder.line, binder.col, "(name type) expected")
         name = expect_atom(binder[0], "a binder name").text
-        parse_type(binder[1])  # checked for shape; de Bruijn terms keep no binder types
+        domain = parse_type(binder[1])
         if name in _binders:
             raise ParseError(lst.line, lst.col, f"binder {name!r} shadows an enclosing binder")
-        return Lam(parse_term(lst[2], ctx_names, (name,) + _binders))
+        if annotations is not None:
+            annotations.append((domain, binder))
+        return Lam(parse_term(lst[2], ctx_names, (name,) + _binders, annotations))
     if head.text == "clo":
         if len(lst.items) != 3:
             raise ParseError(lst.line, lst.col, "(clo term subst) expected")
-        return Closure(parse_term(lst[1], ctx_names, _binders), _parse_subst(lst[2], ctx_names, _binders))
+        return Closure(
+            parse_term(lst[1], ctx_names, _binders, annotations),
+            _parse_subst(lst[2], ctx_names, _binders, annotations),
+        )
     raise ParseError(head.line, head.col, f"unknown term form {head.text!r}")
 
 
-def _parse_subst(node, ctx_names: tuple[str, ...], binders: tuple[str, ...]) -> Subst:
+def _parse_subst(node, ctx_names: tuple[str, ...], binders: tuple[str, ...], annotations) -> Subst:
     lst = expect_list(node, "a substitution")
     if not lst.items:
         raise ParseError(lst.line, lst.col, "empty substitution")
@@ -140,11 +155,17 @@ def _parse_subst(node, ctx_names: tuple[str, ...], binders: tuple[str, ...]) -> 
     if head.text == "cons":
         if len(lst.items) != 3:
             raise ParseError(lst.line, lst.col, "(cons term subst) expected")
-        return Cons(parse_term(lst[1], ctx_names, binders), _parse_subst(lst[2], ctx_names, binders))
+        return Cons(
+            parse_term(lst[1], ctx_names, binders, annotations),
+            _parse_subst(lst[2], ctx_names, binders, annotations),
+        )
     if head.text == "comp":
         if len(lst.items) != 3:
             raise ParseError(lst.line, lst.col, "(comp subst subst) expected")
-        return Comp(_parse_subst(lst[1], ctx_names, binders), _parse_subst(lst[2], ctx_names, binders))
+        return Comp(
+            _parse_subst(lst[1], ctx_names, binders, annotations),
+            _parse_subst(lst[2], ctx_names, binders, annotations),
+        )
     raise ParseError(head.line, head.col, f"unknown substitution form {head.text!r}")
 
 
@@ -213,6 +234,12 @@ def render_term(
     recovered by bidirectional re-typing against ``sort`` (a well-sorted
     term's context and type); without a sort a binder is a ValueError.
     """
+    return _render_term(t, ctx_names, sort, metavars, [])
+
+
+def _render_term(t, ctx_names, sort, metavars, domains: list[SimpleType]) -> str:
+    """render_term, appending the domain it gives each binder to domains in
+    reading order."""
     metavars = metavars or {}
     counter = itertools.count(1)
 
@@ -236,6 +263,7 @@ def render_term(
                 if not isinstance(expected, Arrow):
                     raise ValueError("cannot print a binder without its domain type")
                 name = fresh(binders)
+                domains.append(expected.dom)
                 inner = term(body, (name,) + binders, (expected.dom,) + ctx, expected.cod)
                 return f"(lam ({name} {render_type(expected.dom)}) {inner})"
             case Closure(body, s):
@@ -393,8 +421,11 @@ def parse_problem(text: str) -> ProblemFile:
     eq = blocks["equation"]
     if len(eq.items) != 3:
         raise ParseError(eq.line, eq.col, "(equation lhs rhs) expected")
-    lhs = parse_term(eq[1], ctx_names)
-    rhs = parse_term(eq[2], ctx_names)
+    annotations: list[tuple[SimpleType, SList]] = []
+    lhs = parse_term(eq[1], ctx_names, annotations=annotations)
+    rhs = parse_term(eq[2], ctx_names, annotations=annotations)
+    for domain, binder in annotations:
+        _check_base_names((domain,), base_types, binder)
     for side in (lhs, rhs):
         undeclared = _undeclared_metas(side, metavars)
         if undeclared:
@@ -433,7 +464,29 @@ def parse_problem(text: str) -> ProblemFile:
             certificate[x] = (y, int(n_atom.text))
 
     problem = UnifProblem(base_types, ctx, metavars, lhs, rhs, mode)
+    if annotations:
+        try:
+            sort = Sort(ctx, equation_type(problem))
+        except IllTyped:
+            pass  # no domains to compare with; validate_problem reports the sort error
+        else:
+            _check_binder_annotations((lhs, rhs), ctx_names, sort, metavars, annotations)
     return ProblemFile(problem, ctx_names, expect, certificate)
+
+
+def _check_binder_annotations(terms, ctx_names, sort: Sort, metavars, annotations) -> None:
+    """Each binder's written type must be the domain that typing the terms
+    at sort gives it, as printing them back would write it."""
+    domains: list[SimpleType] = []
+    for t in terms:
+        _render_term(t, ctx_names, sort, metavars, domains)
+    for (written, binder), domain in zip(annotations, domains):
+        if written != domain:
+            raise ParseError(
+                binder.line,
+                binder.col,
+                f"binder annotated {render_type(written)} has domain {render_type(domain)}",
+            )
 
 
 def _undeclared_metas(t: Term, metavars) -> set[str]:
@@ -519,7 +572,18 @@ def parse_subst_file(text: str, pf: ProblemFile) -> MetaSubst:
         sort = pf.problem.metavars[name]
         # names make sense only when the unknown lives in the problem context
         ctx_names = pf.ctx_names if sort.ctx == pf.problem.ctx else ()
-        bindings[name] = parse_term(entry[1], ctx_names)
+        annotations: list[tuple[SimpleType, SList]] = []
+        term = parse_term(entry[1], ctx_names, annotations=annotations)
+        for domain, binder in annotations:
+            _check_base_names((domain,), pf.problem.base_types, binder)
+        if annotations:
+            try:
+                sort_check_term(sort.ctx, pf.problem.metavars, term, expected=sort.ty)
+            except IllTyped:
+                pass  # check_solution reports the sort error
+            else:
+                _check_binder_annotations((term,), ctx_names, sort, pf.problem.metavars, annotations)
+        bindings[name] = term
     return MetaSubst(bindings)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Mapping, Union
 
 
@@ -225,29 +226,63 @@ def canonicalize_shifts(s: Subst) -> Subst:
     Semantics-preserving; the rewrite engine relies on inputs being in this
     form because no rewrite rule merges adjacent shifts.
     """
-    match s:
-        case Shift():
-            return s
-        case Cons(head, tail):
-            return Cons(canonicalize_shifts_in_term(head), canonicalize_shifts(tail))
-        case Comp(first, second):
-            cf = canonicalize_shifts(first)
-            cs = canonicalize_shifts(second)
-            if isinstance(cf, Shift) and isinstance(cs, Shift):
-                return Shift(cf.k + cs.k)
-            return Comp(cf, cs)
-    raise TypeError(f"not a substitution: {s!r}")
+    return _canonicalize(s, False)
 
 
 def canonicalize_shifts_in_term(t: Term) -> Term:
     """Apply canonicalize_shifts to every substitution inside a term."""
-    match t:
-        case Index() | Meta():
-            return t
-        case App(fun, arg):
-            return App(canonicalize_shifts_in_term(fun), canonicalize_shifts_in_term(arg))
-        case Lam(body):
-            return Lam(canonicalize_shifts_in_term(body))
-        case Closure(body, subst):
-            return Closure(canonicalize_shifts_in_term(body), canonicalize_shifts(subst))
-    raise TypeError(f"not a term: {t!r}")
+    return _canonicalize(t, True)
+
+
+_TERM_TYPES = frozenset((Index, Meta, App, Lam, Closure))
+
+# The two children of each binary node, and whether each is a term (True)
+# or a substitution (False).
+_PAIRS = {
+    App: (attrgetter("fun", "arg"), True, True),
+    Closure: (attrgetter("body", "subst"), True, False),
+    Cons: (attrgetter("head", "tail"), True, False),
+    Comp: (attrgetter("first", "second"), False, False),
+}
+
+
+def _canonicalize(root: Term | Subst, want_term: bool) -> Term | Subst:
+    """Rebuild root bottom-up with an explicit stack, so that nesting depth
+    costs no recursion.  A node whose children come back unchanged is kept
+    as it is."""
+    done: list[Term | Subst] = []
+    todo: list = [(root, want_term)]
+    while todo:
+        node, want = todo.pop()
+        tp = type(node)
+        if want is None:  # the canonical children of node are on top of done
+            if tp is Lam:
+                body = done.pop()
+                if body is not node.body:
+                    node = Lam(body)
+            else:
+                second = done.pop()
+                first = done.pop()
+                old_first, old_second = _PAIRS[tp][0](node)
+                if tp is Comp and type(first) is Shift and type(second) is Shift:
+                    node = Shift(first.k + second.k)
+                elif first is not old_first or second is not old_second:
+                    node = tp(first, second)
+            done.append(node)
+            continue
+        if (tp in _TERM_TYPES) is not want:
+            raise TypeError(f"not a {'term' if want else 'substitution'}: {node!r}")
+        if tp is Lam:
+            todo.append((node, None))
+            todo.append((node.body, True))
+            continue
+        pair = _PAIRS.get(tp)
+        if pair is None:
+            done.append(node)
+            continue
+        get, first_is_term, second_is_term = pair
+        first, second = get(node)
+        todo.append((node, None))
+        todo.append((second, second_is_term))
+        todo.append((first, first_is_term))
+    return done[0]

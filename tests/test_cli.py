@@ -1,8 +1,10 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamsig import EqMode
 from lamsig.cli import run_command
@@ -262,6 +264,105 @@ def test_deep_input_exits_two(tmp_path):
         status, out = run_command([command, str(path)])
         assert status == 2, command
         assert out == "error: input nested too deeply\n", command
+
+
+# --- binder annotations ---
+
+
+BINDERS = {
+    # x is used as a function of g's type
+    "wrong_domain": (
+        "(problem (base-types iota) (context (g (-> iota iota)) (c iota)) (metavars)"
+        " (mode lambdasigma) (equation (app (lam (x iota) (app x c)) g) (app g c)))",
+        "error: 1:116: binder annotated iota has domain (-> iota iota)\n",
+    ),
+    "undeclared_base": (
+        "(problem (base-types iota) (context (c iota)) (metavars)"
+        " (mode lambdasigma) (equation (app (lam (x tau) x) c) c))",
+        "error: 1:97: undeclared base type 'tau'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINDERS))
+def test_wrong_binder_annotation_exits_two(tmp_path, name):
+    text, message = BINDERS[name]
+    path = tmp_path / f"{name}.sig"
+    path.write_text(text)
+    for command in ("check", "precook"):
+        assert run_command([command, str(path)]) == (2, message), command
+
+
+@pytest.mark.parametrize(
+    "binding, message",
+    [
+        ("(lam (x tau) x)", "error: 1:17: undeclared base type 'tau'\n"),
+        ("(lam (x (-> iota iota)) x)", "error: 1:17: binder annotated (-> iota iota) has domain iota\n"),
+    ],
+)
+def test_wrong_binder_annotation_in_subst_file_exits_two(tmp_path, binding, message):
+    sub = tmp_path / "wrong.subst"
+    sub.write_text(f"(subst (?X {binding}))\n")
+    assert run_command(["verify", corpus_file("xc_eq_c.sig"), str(sub)]) == (2, message)
+
+
+def test_right_binder_annotation_passes(tmp_path):
+    path = tmp_path / "right.sig"
+    path.write_text(BINDERS["wrong_domain"][0].replace("(x iota)", "(x (-> iota iota))"))
+    status, out = run_command(["check", str(path)])
+    assert status == 0, out
+
+
+# --- the exit contract on fuzzed input ---
+
+
+TOKENS = (
+    "(", ")", "problem", "base-types", "iota", "o", "context", "metavars", "mode",
+    "sigma", "lambdasigma", "equation", "expect", "solvable", "no-solution", ":bound",
+    ":ctx", "certificate", "map", "app", "lam", "clo", "shift", "cons", "comp", "->",
+    "?X", "?Y", "?", "c", "d", "f", "g", "x", "y", "0", "1", "2", "3", "17",
+)
+FUZZ_COMMANDS = (
+    ("check",),
+    ("precook",),
+    ("reduce",),
+    ("normalize",),
+    ("solve", "--bound", "2"),
+)
+CORPUS_TOKENS = [
+    re.findall(r"[()]|[^\s()]+", path.read_text(encoding="utf-8"))
+    for path in sorted(CORPUS.glob("*.sig"))
+]
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    tokens = list(draw(st.sampled_from(CORPUS_TOKENS)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        kind = draw(st.sampled_from(("delete", "replace", "insert", "duplicate")))
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "replace":
+            tokens[i] = draw(st.sampled_from(TOKENS))
+        elif kind == "insert":
+            tokens.insert(i, draw(st.sampled_from(TOKENS)))
+        else:
+            tokens.insert(i, tokens[i])
+    return " ".join(tokens)
+
+
+token_streams = st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.one_of(mutated_corpus_files(), token_streams), command=st.sampled_from(FUZZ_COMMANDS))
+def test_exit_contract_holds_on_fuzzed_files(tmp_path_factory, text, command):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.sig"
+    path.write_text(text, encoding="utf-8")
+    status, out = run_command([command[0], str(path), *command[1:]])
+    assert status in (0, 1, 2), out
+    assert "Traceback" not in out
 
 
 # --- console entry point ---

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,7 +34,15 @@ from lamsig import (
     sort_check_term,
     step,
 )
-from lamsig.rewrite import contract_at, from_pure_indices, to_pure_indices
+from lamsig.rewrite import (
+    LEFTMOST_OUTERMOST,
+    _children,
+    _rebuild,
+    _rule_at,
+    contract_at,
+    from_pure_indices,
+    to_pure_indices,
+)
 
 
 def rules_of(trace):
@@ -305,3 +314,144 @@ def test_ground_full_normal_forms_match_denotation():
         assert got == expected, seed
         checked += 1
     assert checked > 300
+
+
+# --- the resuming scan against a rescanning reference ---
+
+
+def rescanning_steps(t, beta, strategy):
+    """Every step from a fresh scan of the whole term: the first redex in
+    pre-order, or a drawn one of all redex paths collected anew."""
+
+    def leftmost(node):
+        hit = _rule_at(node, beta)
+        if hit is not None:
+            return hit[1], (), hit[0]
+        for i, child in enumerate(_children(node)):
+            sub = leftmost(child)
+            if sub is not None:
+                return _rebuild(node, i, sub[0]), (i,) + sub[1], sub[2]
+        return None
+
+    def redexes(node, path):
+        if _rule_at(node, beta) is not None:
+            yield path
+        for i, child in enumerate(_children(node)):
+            yield from redexes(child, path + (i,))
+
+    def contract(node, path):
+        if not path:
+            rule, new = _rule_at(node, beta)
+            return new, rule
+        new_child, rule = contract(_children(node)[path[0]], path[1:])
+        return _rebuild(node, path[0], new_child), rule
+
+    while True:
+        if strategy is LEFTMOST_OUTERMOST:
+            hit = leftmost(t)
+        else:
+            positions = list(redexes(t, ()))
+            hit = None
+            if positions:
+                path = positions[strategy.pick(len(positions))]
+                new, rule = contract(t, path)
+                hit = (new, path, rule)
+        if hit is None:
+            return
+        t = hit[0]
+        yield hit
+
+
+def strategies(seed):
+    yield lambda: LEFTMOST_OUTERMOST
+    yield lambda: RandomizedPosition(seed)
+
+
+@pytest.mark.parametrize("mode", [EqMode.SIGMA_ONLY, EqMode.LAMBDA_SIGMA])
+def test_resumed_scan_matches_rescanning_reference(mode):
+    beta = mode is EqMode.LAMBDA_SIGMA
+    for seed in range(1_000):
+        ctx, m, t, ty = gen_checked_term(seed)
+        start = canonicalize_shifts_in_term(t)
+        for make in strategies(seed):
+            expected = [
+                (path, rule, result) for result, path, rule in rescanning_steps(start, beta, make())
+            ]
+            nf, trace = normalize_traced(t, mode, make())
+            got = [(s.path, s.rule, s.result) for s in trace.steps]
+            assert got == expected, seed
+            assert nf == (expected[-1][2] if expected else start), seed
+            if seed >= 300 or not expected:
+                continue
+            n = len(expected)
+            for fuel in (n - 1, n, n + 1):
+                if fuel < n:
+                    with pytest.raises(FuelExhausted) as exc:
+                        normalize_traced(t, mode, make(), fuel)
+                    assert [(s.path, s.rule, s.result) for s in exc.value.trace.steps] == expected[:fuel]
+                else:
+                    assert normalize_traced(t, mode, make(), fuel)[0] == nf, seed
+
+
+def test_step_is_the_first_step_of_a_normalization():
+    for seed in range(100):
+        ctx, m, t, ty = gen_checked_term(seed)
+        t = canonicalize_shifts_in_term(t)
+        _, trace = normalize_traced(t, EqMode.SIGMA_ONLY)
+        first = trace.steps[0] if trace.steps else None
+        got = step(t, EqMode.SIGMA_ONLY)
+        assert got == (None if first is None else (first.result, first.path, first.rule))
+
+
+def test_scan_resumes_above_merged_shifts():
+    # ShiftCons turns the inner composition into ^2, which merges the outer
+    # one into ^3 and makes the closure above it a VarShift redex.
+    t = Closure(Index(1), Comp(Shift(1), Comp(Shift(1), Cons(Index(4), Shift(2)))))
+    for strategy in strategies(0):
+        nf, trace = normalize_traced(t, EqMode.SIGMA_ONLY, strategy())
+        assert [(s.path, s.rule) for s in trace.steps] == [
+            ((1, 1), RuleId.SHIFT_CONS),
+            ((), RuleId.VAR_SHIFT),
+        ]
+        assert nf == Index(4)
+
+
+# --- depth ---
+
+
+def test_normalization_recurses_nowhere():
+    # c[^1] 1 ... 1 1[^1], an application spine 5,000 deep with a redex at
+    # its head and in its last argument
+    depth = 5_000
+    assert depth > 2 * sys.getrecursionlimit()
+    t = Closure(Index(1), Shift(1))
+    for _ in range(depth - 1):
+        t = App(t, Index(1))
+    t = App(t, Closure(Index(1), Shift(1)))
+    for nf in (
+        normalize_sigma(t),
+        normalize_traced(t, EqMode.SIGMA_ONLY)[0],
+        normalize_traced(t, EqMode.SIGMA_ONLY, RandomizedPosition(0))[0],
+    ):
+        args = []
+        while isinstance(nf, App):
+            args.append(nf.arg)
+            nf = nf.fun
+        assert nf == Index(2) and args == [Index(2)] + [Index(1)] * (depth - 1)
+    _, trace = normalize_traced(t, EqMode.SIGMA_ONLY)
+    assert [s.path for s in trace.steps] == [(0,) * depth, (1,)]
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); import lamsig, lamsig.cli; "
+        "print(before == sys.getrecursionlimit())"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
