@@ -2,19 +2,20 @@
 
 Unification modulo the substitution rules is undecidable, so every negative
 answer here means "no solution within the stated bounds" and nothing more.
-The search itself is deliberately unclever, and there is one of it:
-_product_search enumerates well-sorted candidate terms for every unknown in
-a deterministic order, tries total assignments one by one in product order,
-and compares the normal forms of the two grafted sides.  solve_sigma and
-match_sigma run it with the substitution rules, decide_small_lambda with
-Beta added; check_solution re-checks every hit.  That keeps the trusted core
-small enough for the transfer properties to be checked against it rather
-than through it.
+There is one search, _product_search.  It enumerates well-sorted candidate
+terms for every unknown in a deterministic order, normalizes the two sides
+once with the unknowns left inert, and decomposes their rigid structure
+(Huet's simplification: Decompose and Fail).  A rigid clash ends the search
+before any assignment is tried; otherwise total assignments are tried one
+by one in product order, comparing the normal forms of the grafted flex
+pairs.  solve_sigma and match_sigma run it with the substitution rules,
+decide_small_lambda with Beta added; check_solution re-checks every hit
+against the whole problem.  That keeps the trusted core small enough for
+the transfer properties to be checked against it rather than through it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -234,6 +235,46 @@ def _validate(p: UnifProblem, mode: EqMode, caller: str) -> None:
         raise InvalidProblem(report)
 
 
+def _spine(t: Term) -> tuple[Term, list[Term]]:
+    """Head and arguments of an application spine, arguments in order."""
+    args: list[Term] = []
+    while type(t) is App:
+        args.append(t.arg)
+        t = t.fun
+    args.reverse()
+    return t, args
+
+
+def _decompose(lhs: Term, rhs: Term) -> list[tuple[Term, Term]] | None:
+    """Huet's SIMPL on two normal forms: the flex pairs left after
+    decomposing the rigid structure they share, left to right, or None at a
+    rigid clash.
+
+    A binder, or a spine headed by an index, is rigid; any other spine
+    (headed by an unknown, a closure, or a binder applied in sigma mode) is
+    flex.  Pairs that are already identical are dropped.
+    """
+    flex: list[tuple[Term, Term]] = []
+    stack = [(lhs, rhs)]
+    while stack:
+        a, b = stack.pop()
+        if a == b:
+            continue
+        a_head, a_args = _spine(a)
+        b_head, b_args = _spine(b)
+        a_rigid = type(a) is Lam or type(a_head) is Index
+        b_rigid = type(b) is Lam or type(b_head) is Index
+        if not (a_rigid and b_rigid):
+            flex.append((a, b))
+        elif type(a) is Lam and type(b) is Lam:
+            stack.append((a.body, b.body))
+        elif a_head == b_head and len(a_args) == len(b_args):
+            stack.extend(reversed(list(zip(a_args, b_args))))
+        else:
+            return None
+    return flex
+
+
 def _product_search(
     p: UnifProblem,
     lhs: Term,
@@ -241,31 +282,38 @@ def _product_search(
     cfg: SearchConfig,
     normalize: Callable[[Term, int], Term],
 ) -> SearchOutcome:
-    """Try every assignment of the candidate streams in product order,
-    grafting it into lhs and rhs and comparing their normal forms.
+    """Try every assignment of the candidate streams in product order on
+    the flex pairs left by decomposing the normal forms of lhs and rhs.
 
-    A side without unknowns is normalized once, at the first comparison, so
-    an empty product normalizes nothing.  Every hit is re-checked against
-    the problem by check_solution.
+    Sound because unknowns are first-order and a closure over one is inert,
+    so rewriting is closed under grafting and, normal forms being unique,
+    nf(graft theta t) = nf(graft theta (nf t)); no rule fires at a binder or
+    along an index-headed spine, so the rigid structure survives grafting.
+    An empty product normalizes nothing; check_solution re-checks each hit.
     """
     names = list(p.metavars)
     streams = [
         list(enumerate_simple_terms(p.metavars[name], {}, cfg)) for name in names
     ]
+    if not all(streams):
+        return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
 
-    def normal_form(side: Term) -> Callable[[MetaSubst], Term]:
-        if free_metavars(side):
-            return lambda theta: normalize(graft(theta, side), cfg.fuel)
-        once = functools.cache(lambda: normalize(side, cfg.fuel))
-        return lambda theta: once()
+    def grafted(part: Term) -> Callable[[MetaSubst], Term]:
+        if free_metavars(part):
+            return lambda theta: normalize(graft(theta, part), cfg.fuel)
+        return lambda theta: part
 
-    lhs_nf, rhs_nf = normal_form(lhs), normal_form(rhs)
     solutions: list[MetaSubst] = []
     try:
+        flex = _decompose(normalize(lhs, cfg.fuel), normalize(rhs, cfg.fuel))
+        if flex is None:
+            return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
+        pairs = [(grafted(a), grafted(b)) for a, b in flex]
         for combo in itertools.product(*streams):
             theta = MetaSubst(dict(zip(names, combo)))
-            if lhs_nf(theta) == rhs_nf(theta):
-                assert check_solution(p, theta, cfg.fuel)
+            if all(left(theta) == right(theta) for left, right in pairs):
+                if not check_solution(p, theta, cfg.fuel):
+                    raise RuntimeError(f"search hit {theta!r} fails check_solution")
                 solutions.append(theta)
                 if not cfg.find_all or len(solutions) >= cfg.max_solutions:
                     break
@@ -290,8 +338,9 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
 def match_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """solve_sigma restricted to a ground right-hand side.
 
-    The search loop normalizes a side without unknowns only once, so
-    matching needs no search of its own; the outcome is solve_sigma's.
+    The search loop normalizes each side only once and compares a part
+    without unknowns as it is, so matching needs no search of its own; the
+    outcome is solve_sigma's.
     """
     if free_metavars(p.rhs):
         raise ValueError("match_sigma expects a ground right-hand side")

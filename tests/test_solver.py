@@ -10,6 +10,7 @@ from gen import gen_second_order_problem
 from oracles import brute_simple_terms
 
 from lamsig import (
+    Aborted,
     App,
     Arrow,
     Base,
@@ -17,6 +18,7 @@ from lamsig import (
     Cons,
     EqMode,
     ExhaustedNoSolution,
+    FuelExhausted,
     Index,
     Lam,
     Meta,
@@ -31,12 +33,15 @@ from lamsig import (
     enumerate_simple_terms,
     is_simple_subst,
     match_sigma,
+    normalize_lambda_sigma,
+    normalize_sigma,
     reduce_problem,
     solve_sigma,
     term_size,
     validate_problem,
     validate_reduced_problem,
 )
+from lamsig import solver
 from lamsig.surface import parse_problem
 
 CORPUS = Path(__file__).parent.parent / "src" / "lamsig" / "corpus"
@@ -340,6 +345,69 @@ def test_unknown_declared_under_a_binder():
     assert isinstance(solve_sigma(cert.target, SearchConfig(size_bound=3)), Solved)
 
 
+def decomposition_problems():
+    """(name, problem): problems for the branches of the rigid-rigid
+    decomposition that runs before the product search."""
+    # a, b: iota; g: iota -> iota; f: iota -> iota -> iota
+    ctx = (iota, iota, ii, Arrow(iota, ii))
+    a, b, g, f = Index(1), Index(2), Index(3), Index(4)
+    X, Y = Meta("X"), Meta("Y")
+    fun = {"X": Sort(ctx, ii), "Y": Sort(ctx, ii)}
+    # X declared in the binder's context, over (c: iota, g: iota -> iota)
+    under = {"X": Sort((iota, iota, ii), iota)}
+    return [
+        # f (X a) a = f (X b) b: a head mismatch in the second argument
+        ("head mismatch",
+         lp(ctx, {"X": fun["X"]}, App(App(f, App(X, a)), a), App(App(f, App(X, b)), b))),
+        # f (X a) (Y b) = f (g a) (Y a)
+        ("same head, flex arguments over two unknowns",
+         lp(ctx, fun, App(App(f, App(X, a)), App(Y, b)), App(App(f, App(g, a)), App(Y, a)))),
+        # g (f (X a) b) = g (f (Y a) b)
+        ("flex-flex pair in a rigid context",
+         lp(ctx, fun, App(g, App(App(f, App(X, a)), b)), App(g, App(App(f, App(Y, a)), b)))),
+        # (lam x. X) c = g c without Beta: the applied binder is flex, and
+        # no assignment makes it the rigid spine
+        ("sigma, applied binder against a rigid spine",
+         sp((iota, ii), under, App(Lam(X), Index(1)), App(Index(2), Index(1)))),
+        # (lam x. X) c = (lam x. g x) c without Beta: X := g x
+        ("sigma, applied binder against an applied binder",
+         sp((iota, ii), under, App(Lam(X), Index(1)), App(Lam(App(Index(3), Index(1))), Index(1)))),
+    ]
+
+
+def unvalidated_problems():
+    """(name, problem): decomposition branches that validation rules out.
+    In a second-order context every argument of an index is of base type,
+    so no binder meets a rigid term, and well-sorted sides never meet one
+    head with two arities."""
+    # a: iota; g: iota -> iota; h: (iota -> iota) -> iota
+    ctx = (iota, ii, Arrow(ii, iota))
+    h = Index(3)
+    under = {"X": Sort((iota,) + ctx, iota)}
+    # c: iota; f: iota -> iota -> iota
+    fctx = (iota, Arrow(iota, ii))
+    return [
+        # h (lam x. X) = h (lam x. g x): X := g x
+        ("lam against lam",
+         lp(ctx, under, App(h, Lam(Meta("X"))), App(h, Lam(App(Index(3), Index(1)))))),
+        # h (lam x. X) = h g: no solution without eta
+        ("lam against a rigid spine", lp(ctx, under, App(h, Lam(Meta("X"))), App(h, Index(2)))),
+        # f X = f c c
+        ("arity mismatch",
+         sp(fctx, {"X": Sort(fctx, iota)},
+            App(Index(2), Meta("X")), App(App(Index(2), Index(1)), Index(1)))),
+    ]
+
+
+def unvalidated_search(p, cfg):
+    """The search loop of solve_sigma or decide_small_lambda, without
+    their validation."""
+    if p.mode is EqMode.SIGMA_ONLY:
+        return solver._product_search(p, p.lhs, p.rhs, cfg, normalize_sigma)
+    sides = solver._graftable_sides(p)
+    return solver._product_search(p, sides.lhs, sides.rhs, cfg, normalize_lambda_sigma)
+
+
 def differential_cases():
     """(name, problem, search, bounds): each full-equality source under the
     oracle and its reduction under solve_sigma."""
@@ -347,6 +415,7 @@ def differential_cases():
                for path in sorted(CORPUS.glob("*.sig"))]
     sources += [(f"seed {seed}", gen_second_order_problem(seed), (1, 2, 3)) for seed in range(60)]
     sources.append(("scaling family", scaling_family_problem(), (6,)))
+    sources += [(name, p, (1, 2, 3)) for name, p in decomposition_problems()]
     for name, p, bounds in sources:
         if p.mode is EqMode.SIGMA_ONLY:
             yield name, p, solve_sigma, bounds
@@ -356,6 +425,8 @@ def differential_cases():
     p = unknown_under_binder_problem()
     yield "unknown under a binder", p, decide_small_lambda, (2, 3)
     yield "unknown under a binder, reduced", reduce_problem(p).target, solve_sigma, (2, 3)
+    for name, p in unvalidated_problems():
+        yield name, p, unvalidated_search, (1, 2, 3)
 
 
 def test_search_matches_brute_force_filter():
@@ -370,3 +441,23 @@ def test_search_matches_brute_force_filter():
                 assert out.solutions == expected, (name, bound)
             hits += len(expected)
     assert hits > 300
+
+
+def test_a_hit_that_fails_check_solution_raises(monkeypatch):
+    monkeypatch.setattr(solver, "check_solution", lambda p, theta, fuel: False)
+    with pytest.raises(RuntimeError):
+        solve_sigma(reduced_worked_problem(), SearchConfig(size_bound=2))
+
+
+def test_empty_product_normalizes_nothing():
+    """X has no candidate, so no side is normalized: the right side, which
+    needs more than one step, cannot exhaust the fuel."""
+    ctx = (iota, ii)
+    rhs = Closure(App(Index(1), Index(2)), Cons(Index(2), Cons(Index(1), Shift(0))))
+    p = sp(ctx, {"X": Sort((), iota)}, Closure(Meta("X"), Shift(2)), rhs)
+    assert validate_problem(p).ok
+    assert list(enumerate_simple_terms(p.metavars["X"], {}, SearchConfig())) == []
+    with pytest.raises(FuelExhausted):
+        normalize_sigma(rhs, 1)
+    assert isinstance(solve_sigma(p, SearchConfig(fuel=1)), ExhaustedNoSolution)
+    assert isinstance(solve_sigma(sp(ctx, {}, Index(1), rhs), SearchConfig(fuel=1)), Aborted)
