@@ -3,12 +3,15 @@
 Exit status contract: 0 for success or a true verdict, 1 for a false
 verdict or no solution within bounds, 2 for errors of any kind (parse,
 sorting, usage).  ``LSF_FUEL`` overrides the default rewrite fuel; an
-explicit ``--fuel`` wins over both.
+explicit ``--fuel`` wins over both.  ``run_command`` runs one command
+inside the calling process; the argument parser is built on its first call
+and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -48,8 +51,8 @@ from .terms import EqMode
 from .transform import InvalidProblem, precook, reduce_problem
 
 
-def _fuel_value(raw: str) -> int:
-    """Parse a fuel budget: an integer of at least 1."""
+def _positive_int(raw: str) -> int:
+    """Parse a fuel budget or a search bound: an integer of at least 1."""
     try:
         value = int(raw)
     except ValueError:
@@ -67,7 +70,7 @@ def _fuel(args) -> int:
     if raw is None:
         return DEFAULT_FUEL
     try:
-        return _fuel_value(raw)
+        return _positive_int(raw)
     except argparse.ArgumentTypeError as err:
         raise UsageError(f"LSF_FUEL {err}")
 
@@ -81,30 +84,37 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The command line parser; each subcommand's handler is its `handler`
+    default.  Built on first use, not at import."""
     parser = _ArgumentParser(prog="lamsig", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_fuel(p):
-        p.add_argument("--fuel", type=_fuel_value, default=None, help="rewrite step budget")
+        p.add_argument("--fuel", type=_positive_int, default=None, help="rewrite step budget")
 
     p_check = sub.add_parser("check", help="validate a problem file")
+    p_check.set_defaults(handler=_cmd_check)
     p_check.add_argument("file")
 
     p_precook = sub.add_parser("precook", help="tag metavariables with their binder depths")
+    p_precook.set_defaults(handler=_cmd_precook)
     p_precook.add_argument("file")
 
     p_reduce = sub.add_parser("reduce", help="reduce to a substitution-only problem")
+    p_reduce.set_defaults(handler=_cmd_reduce)
     p_reduce.add_argument("file")
     p_reduce.add_argument("-o", "--output", default=None, help="write the result to a file")
     add_fuel(p_reduce)
 
     p_solve = sub.add_parser("solve", help="bounded unifier search")
+    p_solve.set_defaults(handler=_cmd_solve)
     p_solve.add_argument("file")
-    p_solve.add_argument("--bound", type=int, default=4, help="candidate size bound")
-    p_solve.add_argument("--depth", type=int, default=8, help="candidate depth bound")
+    p_solve.add_argument("--bound", type=_positive_int, default=4, help="candidate size bound")
+    p_solve.add_argument("--depth", type=_positive_int, default=8, help="candidate depth bound")
     p_solve.add_argument("--all", action="store_true", help="collect several solutions")
-    p_solve.add_argument("--max-solutions", type=int, default=16)
+    p_solve.add_argument("--max-solutions", type=_positive_int, default=16)
     p_solve.add_argument("--mode", choices=["sigma", "lambdasigma"], default=None,
                          help="override the problem's equality mode")
     p_solve.add_argument("--oracle", action="store_true",
@@ -112,11 +122,13 @@ def _build_parser() -> _ArgumentParser:
     add_fuel(p_solve)
 
     p_verify = sub.add_parser("verify", help="check a substitution against a problem")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("file")
     p_verify.add_argument("subst")
     add_fuel(p_verify)
 
     p_norm = sub.add_parser("normalize", help="normalize an expression")
+    p_norm.set_defaults(handler=_cmd_normalize)
     p_norm.add_argument("file", help="problem file providing context and declarations")
     p_norm.add_argument("--expr", default=None,
                         help="expression to normalize (default: the equation's left side)")
@@ -125,6 +137,7 @@ def _build_parser() -> _ArgumentParser:
     add_fuel(p_norm)
 
     p_corpus = sub.add_parser("corpus", help="operations on the bundled problem corpus")
+    p_corpus.set_defaults(handler=_cmd_corpus)
     p_corpus.add_argument("action", choices=["run"])
     p_corpus.add_argument("--dir", default=None, help="use problems from a directory instead")
     add_fuel(p_corpus)
@@ -276,18 +289,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _dispatch(argv: Sequence[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(list(argv))
-    handlers = {
-        "check": _cmd_check,
-        "precook": _cmd_precook,
-        "reduce": _cmd_reduce,
-        "solve": _cmd_solve,
-        "verify": _cmd_verify,
-        "normalize": _cmd_normalize,
-        "corpus": _cmd_corpus,
-    }
-    return handlers[args.command](args)
+    args = _build_parser().parse_args(list(argv))
+    return args.handler(args)
 
 
 def run_command(argv: Sequence[str]) -> tuple[int, str]:

@@ -2,16 +2,17 @@
 
 Unification modulo the substitution rules is undecidable, so every negative
 answer here means "no solution within the stated bounds" and nothing more.
-There is one search, _product_search.  It enumerates well-sorted candidate
+There is one search, _product_search.  It streams well-sorted candidate
 terms for every unknown in a deterministic order, normalizes the two sides
 once with the unknowns left inert, and decomposes their rigid structure
 (Huet's simplification: Decompose and Fail).  A rigid clash ends the search
-before any assignment is tried; otherwise total assignments are tried one
-by one in product order, comparing the normal forms of the grafted flex
-pairs.  solve_sigma and match_sigma run it with the substitution rules,
-decide_small_lambda with Beta added; check_solution re-checks every hit
-against the whole problem.  That keeps the trusted core small enough for
-the transfer properties to be checked against it rather than through it.
+before any assignment is tried or any stream is read past its first
+candidate; otherwise total assignments are tried one by one in product
+order, comparing the normal forms of the grafted flex pairs.  solve_sigma
+and match_sigma run it with the substitution rules, decide_small_lambda
+with Beta added; check_solution re-checks every hit against the whole
+problem.  That keeps the trusted core small enough for the transfer
+properties to be checked against it rather than through it.
 """
 
 from __future__ import annotations
@@ -245,15 +246,20 @@ def _spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def _decompose(lhs: Term, rhs: Term) -> list[tuple[Term, Term]] | None:
+def _decompose(lhs: Term, rhs: Term, mode: EqMode) -> list[tuple[Term, Term]] | None:
     """Huet's SIMPL on two normal forms: the flex pairs left after
     decomposing the rigid structure they share, left to right, or None at a
     rigid clash.
 
-    A binder, or a spine headed by an index, is rigid; any other spine
-    (headed by an unknown, a closure, or a binder applied in sigma mode) is
-    flex.  Pairs that are already identical are dropped.
+    A binder, or a spine headed by an index, is rigid.  In sigma mode so is
+    a spine headed by a binder, since no rule fires at an applied binder
+    without Beta.  Any other spine (headed by an unknown or a closure) is
+    flex.  Two rigid spines with the same kind of head and the same number
+    of arguments give their arguments pairwise, after their heads' bodies
+    if the heads are binders; index heads must be equal.  Pairs that are
+    already identical are dropped.
     """
+    sigma = mode is EqMode.SIGMA_ONLY
     flex: list[tuple[Term, Term]] = []
     stack = [(lhs, rhs)]
     while stack:
@@ -262,17 +268,21 @@ def _decompose(lhs: Term, rhs: Term) -> list[tuple[Term, Term]] | None:
             continue
         a_head, a_args = _spine(a)
         b_head, b_args = _spine(b)
-        a_rigid = type(a) is Lam or type(a_head) is Index
-        b_rigid = type(b) is Lam or type(b_head) is Index
-        if not (a_rigid and b_rigid):
+        if not (_rigid(a_head, a_args, sigma) and _rigid(b_head, b_args, sigma)):
             flex.append((a, b))
-        elif type(a) is Lam and type(b) is Lam:
-            stack.append((a.body, b.body))
-        elif a_head == b_head and len(a_args) == len(b_args):
+        elif type(a_head) is not type(b_head) or len(a_args) != len(b_args):
+            return None
+        elif type(a_head) is Lam:
+            stack.extend(reversed([(a_head.body, b_head.body), *zip(a_args, b_args)]))
+        elif a_head == b_head:
             stack.extend(reversed(list(zip(a_args, b_args))))
         else:
             return None
     return flex
+
+
+def _rigid(head: Term, args: list[Term], sigma: bool) -> bool:
+    return type(head) is Index or (type(head) is Lam and (sigma or not args))
 
 
 def _product_search(
@@ -287,15 +297,17 @@ def _product_search(
 
     Sound because unknowns are first-order and a closure over one is inert,
     so rewriting is closed under grafting and, normal forms being unique,
-    nf(graft theta t) = nf(graft theta (nf t)); no rule fires at a binder or
-    along an index-headed spine, so the rigid structure survives grafting.
-    An empty product normalizes nothing; check_solution re-checks each hit.
+    nf(graft theta t) = nf(graft theta (nf t)); no rule fires at a binder,
+    along an index-headed spine or, without Beta, at an applied binder, so
+    the rigid structure survives grafting.  Each stream is drawn from once
+    before anything is normalized, so an empty product normalizes nothing,
+    and read in full only when decomposition leaves something to search;
+    check_solution re-checks each hit.
     """
     names = list(p.metavars)
-    streams = [
-        list(enumerate_simple_terms(p.metavars[name], {}, cfg)) for name in names
-    ]
-    if not all(streams):
+    streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
+    firsts = [next(stream, None) for stream in streams]
+    if any(first is None for first in firsts):
         return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
 
     def grafted(part: Term) -> Callable[[MetaSubst], Term]:
@@ -305,11 +317,12 @@ def _product_search(
 
     solutions: list[MetaSubst] = []
     try:
-        flex = _decompose(normalize(lhs, cfg.fuel), normalize(rhs, cfg.fuel))
+        flex = _decompose(normalize(lhs, cfg.fuel), normalize(rhs, cfg.fuel), p.mode)
         if flex is None:
             return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
         pairs = [(grafted(a), grafted(b)) for a, b in flex]
-        for combo in itertools.product(*streams):
+        candidates = [[first, *stream] for first, stream in zip(firsts, streams)]
+        for combo in itertools.product(*candidates):
             theta = MetaSubst(dict(zip(names, combo)))
             if all(left(theta) == right(theta) for left, right in pairs):
                 if not check_solution(p, theta, cfg.fuel):

@@ -1,3 +1,4 @@
+import json
 import re
 import subprocess
 import sys
@@ -209,6 +210,13 @@ def test_fuel_below_one_is_a_usage_error(fuel):
     assert "--fuel" in out and "Traceback" not in out
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--bound", "--depth", "--max-solutions"])
+def test_solve_bound_below_one_is_a_usage_error(flag, value):
+    status, out = run_command(["solve", corpus_file("xc_eq_c.sig"), flag, value])
+    assert (status, out) == (2, f"usage error: lamsig solve: argument {flag}: must be >= 1\n")
+
+
 def test_explicit_fuel_beats_larger_env(monkeypatch):
     monkeypatch.setenv("LSF_FUEL", "50")
     status, out = run_command(
@@ -375,6 +383,69 @@ def test_console_script_runs():
         text=True,
     )
     assert proc.returncode == 0
+
+
+SRC = str(HERE.parent / "src")
+
+
+def run_in_fresh_process(code: str, *args: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{code}", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_parser_is_built_on_first_use_and_then_reused():
+    """Importing the module builds no parser; the first command builds the
+    parser and its subparsers, and later commands build nothing."""
+    code = (
+        "import argparse\n"
+        "built = [0]\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built[0] += 1\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import lamsig.cli\n"
+        "print(built[0])\n"
+        "for argv in (['check', sys.argv[1]], ['frobnicate'], ['solve', sys.argv[1]]):\n"
+        "    lamsig.cli.run_command(argv)\n"
+        "    print(built[0])\n"
+    )
+    counts = [int(n) for n in run_in_fresh_process(code, corpus_file("xc_eq_c.sig")).split()]
+    assert counts[0] == 0
+    assert counts[1] > 0 and counts[1:] == [counts[1]] * 3
+
+
+def test_the_reused_parser_is_reentrant():
+    """A sequence of commands in one process, options, usage errors and
+    help included, gives what each command gives in a fresh process."""
+    path = corpus_file("xc_eq_c.sig")
+    sequence = [
+        ["solve", path, "--all", "--bound", "3", "--mode", "sigma", "--oracle", "--fuel", "7"],
+        ["solve", path, "--bound", "0"],
+        ["--help"],
+        ["--help"],
+        ["frobnicate"],
+        ["solve", path],
+    ]
+    code = (
+        "import json\n"
+        "from lamsig.cli import run_command\n"
+        "print(json.dumps([run_command(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+
+    def run(argvs):
+        return json.loads(run_in_fresh_process(code, json.dumps(argvs)))
+
+    together = run(sequence)
+    assert together == [run([argv])[0] for argv in sequence]
+    assert [status for status, _ in together] == [2, 2, 0, 0, 2, 0]
+    assert together[2] == together[3] and together[2][1].startswith("usage: lamsig")
+    assert together[5][1] == "?X := λ.1\n"
 
 
 def test_precook_round_trips_through_parser(tmp_path):

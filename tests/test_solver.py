@@ -365,8 +365,8 @@ def decomposition_problems():
         # g (f (X a) b) = g (f (Y a) b)
         ("flex-flex pair in a rigid context",
          lp(ctx, fun, App(g, App(App(f, App(X, a)), b)), App(g, App(App(f, App(Y, a)), b)))),
-        # (lam x. X) c = g c without Beta: the applied binder is flex, and
-        # no assignment makes it the rigid spine
+        # (lam x. X) c = g c without Beta: the applied binder is rigid and
+        # clashes with the spine
         ("sigma, applied binder against a rigid spine",
          sp((iota, ii), under, App(Lam(X), Index(1)), App(Index(2), Index(1)))),
         # (lam x. X) c = (lam x. g x) c without Beta: X := g x
@@ -447,6 +447,48 @@ def test_a_hit_that_fails_check_solution_raises(monkeypatch):
     monkeypatch.setattr(solver, "check_solution", lambda p, theta, fuel: False)
     with pytest.raises(RuntimeError):
         solve_sigma(reduced_worked_problem(), SearchConfig(size_bound=2))
+
+
+def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
+    """f (X a) (Y b) = g (Y a): the heads clash, so each stream is read only
+    as far as its first candidate, which shows that it is not empty."""
+    ctx = (iota, iota, ii, Arrow(iota, ii))
+    a, b, g, f = Index(1), Index(2), Index(3), Index(4)
+    X, Y = Meta("X"), Meta("Y")
+    p = lp(ctx, {"X": Sort(ctx, ii), "Y": Sort(ctx, ii)},
+           App(App(f, App(X, a)), App(Y, b)), App(g, App(Y, a)))
+    draws: list[int] = []
+    enumerate_all = solver.enumerate_simple_terms
+
+    def counting(sort, pool, cfg):
+        draws.append(0)
+        call = len(draws) - 1
+        for term in enumerate_all(sort, pool, cfg):
+            draws[call] += 1
+            yield term
+
+    monkeypatch.setattr(solver, "enumerate_simple_terms", counting)
+    cfg = SearchConfig(size_bound=4, find_all=True)
+    for search, problem in [(decide_small_lambda, p), (solve_sigma, reduce_problem(p).target)]:
+        draws.clear()
+        assert isinstance(search(problem, cfg), ExhaustedNoSolution), search.__name__
+        assert draws == [1, 1], search.__name__
+
+
+def test_sigma_applied_binder_against_a_rigid_spine_is_a_clash(monkeypatch):
+    """Without Beta the applied binder survives every graft, so the search
+    ends at decomposition and grafts nothing."""
+    p = dict(decomposition_problems())["sigma, applied binder against a rigid spine"]
+    grafts = []
+    graft_once = solver.graft
+
+    def counting(theta, t):
+        grafts.append(t)
+        return graft_once(theta, t)
+
+    monkeypatch.setattr(solver, "graft", counting)
+    assert isinstance(solve_sigma(p, SearchConfig(size_bound=3)), ExhaustedNoSolution)
+    assert grafts == []
 
 
 def test_empty_product_normalizes_nothing():
