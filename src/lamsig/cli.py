@@ -84,11 +84,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+_DESCRIPTION = (
+    "Check, precook, reduce, solve and verify λσ unification problems, normalize expressions and "
+    "run the problem corpus. Exit status: 0 for success or a true verdict, 1 for a false verdict "
+    "or no solution within bounds, 2 for any error. LSF_FUEL sets the rewrite fuel; --fuel wins."
+)
+
+
 @functools.cache
 def _build_parser() -> _ArgumentParser:
     """The command line parser; each subcommand's handler is its `handler`
     default.  Built on first use, not at import."""
-    parser = _ArgumentParser(prog="lamsig", description=__doc__)
+    parser = _ArgumentParser(prog="lamsig", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_fuel(p):
@@ -118,7 +125,7 @@ def _build_parser() -> _ArgumentParser:
     p_solve.add_argument("--mode", choices=["sigma", "lambdasigma"], default=None,
                          help="override the problem's equality mode")
     p_solve.add_argument("--oracle", action="store_true",
-                         help="run the bounded lambda-side search instead")
+                         help="require the bounded lambda-side search (full-equality problems only)")
     add_fuel(p_solve)
 
     p_verify = sub.add_parser("verify", help="check a substitution against a problem")
@@ -182,10 +189,10 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _search(problem: UnifProblem, cfg: SearchConfig, oracle: bool) -> SearchOutcome:
-    """The bounded lambda-side search when asked for or when the problem is
-    in full equality; the substitution-only search otherwise."""
-    if oracle or problem.mode is EqMode.LAMBDA_SIGMA:
+def _search(problem: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
+    """The bounded lambda-side search for a problem in full equality; the
+    substitution-only search otherwise."""
+    if problem.mode is EqMode.LAMBDA_SIGMA:
         return decide_small_lambda(problem, cfg)
     return solve_sigma(problem, cfg)
 
@@ -195,6 +202,8 @@ def _cmd_solve(args) -> int:
     problem = pf.problem
     if args.mode is not None:
         problem = replace(problem, mode=EqMode(args.mode))
+    if args.oracle and problem.mode is EqMode.SIGMA_ONLY:
+        raise UsageError("--oracle applies to full-equality problems only")
     cfg = SearchConfig(
         size_bound=args.bound,
         depth_bound=args.depth,
@@ -202,7 +211,7 @@ def _cmd_solve(args) -> int:
         find_all=args.all,
         max_solutions=args.max_solutions,
     )
-    outcome = _search(problem, cfg, oracle=args.oracle)
+    outcome = _search(problem, cfg)
     match outcome:
         case Solved(solutions):
             for theta in solutions:
@@ -276,7 +285,7 @@ def _cmd_corpus(args) -> int:
             continue
         checked += 1
         cfg = SearchConfig(size_bound=pf.expect.bound, fuel=fuel, find_all=False)
-        solved = isinstance(_search(pf.problem, cfg, oracle=False), Solved)
+        solved = isinstance(_search(pf.problem, cfg), Solved)
         expected_solved = pf.expect.kind == "solvable"
         ok = solved == expected_solved
         all_ok = all_ok and ok

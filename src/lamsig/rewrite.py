@@ -42,11 +42,12 @@ from .terms import (
     EqMode,
     Index,
     Lam,
-    Meta,
     Shift,
     Subst,
     Term,
     canonicalize_shifts_in_term,
+    children,
+    rebuild,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -89,9 +90,6 @@ class RewriteTrace:
     @property
     def fuel_spent(self) -> int:
         return len(self.steps)
-
-    def rules(self) -> list[RuleId]:
-        return [s.rule for s in self.steps]
 
 
 class FuelExhausted(Exception):
@@ -196,21 +194,6 @@ def _rule_at(node: Term | Subst, beta: bool) -> Optional[tuple[RuleId, Term | Su
     return None
 
 
-def _children(node: Term | Subst) -> tuple:
-    tp = type(node)
-    if tp is App:
-        return node.fun, node.arg
-    if tp is Closure:
-        return node.body, node.subst
-    if tp is Cons:
-        return node.head, node.tail
-    if tp is Comp:
-        return node.first, node.second
-    if tp is Lam:
-        return (node.body,)
-    return ()
-
-
 def _rebuild(node: Term | Subst, i: int, child: Term | Subst) -> Term | Subst:
     # Comp is rebuilt through _comp: a child step may turn both sides into
     # plain shifts, and no rule reduces a composition of two shifts — the
@@ -237,7 +220,7 @@ def _descend(t: Term | Subst, path: Path) -> tuple[list, Term | Subst]:
     parents = []
     for i in path:
         parents.append(t)
-        t = _children(t)[i]
+        t = children(t)[i]
     return parents, t
 
 
@@ -268,7 +251,7 @@ def _collect_redexes(node: Term | Subst, beta: bool, path: Path, acc: list[Path]
         node, path = stack.pop()
         if _rule_at(node, beta) is not None:
             acc.append(path)
-        kids = _children(node)
+        kids = children(node)
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], path + (i,)))
 
@@ -293,7 +276,7 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
     hit = _rule_at(node, beta)
     while True:
         while hit is None:
-            kids = _children(node)
+            kids = children(node)
             if kids:
                 parents.append(node)
                 idx.append(0)
@@ -303,7 +286,7 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
                     if not parents:
                         return
                     i = idx[-1] + 1
-                    kids = _children(parents[-1])
+                    kids = children(parents[-1])
                     if i < len(kids):
                         idx[-1] = i
                         node = kids[i]
@@ -474,41 +457,23 @@ def to_pure_indices(t: Term | Subst) -> Term | Subst:
     normalizing the original, which guards the primitive index arithmetic
     of VarConsSkip and VarShift.
     """
-    match t:
-        case Index(n):
-            return t if n == 1 else Closure(Index(1), Shift(n - 1))
-        case Meta():
-            return t
-        case App(fun, arg):
-            return App(to_pure_indices(fun), to_pure_indices(arg))
-        case Lam(body):
-            return Lam(to_pure_indices(body))
-        case Closure(body, subst):
-            return Closure(to_pure_indices(body), to_pure_indices(subst))
-        case Shift():
-            return t
-        case Cons(head, tail):
-            return Cons(to_pure_indices(head), to_pure_indices(tail))
-        case Comp(first, second):
-            return Comp(to_pure_indices(first), to_pure_indices(second))
-    raise TypeError(f"not a term or substitution: {t!r}")
+    return rebuild(t, _encode_index)
 
 
 def from_pure_indices(t: Term | Subst) -> Term | Subst:
     """Structural inverse of to_pure_indices."""
-    match t:
+    # No leaf is a closure, so the node map passes every leaf through as is.
+    return rebuild(t, _decode_index, _decode_index)
+
+
+def _encode_index(node: Term | Subst) -> Term | Subst:
+    if type(node) is Index and node.n > 1:
+        return Closure(Index(1), Shift(node.n - 1))
+    return node
+
+
+def _decode_index(node: Term | Subst) -> Term | Subst:
+    match node:
         case Closure(Index(1), Shift(k)) if k >= 1:
             return Index(k + 1)
-        case Index() | Meta() | Shift():
-            return t
-        case App(fun, arg):
-            return App(from_pure_indices(fun), from_pure_indices(arg))
-        case Lam(body):
-            return Lam(from_pure_indices(body))
-        case Closure(body, subst):
-            return Closure(from_pure_indices(body), from_pure_indices(subst))
-        case Cons(head, tail):
-            return Cons(from_pure_indices(head), from_pure_indices(tail))
-        case Comp(first, second):
-            return Comp(from_pure_indices(first), from_pure_indices(second))
-    raise TypeError(f"not a term or substitution: {t!r}")
+    return node

@@ -8,14 +8,18 @@ are 1-based and primitive (``Index(3)`` rather than a chain of unit shifts);
 Metavariables are instantiated by *grafting*: literal replacement with no
 index adjustment.  Any renumbering a replacement needs is expressed by the
 substitution rules of the rewrite engine, never by ``graft`` itself.
+
+Only this module knows the shape of a node: ``children`` lists a node's
+children and ``rebuild`` maps a tree bottom-up.  Neither recurses, and
+``rebuild`` returns every subtree that comes back unchanged as the same
+object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 
 class EqMode(Enum):
@@ -87,7 +91,56 @@ class Comp:
 Term = Union[Index, Meta, App, Lam, Closure]
 Subst = Union[Shift, Cons, Comp]
 
-ID = Shift(0)
+
+def children(node: Term | Subst) -> tuple:
+    """The child nodes of node, left to right; a leaf has none.  Dispatch is
+    on the exact type, which keeps it cheap for the rewrite engine's scans."""
+    tp = type(node)
+    if tp is App:
+        return node.fun, node.arg
+    if tp is Closure:
+        return node.body, node.subst
+    if tp is Cons:
+        return node.head, node.tail
+    if tp is Comp:
+        return node.first, node.second
+    if tp is Lam:
+        return (node.body,)
+    return ()
+
+
+def rebuild(root: Term | Subst, at_leaf: Callable, at_node: Callable | None = None) -> Term | Subst:
+    """Map root bottom-up with an explicit stack: every leaf through at_leaf,
+    every inner node through at_node once its children are rebuilt.  A node
+    whose children all come back as the same objects is kept as it is."""
+    done: list[Term | Subst] = []
+    todo: list = [root]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:  # the rebuilt children of node are on top of done
+            node, kids = node
+            if len(kids) == 2:
+                second = done.pop()
+                first = done.pop()
+                if first is not kids[0] or second is not kids[1]:
+                    node = type(node)(first, second)
+            else:
+                body = done.pop()
+                if body is not kids[0]:
+                    node = type(node)(body)
+            if at_node is not None:
+                node = at_node(node)
+            done.append(node)
+            continue
+        kids = children(node)
+        if kids:
+            todo.append((node, kids))
+            todo.extend(kids[::-1])
+        elif type(node) in (Index, Meta, Shift):
+            done.append(at_leaf(node))
+        else:
+            raise TypeError(f"not a term or substitution: {node!r}")
+    return done[0]
 
 
 def subterms(t: Term | Subst) -> Iterator[Term | Subst]:
@@ -96,22 +149,7 @@ def subterms(t: Term | Subst) -> Iterator[Term | Subst]:
     while stack:
         node = stack.pop()
         yield node
-        match node:
-            case App(fun, arg):
-                stack.append(fun)
-                stack.append(arg)
-            case Lam(body):
-                stack.append(body)
-            case Closure(body, subst):
-                stack.append(body)
-                stack.append(subst)
-            case Cons(head, tail):
-                stack.append(head)
-                stack.append(tail)
-            case Comp(first, second):
-                stack.append(first)
-                stack.append(second)
-    return
+        stack.extend(children(node))
 
 
 def term_size(t: Term | Subst) -> int:
@@ -193,31 +231,12 @@ def graft(theta: MetaSubst | Mapping[str, Term], t: Term) -> Term:
     rewrite engine is expected to clean up.
     """
 
-    def go_term(node: Term) -> Term:
-        match node:
-            case Meta(name) if name in theta:
-                return theta[name]
-            case Index() | Meta():
-                return node
-            case App(fun, arg):
-                return App(go_term(fun), go_term(arg))
-            case Lam(body):
-                return Lam(go_term(body))
-            case Closure(body, subst):
-                return Closure(go_term(body), go_subst(subst))
-        raise TypeError(f"not a term: {node!r}")
+    def at_leaf(node):
+        if type(node) is Meta and node.name in theta:
+            return theta[node.name]
+        return node
 
-    def go_subst(node: Subst) -> Subst:
-        match node:
-            case Shift():
-                return node
-            case Cons(head, tail):
-                return Cons(go_term(head), go_subst(tail))
-            case Comp(first, second):
-                return Comp(go_subst(first), go_subst(second))
-        raise TypeError(f"not a substitution: {node!r}")
-
-    return go_term(t)
+    return rebuild(t, at_leaf)
 
 
 def canonicalize_shifts(s: Subst) -> Subst:
@@ -226,63 +245,16 @@ def canonicalize_shifts(s: Subst) -> Subst:
     Semantics-preserving; the rewrite engine relies on inputs being in this
     form because no rewrite rule merges adjacent shifts.
     """
-    return _canonicalize(s, False)
+    # No leaf is a composition, so the node map passes every leaf through.
+    return rebuild(s, _merge_shifts, _merge_shifts)
 
 
 def canonicalize_shifts_in_term(t: Term) -> Term:
     """Apply canonicalize_shifts to every substitution inside a term."""
-    return _canonicalize(t, True)
+    return rebuild(t, _merge_shifts, _merge_shifts)
 
 
-_TERM_TYPES = frozenset((Index, Meta, App, Lam, Closure))
-
-# The two children of each binary node, and whether each is a term (True)
-# or a substitution (False).
-_PAIRS = {
-    App: (attrgetter("fun", "arg"), True, True),
-    Closure: (attrgetter("body", "subst"), True, False),
-    Cons: (attrgetter("head", "tail"), True, False),
-    Comp: (attrgetter("first", "second"), False, False),
-}
-
-
-def _canonicalize(root: Term | Subst, want_term: bool) -> Term | Subst:
-    """Rebuild root bottom-up with an explicit stack, so that nesting depth
-    costs no recursion.  A node whose children come back unchanged is kept
-    as it is."""
-    done: list[Term | Subst] = []
-    todo: list = [(root, want_term)]
-    while todo:
-        node, want = todo.pop()
-        tp = type(node)
-        if want is None:  # the canonical children of node are on top of done
-            if tp is Lam:
-                body = done.pop()
-                if body is not node.body:
-                    node = Lam(body)
-            else:
-                second = done.pop()
-                first = done.pop()
-                old_first, old_second = _PAIRS[tp][0](node)
-                if tp is Comp and type(first) is Shift and type(second) is Shift:
-                    node = Shift(first.k + second.k)
-                elif first is not old_first or second is not old_second:
-                    node = tp(first, second)
-            done.append(node)
-            continue
-        if (tp in _TERM_TYPES) is not want:
-            raise TypeError(f"not a {'term' if want else 'substitution'}: {node!r}")
-        if tp is Lam:
-            todo.append((node, None))
-            todo.append((node.body, True))
-            continue
-        pair = _PAIRS.get(tp)
-        if pair is None:
-            done.append(node)
-            continue
-        get, first_is_term, second_is_term = pair
-        first, second = get(node)
-        todo.append((node, None))
-        todo.append((second, second_is_term))
-        todo.append((first, first_is_term))
-    return done[0]
+def _merge_shifts(node: Term | Subst) -> Term | Subst:
+    if type(node) is Comp and type(node.first) is Shift and type(node.second) is Shift:
+        return Shift(node.first.k + node.second.k)
+    return node

@@ -187,26 +187,18 @@ def build_lifting_subst(p: UnifProblem) -> tuple[MetaSubst, CertificateStub]:
 
 
 def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertificate:
-    """Produce the substitution-only image of a valid second-order problem.
+    """Produce the substitution-only image of a valid second-order problem
+    in full equality.
 
     Each side is precooked, grafted with the lifting substitution, and fully
     normalized; the target equation is then to be solved modulo the
     substitution rules alone.
     """
+    if p.mode is not EqMode.LAMBDA_SIGMA:
+        raise ValueError("reduce_problem expects a full-equality problem")
     report = validate_problem(p)
     if not report.ok:
         raise InvalidProblem(report)
-
-    if not p.metavars:
-        target = UnifProblem(
-            base_types=p.base_types,
-            ctx=p.ctx,
-            metavars={},
-            lhs=normalize_sigma(p.lhs, fuel),
-            rhs=normalize_sigma(p.rhs, fuel),
-            mode=EqMode.SIGMA_ONLY,
-        )
-        return ReductionCertificate({}, p, target)
 
     cooked = precook(p)
     lifting, stub = build_lifting_subst(p)

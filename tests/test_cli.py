@@ -52,6 +52,31 @@ def test_usage_error_exits_two():
     assert status == 2
 
 
+def test_oracle_on_a_sigma_problem_is_a_usage_error():
+    for argv in (
+        ["solve", corpus_file("sigma_ground.sig"), "--oracle"],
+        ["solve", corpus_file("xc_eq_c.sig"), "--mode", "sigma", "--oracle"],
+    ):
+        status, out = run_command(argv)
+        assert status == 2, argv
+        assert out == "usage error: --oracle applies to full-equality problems only\n", argv
+    assert run_command(["solve", corpus_file("xc_eq_c.sig"), "--oracle"]) == (0, "?X := λ.1\n")
+
+
+def test_reduce_on_a_sigma_problem_exits_two():
+    for name in ("sigma_ground.sig", "sigma_meta_cons.sig"):
+        status, out = run_command(["reduce", corpus_file(name)])
+        assert status == 2, name
+        assert out == "error: reduce_problem expects a full-equality problem\n", name
+
+
+def test_help_shows_no_source_markup():
+    status, out = run_command(["--help"])
+    assert status == 0
+    assert "Exit status: 0" in out
+    assert "``" not in out and "run_command" not in out
+
+
 def test_missing_file_exits_two():
     status, out = run_command(["check", "/nonexistent/never.sig"])
     assert status == 2

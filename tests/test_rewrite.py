@@ -25,7 +25,10 @@ from lamsig import (
     RuleId,
     SIGMA_RULES,
     Shift,
+    canonicalize_shifts,
     canonicalize_shifts_in_term,
+    free_metavars,
+    graft,
     normalize_lambda_sigma,
     normalize_sigma,
     normalize_traced,
@@ -33,16 +36,17 @@ from lamsig import (
     sigma_equal,
     sort_check_term,
     step,
+    term_size,
 )
 from lamsig.rewrite import (
     LEFTMOST_OUTERMOST,
-    _children,
     _rebuild,
     _rule_at,
     contract_at,
     from_pure_indices,
     to_pure_indices,
 )
+from lamsig.terms import children, subterms
 
 
 def rules_of(trace):
@@ -327,7 +331,7 @@ def rescanning_steps(t, beta, strategy):
         hit = _rule_at(node, beta)
         if hit is not None:
             return hit[1], (), hit[0]
-        for i, child in enumerate(_children(node)):
+        for i, child in enumerate(children(node)):
             sub = leftmost(child)
             if sub is not None:
                 return _rebuild(node, i, sub[0]), (i,) + sub[1], sub[2]
@@ -336,14 +340,14 @@ def rescanning_steps(t, beta, strategy):
     def redexes(node, path):
         if _rule_at(node, beta) is not None:
             yield path
-        for i, child in enumerate(_children(node)):
+        for i, child in enumerate(children(node)):
             yield from redexes(child, path + (i,))
 
     def contract(node, path):
         if not path:
             rule, new = _rule_at(node, beta)
             return new, rule
-        new_child, rule = contract(_children(node)[path[0]], path[1:])
+        new_child, rule = contract(children(node)[path[0]], path[1:])
         return _rebuild(node, path[0], new_child), rule
 
     while True:
@@ -440,6 +444,38 @@ def test_normalization_recurses_nowhere():
         assert nf == Index(2) and args == [Index(2)] + [Index(1)] * (depth - 1)
     _, trace = normalize_traced(t, EqMode.SIGMA_ONLY)
     assert [s.path for s in trace.steps] == [(0,) * depth, (1,)]
+
+
+def test_structural_maps_recurse_nowhere():
+    # X[^1 o ^1] 2 ... 2, an application spine 5,000 deep, and a composition
+    # of 5,000 unit shifts
+    depth = 5_000
+    assert depth > 2 * sys.getrecursionlimit()
+    head = Closure(Meta("X"), Comp(Shift(1), Shift(1)))
+    t = head
+    for _ in range(depth - 1):
+        t = App(t, Index(2))
+    s = Shift(1)
+    for _ in range(depth - 1):
+        s = Comp(Shift(1), s)
+
+    def spine(u):
+        args = []
+        while isinstance(u, App):
+            args.append(u.arg)
+            u = u.fun
+        return u, args
+
+    twos = [Index(2)] * (depth - 1)
+    assert term_size(t) == sum(1 for _ in subterms(t)) == 2 * (depth - 1) + 5
+    assert free_metavars(t) == {"X"}
+    assert spine(graft({"X": Index(1)}, t)) == (Closure(Index(1), Comp(Shift(1), Shift(1))), twos)
+    assert spine(canonicalize_shifts_in_term(t)) == (Closure(Meta("X"), Shift(2)), twos)
+    assert canonicalize_shifts(s) == Shift(depth)
+    encoded = to_pure_indices(t)
+    assert spine(encoded) == (head, [Closure(Index(1), Shift(1))] * (depth - 1))
+    decoded_head, decoded_args = spine(from_pure_indices(encoded))
+    assert decoded_head is head and decoded_args == twos
 
 
 def test_import_leaves_the_recursion_limit_alone():

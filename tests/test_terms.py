@@ -195,6 +195,32 @@ def test_metasubst_rejects_self_reference():
         MetaSubst({"X": App(Meta("X"), Index(1))})
 
 
+def test_structural_maps_reject_non_nodes():
+    from lamsig.rewrite import from_pure_indices, to_pure_indices
+
+    for walk in (
+        lambda t: graft({}, t),
+        canonicalize_shifts,
+        canonicalize_shifts_in_term,
+        to_pure_indices,
+        from_pure_indices,
+    ):
+        for bad in ("X", None, App(Index(1), 3)):
+            with pytest.raises(TypeError):
+                walk(bad)
+
+
+def test_rebuild_keeps_unchanged_subtrees():
+    left = App(Index(1), Lam(Index(2)))
+    right = Closure(Meta("Y"), Cons(Index(1), Shift(2)))
+    t = App(left, App(Meta("X"), right))
+    out = graft({"X": Index(3)}, t)
+    assert out == App(left, App(Index(3), right))
+    assert out.fun is left and out.arg.arg is right
+    assert graft({"Z": Index(3)}, t) is t
+    assert canonicalize_shifts_in_term(t) is t
+
+
 # --- canonicalize_shifts ---
 
 

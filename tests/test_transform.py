@@ -22,6 +22,7 @@ from lamsig import (
     PreconditionViolated,
     ShapeMismatch,
     Shift,
+    Solved,
     Sort,
     UnifProblem,
     UnknownMeta,
@@ -32,6 +33,7 @@ from lamsig import (
     precook,
     project_solution,
     reduce_problem,
+    solve_sigma,
     validate_reduced_problem,
 )
 
@@ -202,6 +204,25 @@ def test_reduce_degenerate_no_metavars():
     assert cert.var_map == {}
     assert cert.target.lhs == cert.source.lhs
     assert cert.target.mode is EqMode.SIGMA_ONLY
+
+
+def test_reduce_ground_problem_keeps_beta():
+    # (λx.x) c = c holds by Beta alone; the substitution rules leave the
+    # redex, so the reduction must not normalize a ground problem without it
+    p = lp((iota,), {}, App(Lam(Index(1)), Index(1)), Index(1))
+    cert = reduce_problem(p)
+    assert cert.target.lhs == cert.target.rhs == Index(1)
+    assert isinstance(solve_sigma(cert.target), Solved)
+
+
+def test_reduce_rejects_a_sigma_source():
+    for metavars, lhs in [
+        ({}, Closure(Index(1), Shift(0))),
+        ({"X": Sort((iota,), iota)}, Closure(Meta("X"), Cons(Index(1), Shift(1)))),
+    ]:
+        p = UnifProblem(BT, (iota,), metavars, lhs, Index(1), EqMode.SIGMA_ONLY)
+        with pytest.raises(ValueError, match="reduce_problem expects a full-equality problem"):
+            reduce_problem(p)
 
 
 def test_reduce_two_argument_cons_order():
