@@ -125,7 +125,9 @@ def _build_parser() -> _ArgumentParser:
     p_solve.add_argument("--mode", choices=["sigma", "lambdasigma"], default=None,
                          help="override the problem's equality mode")
     p_solve.add_argument("--oracle", action="store_true",
-                         help="require the bounded lambda-side search (full-equality problems only)")
+                         help="insist on the bounded lambda-side search, which a full-equality "
+                              "problem gets anyway: the flag changes nothing there and rejects "
+                              "a sigma problem as a usage error")
     add_fuel(p_solve)
 
     p_verify = sub.add_parser("verify", help="check a substitution against a problem")
@@ -180,6 +182,8 @@ def _cmd_precook(args) -> int:
 
 def _cmd_reduce(args) -> int:
     pf = _load(args.file)
+    if pf.problem.mode is EqMode.SIGMA_ONLY:
+        raise UsageError(f"reduce takes a full-equality problem; {args.file} declares (mode sigma)")
     cert = reduce_problem(pf.problem, fuel=_fuel(args))
     out = ProblemFile(cert.target, pf.ctx_names, pf.expect, cert.var_map)
     text = render_problem(out)

@@ -1,12 +1,11 @@
-"""Rewrite rules, one-step rewriting, fueled normalization, and traces.
+"""Rewrite rules, the two normalization engines, and traces.
 
 The substitution rules propagate explicit substitutions through terms and
 resolve index lookups; Beta is the only rule excluded from the
 substitution-only ("sigma") rule set.  Indices and shifts are primitive, so
 two rules do index arithmetic directly (VarConsSkip, VarShift) and composed
 shifts are merged on construction — no rewrite rule ever needs to merge
-``Shift . Shift`` because such a node is never created.  Inputs are run
-through shift canonicalization once, up front, for the same reason.
+``Shift . Shift`` because such a node is never created.
 
 The pairing collapse EtaConsShift comes in two syntactic forms:
 
@@ -17,6 +16,25 @@ The second is the first with s a plain shift, after the index and shift
 arithmetic that the primitive representation performs eagerly.  Without it
 distinct strategies can reach distinct normal forms when metavariables are
 around.
+
+Two engines compute normal forms:
+
+* ``normalize_sigma`` is a one-pass evaluator for the substitution rules
+  alone, which terminate and are confluent (Abadi, Cardelli, Curien and
+  Lévy, *Explicit substitutions*, JFP 1991).  It evaluates each closure
+  against a substitution already in normal form instead of rescanning the
+  term after every rewrite, and its fuel counts the rule instances it
+  performs.  It serves
+  throughput: ``sigma_equal``, the substitution-only search and solution
+  checks all run on it.
+* The stepper contracts one redex at a time, at the position a strategy
+  picks, and its fuel counts steps.  It stays where the product is a
+  step-by-step trace: ``step``, ``contract_at``, ``normalize_traced``,
+  ``replay_trace`` and ``lamsig normalize --trace``.  It also computes
+  ``normalize_lambda_sigma``: typed lambda-sigma is not strongly
+  normalizing (Melliès, TLCA 1995), so Beta needs a termination argument of
+  its own before it moves to an evaluator.  The stepper runs its input
+  through shift canonicalization once, up front.
 
 Stepping rests on one invariant: a contraction at path p changes only the
 subtree at p and the ancestors of p, and every other node keeps its path.
@@ -42,6 +60,7 @@ from .terms import (
     EqMode,
     Index,
     Lam,
+    Meta,
     Shift,
     Subst,
     Term,
@@ -378,6 +397,180 @@ def step(
     return next(_steps(t, ruleset, strategy, True), None)
 
 
+# --- the substitution-only evaluator ------------------------------------------
+
+# The evaluator's instructions.  Each sits on its work stack as a tuple
+# (op, node, s, m); every finished normal form goes on its value stack.
+# _EVAL and _SUBST read (s, m) as the environment ⇑^m(s): m binders lifted
+# over s, a normal substitution other than the identity, or s = None for
+# the identity.  _CLOSE and _THEN take the value on top as the environment
+# of their node, a closure's body or a composition's first half; the other
+# instructions combine values, and _LIFTS keeps its lowest index in the
+# node slot.
+_EVAL, _SUBST, _APP, _LAM, _CLOSE, _META, _CONS, _THEN, _LIFTS = range(9)
+
+_IDENTITY = Shift(0)
+
+
+def _env(s: Subst) -> Optional[Subst]:
+    """A normal substitution as an environment: None for the identity."""
+    return None if type(s) is Shift and s.k == 0 else s
+
+
+def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
+    """Normal form of t under the substitution rules alone, in one pass.
+
+    A normal substitution is a cons list of normal terms ending in a shift,
+    since no substitution is a metavariable.  The pass evaluates t[s] with
+    s already normal: an index is looked up along s, applications and
+    binders are entered, and a closure u[v] is entered once v o s is
+    normal.  A binder does not compose s o ^1 for its body; it counts one
+    more lift in m, so a nest of binders costs nothing until a closure or
+    an unknown needs the substitution written out.  Conses go through
+    EtaConsShift as they are built (n . ^n is ^(n-1)) and shifts merge as
+    they are composed, so the input needs no canonicalization first.  The
+    work and value stacks replace recursion.
+
+    Fuel pays for rule instances: one for each App, Abs, Clos, MapCons,
+    AssocComp and ShiftCons the pass performs, and one for each index
+    lookup and each cons cell a lookup or a shift skips.  Nothing is
+    charged under the identity, where no rule applies.
+    """
+    spent = 0
+    todo: list = [(_EVAL, t, None, 0)]
+    done: list = []
+    push = todo.append
+    out = done.append
+    while todo:
+        op, x, s, m = todo.pop()
+        if op == _EVAL:
+            tp = type(x)
+            if s is None:
+                if tp is App:
+                    push((_APP, x, None, 0))
+                    push((_EVAL, x.arg, None, 0))
+                    push((_EVAL, x.fun, None, 0))
+                elif tp is Lam:
+                    push((_LAM, x, None, 0))
+                    push((_EVAL, x.body, None, 0))
+                elif tp is Closure:
+                    push((_CLOSE, x.body, None, 0))
+                    push((_SUBST, x.subst, None, 0))
+                else:
+                    out(x)
+                continue
+            if tp is Meta:  # inert; its closure is ⇑^m(s) written out
+                push((_META, x, None, 0))
+                push((_SUBST, _IDENTITY, s, m))
+                continue
+            spent += 1
+            if spent > fuel:
+                raise FuelExhausted(fuel)
+            if tp is Index:  # VarConsHit, VarConsSkip, VarShift
+                n = x.n - m
+                if n <= 0:  # bound by one of the m lifted binders
+                    out(x)
+                    continue
+                while n > 1 and type(s) is Cons:
+                    s = s.tail
+                    n -= 1
+                    spent += 1
+                if type(s) is Shift:
+                    out(Index(n + s.k + m))
+                elif m:
+                    push((_EVAL, s.head, Shift(m), 0))
+                else:
+                    out(s.head)
+            elif tp is App:
+                push((_APP, x, None, 0))
+                push((_EVAL, x.arg, s, m))
+                push((_EVAL, x.fun, s, m))
+            elif tp is Lam:
+                push((_LAM, x, None, 0))
+                push((_EVAL, x.body, s, m + 1))
+            else:
+                push((_CLOSE, x.body, None, 0))
+                push((_SUBST, x.subst, s, m))
+        elif op == _SUBST:  # the normal form of x o ⇑^m(s)
+            tp = type(x)
+            if s is None:
+                if tp is Shift:
+                    out(x)
+                elif tp is Cons:
+                    push((_CONS, x, None, 0))
+                    push((_SUBST, x.tail, None, 0))
+                    push((_EVAL, x.head, None, 0))
+                else:
+                    push((_THEN, x.first, None, 0))
+                    push((_SUBST, x.second, None, 0))
+                continue
+            if tp is Cons:  # MapCons
+                spent += 1
+                push((_CONS, x, None, 0))
+                push((_SUBST, x.tail, s, m))
+                push((_EVAL, x.head, s, m))
+            elif tp is Comp:  # AssocComp
+                spent += 1
+                push((_THEN, x.first, None, 0))
+                push((_SUBST, x.second, s, m))
+            else:
+                # ^k o ⇑^m(s) is (k+1) . ... . m . (s o ^m) when k <= m, and
+                # drops k - m cells of s before the shift otherwise
+                k = x.k
+                lo = m
+                if k <= m:
+                    lo = k
+                else:
+                    k -= m
+                    while k and type(s) is Cons:  # ShiftCons
+                        s = s.tail
+                        k -= 1
+                        spent += 1
+                    if k:
+                        s = Shift(s.k + k)
+                if lo < m:
+                    push((_LIFTS, lo, None, m))
+                if m == 0:
+                    out(s)
+                elif type(s) is Shift:
+                    out(Shift(s.k + m))
+                else:
+                    push((_SUBST, s, Shift(m), 0))
+            if spent > fuel:
+                raise FuelExhausted(fuel)
+        elif op == _APP:
+            arg = done.pop()
+            fun = done.pop()
+            out(x if fun is x.fun and arg is x.arg else App(fun, arg))
+        elif op == _LAM:
+            body = done.pop()
+            out(x if body is x.body else Lam(body))
+        elif op == _CONS:
+            tail = done.pop()
+            head = done.pop()
+            if type(tail) is Shift and type(head) is Index and head.n == tail.k:
+                out(Shift(tail.k - 1))  # EtaConsShift
+            else:
+                out(x if head is x.head and tail is x.tail else Cons(head, tail))
+        elif op == _CLOSE:
+            push((_EVAL, x, _env(done.pop()), 0))
+        elif op == _THEN:
+            push((_SUBST, x, _env(done.pop()), 0))
+        elif op == _META:
+            v = done.pop()
+            out(x if _env(v) is None else Closure(x, v))
+        else:  # _LIFTS: cons the indices m down to x+1 onto the value
+            # the environment is not the identity, so s o ^m is no shift ^m
+            # and no cell collapses
+            v = done.pop()
+            for n in range(m, x, -1):
+                v = Cons(Index(n), v)
+            out(v)
+    if spent > fuel:
+        raise FuelExhausted(fuel)
+    return done[0]
+
+
 def _normalize(
     t: Term,
     ruleset: EqMode,
@@ -396,11 +589,6 @@ def _normalize(
         if trace is not None:
             trace.steps.append(TraceStep(path, rule, current))
     return current
-
-
-def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normal form of t under the substitution rules alone."""
-    return _normalize(t, EqMode.SIGMA_ONLY, LEFTMOST_OUTERMOST, fuel, None)
 
 
 def normalize_lambda_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -436,8 +624,9 @@ def replay_trace(trace: RewriteTrace, ruleset: EqMode) -> bool:
 def sigma_equal(t1: Term, t2: Term, fuel: int = DEFAULT_FUEL) -> bool:
     """Equality modulo the substitution rules: identical normal forms.
 
-    Normal forms are shift-canonical already: _normalize canonicalizes its
-    input, and every rule and _rebuild composes through _comp.
+    Normal forms are unique, and shift-canonical because the evaluator
+    merges shifts as it composes them, so comparing them needs no further
+    canonicalization.
     """
     return normalize_sigma(t1, fuel) == normalize_sigma(t2, fuel)
 

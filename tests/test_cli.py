@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lamsig import EqMode
 from lamsig.cli import run_command
+from lamsig.surface import parse_problem
 
 HERE = Path(__file__).parent
 GOLDENS = HERE / "goldens"
@@ -65,9 +66,24 @@ def test_oracle_on_a_sigma_problem_is_a_usage_error():
 
 def test_reduce_on_a_sigma_problem_exits_two():
     for name in ("sigma_ground.sig", "sigma_meta_cons.sig"):
-        status, out = run_command(["reduce", corpus_file(name)])
+        path = corpus_file(name)
+        status, out = run_command(["reduce", path])
         assert status == 2, name
-        assert out == "error: reduce_problem expects a full-equality problem\n", name
+        assert out == (
+            f"usage error: reduce takes a full-equality problem; {path} declares (mode sigma)\n"
+        ), name
+
+
+def test_oracle_changes_nothing_on_a_full_equality_problem():
+    files = [
+        path
+        for path in sorted(CORPUS.glob("*.sig"))
+        if parse_problem(path.read_text(encoding="utf-8")).problem.mode is EqMode.LAMBDA_SIGMA
+    ]
+    assert len(files) == 19
+    for path in files:
+        plain = run_command(["solve", str(path)])
+        assert run_command(["solve", str(path), "--oracle"]) == plain, path.name
 
 
 def test_help_shows_no_source_markup():

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gen import gen_checked_term
+from gen import gen_agreement_pair, gen_checked_term
 from oracles import beta_normalize, denote
 
 import random
@@ -491,3 +491,90 @@ def test_import_leaves_the_recursion_limit_alone():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
+
+
+# --- the one-pass evaluator against the stepper ---
+
+
+def test_evaluator_matches_stepper_and_denotation():
+    """On gen_checked_term seeds 0-1999 and every gen_agreement_pair seed
+    0-999 with its bindings grafted in."""
+    cases = [(("checked", seed), gen_checked_term(seed)[2]) for seed in range(2_000)]
+    for seed in range(1_000):
+        ctx, metavars, a, theta = gen_agreement_pair(seed)
+        cases.append((("grafted", seed), graft(theta, a)))
+    ground = 0
+    for label, t in cases:
+        nf = normalize_sigma(t)
+        assert nf == normalize_traced(t, EqMode.SIGMA_ONLY)[0], label
+        if not free_metavars(t):
+            assert nf == denote(t), label
+            ground += 1
+    assert ground > 300
+
+
+def test_evaluator_fuel_is_monotone():
+    """Once a fuel budget suffices, every larger one gives the same normal
+    form; below it, every budget raises."""
+    for seed in range(300):
+        ctx, m, t, ty = gen_checked_term(seed)
+        nf = normalize_sigma(t)
+        enough = False
+        for fuel in range(1, 100):
+            try:
+                got = normalize_sigma(t, fuel)
+            except FuelExhausted as exc:
+                assert not enough and exc.fuel == fuel, (seed, fuel)
+                continue
+            assert got == nf, (seed, fuel)
+            enough = True
+        assert enough, seed
+
+
+def peel(t, layers):
+    """Strip layers of nesting one at a time, without recursing: each layer
+    is a (node type, field to descend into, check on the node) triple."""
+    for tp, field_name, check in layers:
+        assert type(t) is tp and check(t)
+        t = getattr(t, field_name)
+    return t
+
+
+def test_evaluator_recurses_nowhere():
+    depth = 5_000
+    assert depth > 2 * sys.getrecursionlimit()
+
+    # binders: in (λ^depth. (depth+1) 1 X)[^1] the free index shifts, the
+    # bound one stays, and X closes over 1 . 2 . ... . depth . ^(depth+1)
+    body = App(App(Index(depth + 1), Index(1)), Meta("X"))
+    t = body
+    for _ in range(depth):
+        t = Lam(t)
+    nf = normalize_sigma(Closure(t, Shift(1)))
+    inner = peel(nf, [(Lam, "body", lambda n: True)] * depth)
+    assert inner.fun == App(Index(depth + 2), Index(1))
+    lifted = peel(
+        inner.arg.subst,
+        [(Cons, "tail", lambda c, n=n: c.head == Index(n)) for n in range(1, depth + 1)],
+    )
+    assert inner.arg.body == Meta("X") and lifted == Shift(depth + 1)
+
+    # a cons chain: X[2 . 2 . ... . ^0][^1], and a lookup at its far end
+    chain = Shift(0)
+    for _ in range(depth):
+        chain = Cons(Index(2), chain)
+    nf = normalize_sigma(Closure(Closure(Meta("X"), chain), Shift(1)))
+    assert nf.body == Meta("X")
+    three = lambda c: c.head == Index(3)
+    assert peel(nf.subst, [(Cons, "tail", three)] * depth) == Shift(1)
+    assert normalize_sigma(Closure(Index(depth), chain)) == Index(2)
+    assert normalize_sigma(Closure(Index(depth + 1), chain)) == Index(1)
+
+    # nested closures 1[^1]...[^1] and X[^1]...[^1], and X closed over a
+    # nest of compositions ^1 o (^1 o ... ^1)
+    index, meta, comp = Index(1), Meta("X"), Shift(1)
+    for _ in range(depth):
+        index, meta, comp = Closure(index, Shift(1)), Closure(meta, Shift(1)), Comp(Shift(1), comp)
+    assert normalize_sigma(index) == Index(depth + 1)
+    assert normalize_sigma(meta) == Closure(Meta("X"), Shift(depth))
+    assert normalize_sigma(Closure(Meta("X"), comp)) == Closure(Meta("X"), Shift(depth + 1))
