@@ -40,8 +40,16 @@ Stepping rests on one invariant: a contraction at path p changes only the
 subtree at p and the ancestors of p, and every other node keeps its path.
 The leftmost-outermost scan therefore resumes at p instead of restarting
 from the root, and the randomized strategy re-collects only the redex paths
-under p.  Both produce the steps a fresh scan of each intermediate term
-would.
+under p.  Of the ancestors, only two kinds are tested again, from the root
+down: the parent of the changed subtree, and every cons.  Every rule but
+one looks only at a node and the types of its children (and at the values
+of leaf children), and rebuilding an ancestor keeps its constructor, so an
+ancestor's child changes type only at the changed subtree: the contracted
+node, or the highest composition above it that merged into a shift.  The
+one exception is the literal EtaConsShift form 1[s] . (^1 o s), which
+compares whole subtrees and so can appear or vanish at a cons through a
+change any depth below it.  Both strategies produce the steps a fresh scan
+of each intermediate term would.
 """
 
 from __future__ import annotations
@@ -112,10 +120,14 @@ class RewriteTrace:
 
 
 class FuelExhausted(Exception):
-    def __init__(self, fuel: int, trace: Optional[RewriteTrace] = None):
+    """No normal form within the fuel.  The message names what the fuel
+    counted: the stepper's rewrite steps, or the evaluator's rule
+    instances."""
+
+    def __init__(self, fuel: int, trace: Optional[RewriteTrace] = None, unit: str = "rewrite steps"):
         self.fuel = fuel
         self.trace = trace
-        super().__init__(f"no normal form within {fuel} rewrite steps")
+        super().__init__(f"no normal form within {fuel} {unit}")
 
 
 # --- strategies -----------------------------------------------------------
@@ -151,65 +163,82 @@ def _comp(s: Subst, t: Subst) -> Subst:
     return Comp(s, t)
 
 
-def _term_rule(t: Term, beta: bool) -> Optional[tuple[RuleId, Term]]:
-    match t:
-        case Closure(body, subst):
-            if isinstance(subst, Shift) and subst.k == 0:
-                return RuleId.ID_SUB, body
-            match body:
-                case Index(n):
-                    match subst:
-                        case Shift(k):
-                            return RuleId.VAR_SHIFT, Index(n + k)
-                        case Cons(head, tail):
-                            if n == 1:
-                                return RuleId.VAR_CONS_HIT, head
-                            return RuleId.VAR_CONS_SKIP, Closure(Index(n - 1), tail)
-                case App(fun, arg):
-                    return RuleId.APP, App(Closure(fun, subst), Closure(arg, subst))
-                case Lam(inner):
-                    return RuleId.ABS, Lam(
-                        Closure(inner, Cons(Index(1), _comp(subst, Shift(1))))
-                    )
-                case Closure(inner, inner_subst):
-                    return RuleId.CLOS, Closure(inner, _comp(inner_subst, subst))
-        case App(Lam(body), arg) if beta:
-            return RuleId.BETA, Closure(body, Cons(arg, Shift(0)))
+def _closure_rule(t: Closure) -> Optional[tuple[RuleId, Term]]:
+    body, subst = t.body, t.subst
+    tb, ts = type(body), type(subst)
+    if ts is Shift and subst.k == 0:
+        return RuleId.ID_SUB, body
+    if tb is Index:
+        if ts is Shift:
+            return RuleId.VAR_SHIFT, Index(body.n + subst.k)
+        if ts is Cons:
+            if body.n == 1:
+                return RuleId.VAR_CONS_HIT, subst.head
+            return RuleId.VAR_CONS_SKIP, Closure(Index(body.n - 1), subst.tail)
+        return None
+    if tb is App:
+        return RuleId.APP, App(Closure(body.fun, subst), Closure(body.arg, subst))
+    if tb is Lam:
+        return RuleId.ABS, Lam(Closure(body.body, Cons(Index(1), _comp(subst, Shift(1)))))
+    if tb is Closure:
+        return RuleId.CLOS, Closure(body.body, _comp(body.subst, subst))
     return None
 
 
-def _subst_rule(s: Subst) -> Optional[tuple[RuleId, Subst]]:
-    match s:
-        case Comp(first, second):
-            if isinstance(first, Shift) and first.k == 0:
-                return RuleId.ID_L, second
-            if isinstance(second, Shift) and second.k == 0:
-                return RuleId.ID_R, first
-            match first:
-                case Shift(k) if isinstance(second, Cons):
-                    # k >= 1 here: k == 0 was IdL above
-                    if k == 1:
-                        return RuleId.SHIFT_CONS, second.tail
-                    return RuleId.SHIFT_CONS, _comp(Shift(k - 1), second.tail)
-                case Cons(head, tail):
-                    return RuleId.MAP_CONS, Cons(Closure(head, second), _comp(tail, second))
-                case Comp(s1, s2):
-                    return RuleId.ASSOC_COMP, _comp(s1, _comp(s2, second))
-        case Cons(Closure(Index(1), inner), Comp(Shift(1), outer)) if inner == outer:
-            return RuleId.ETA_CONS_SHIFT, inner
-        case Cons(Index(n), Shift(k)) if n == k and n >= 1:
-            return RuleId.ETA_CONS_SHIFT, Shift(k - 1)
+def _comp_rule(s: Comp) -> Optional[tuple[RuleId, Subst]]:
+    first, second = s.first, s.second
+    tf = type(first)
+    if tf is Shift and first.k == 0:
+        return RuleId.ID_L, second
+    if type(second) is Shift and second.k == 0:
+        return RuleId.ID_R, first
+    if tf is Shift:
+        if type(second) is not Cons:
+            return None
+        # k >= 1 here: k == 0 was IdL above
+        if first.k == 1:
+            return RuleId.SHIFT_CONS, second.tail
+        return RuleId.SHIFT_CONS, _comp(Shift(first.k - 1), second.tail)
+    if tf is Cons:
+        return RuleId.MAP_CONS, Cons(Closure(first.head, second), _comp(first.tail, second))
+    if tf is Comp:
+        return RuleId.ASSOC_COMP, _comp(first.first, _comp(first.second, second))
+    return None
+
+
+def _cons_rule(s: Cons) -> Optional[tuple[RuleId, Subst]]:
+    # EtaConsShift in both forms: 1[s] . (^1 o s), and n . ^n with n >= 1
+    head, tail = s.head, s.tail
+    th, tt = type(head), type(tail)
+    if th is Closure and tt is Comp:
+        body, first = head.body, tail.first
+        if (
+            type(body) is Index
+            and body.n == 1
+            and type(first) is Shift
+            and first.k == 1
+            and head.subst == tail.second
+        ):
+            return RuleId.ETA_CONS_SHIFT, head.subst
+    elif th is Index and tt is Shift and head.n == tail.k:
+        return RuleId.ETA_CONS_SHIFT, Shift(tail.k - 1)
     return None
 
 
 def _rule_at(node: Term | Subst, beta: bool) -> Optional[tuple[RuleId, Term | Subst]]:
-    # Only closures, Beta's applications and the two compound substitutions
-    # head a rule; indices, metavariables, binders and shifts never do.
+    """The rule that fires at node, in the fixed priority order, with its
+    result; None when node is no redex.  Dispatch is on the exact type:
+    only closures, Beta's applications and the two compound substitutions
+    head a rule; indices, metavariables, binders and shifts never do."""
     tp = type(node)
-    if tp is Closure or (beta and tp is App):
-        return _term_rule(node, beta)
-    if tp is Comp or tp is Cons:
-        return _subst_rule(node)
+    if tp is Closure:
+        return _closure_rule(node)
+    if tp is Comp:
+        return _comp_rule(node)
+    if tp is Cons:
+        return _cons_rule(node)
+    if tp is App and beta and type(node.fun) is Lam:
+        return RuleId.BETA, Closure(node.fun.body, Cons(node.arg, Shift(0)))
     return None
 
 
@@ -285,9 +314,11 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
     One pre-order scan serves every step.  After a contraction at p,
     everything left of p is unchanged and still redex-free, so the next
     redex is the first ancestor of p that has become one, tested from the
-    root down, or else the first at or after p in pre-order.  When p sat
-    under compositions that merged into a shift, the scan resumes at the
-    highest of them, because the nodes below it are gone.
+    root down, or else the first at or after p in pre-order.  Only the
+    parent of the changed subtree and the cons ancestors can have become
+    one (see the module docstring).  When p sat under compositions that
+    merged into a shift, the changed subtree is the highest of them and the
+    scan resumes there, because the nodes below it are gone.
     """
     parents: list = []  # ancestors of node, root first
     idx: list[int] = []  # the child of each ancestor that the path takes
@@ -322,12 +353,14 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
         else:
             node = new
         yield root, path, rule
+        last = len(parents) - 1
         for k, ancestor in enumerate(parents):
-            hit = _rule_at(ancestor, beta)
-            if hit is not None:
-                node = ancestor
-                del parents[k:], idx[k:]
-                break
+            if k == last or type(ancestor) is Cons:
+                hit = _rule_at(ancestor, beta)
+                if hit is not None:
+                    node = ancestor
+                    del parents[k:], idx[k:]
+                    break
         else:
             hit = _rule_at(node, beta)
 
@@ -338,8 +371,9 @@ def _randomized(t: Term, beta: bool, strategy: RandomizedPosition) -> Steps:
 
     The redex paths are kept sorted, which for tuples is pre-order.  After a
     contraction only the changed subtree's slice of paths is collected
-    again, and only the ancestors above it are tested again, so the list
-    the strategy draws from is the one a full collection would give.
+    again, and of the ancestors above it only the parent and the conses are
+    tested again, so the list the strategy draws from is the one a full
+    collection would give.
     """
     positions: list[Path] = []
     _collect_redexes(t, beta, (), positions)
@@ -356,6 +390,8 @@ def _randomized(t: Term, beta: bool, strategy: RandomizedPosition) -> Steps:
         _collect_redexes(parents[depth] if depth < len(path) else new, beta, top, fresh)
         positions[lo:hi] = fresh
         for k in range(depth):
+            if k < depth - 1 and type(parents[k]) is not Cons:
+                continue
             above = path[:k]
             i = bisect_left(positions, above)
             listed = i < len(positions) and positions[i] == above
@@ -410,6 +446,7 @@ def step(
 _EVAL, _SUBST, _APP, _LAM, _CLOSE, _META, _CONS, _THEN, _LIFTS = range(9)
 
 _IDENTITY = Shift(0)
+_EVAL_UNIT = "rule instances"  # what the evaluator's fuel counts
 
 
 def _env(s: Subst) -> Optional[Subst]:
@@ -465,7 +502,7 @@ def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
                 continue
             spent += 1
             if spent > fuel:
-                raise FuelExhausted(fuel)
+                raise FuelExhausted(fuel, unit=_EVAL_UNIT)
             if tp is Index:  # VarConsHit, VarConsSkip, VarShift
                 n = x.n - m
                 if n <= 0:  # bound by one of the m lifted binders
@@ -537,7 +574,7 @@ def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
                 else:
                     push((_SUBST, s, Shift(m), 0))
             if spent > fuel:
-                raise FuelExhausted(fuel)
+                raise FuelExhausted(fuel, unit=_EVAL_UNIT)
         elif op == _APP:
             arg = done.pop()
             fun = done.pop()
@@ -567,7 +604,7 @@ def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
                 v = Cons(Index(n), v)
             out(v)
     if spent > fuel:
-        raise FuelExhausted(fuel)
+        raise FuelExhausted(fuel, unit=_EVAL_UNIT)
     return done[0]
 
 

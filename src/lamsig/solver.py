@@ -301,8 +301,10 @@ def _product_search(
     along an index-headed spine or, without Beta, at an applied binder, so
     the rigid structure survives grafting.  Each stream is drawn from once
     before anything is normalized, so an empty product normalizes nothing,
-    and read in full only when decomposition leaves something to search;
-    check_solution re-checks each hit.
+    and read in full only when decomposition leaves something to search.
+    An assignment is tried as a plain dict, and only a hit becomes a
+    MetaSubst, which check_solution re-checks.  The candidates are ground,
+    so no assignment can fail MetaSubst's idempotency check.
     """
     names = list(p.metavars)
     streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
@@ -310,7 +312,7 @@ def _product_search(
     if any(first is None for first in firsts):
         return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
 
-    def grafted(part: Term) -> Callable[[MetaSubst], Term]:
+    def grafted(part: Term) -> Callable[[dict[str, Term]], Term]:
         if free_metavars(part):
             return lambda theta: normalize(graft(theta, part), cfg.fuel)
         return lambda theta: part
@@ -323,8 +325,9 @@ def _product_search(
         pairs = [(grafted(a), grafted(b)) for a, b in flex]
         candidates = [[first, *stream] for first, stream in zip(firsts, streams)]
         for combo in itertools.product(*candidates):
-            theta = MetaSubst(dict(zip(names, combo)))
-            if all(left(theta) == right(theta) for left, right in pairs):
+            assignment = dict(zip(names, combo))
+            if all(left(assignment) == right(assignment) for left, right in pairs):
+                theta = MetaSubst(assignment)
                 if not check_solution(p, theta, cfg.fuel):
                     raise RuntimeError(f"search hit {theta!r} fails check_solution")
                 solutions.append(theta)

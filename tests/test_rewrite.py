@@ -173,9 +173,13 @@ def test_sigma_equal_shift_chains():
 
 
 def test_fuel_exhausted_raises():
-    t = Closure(Lam(Index(1)), Shift(1))  # needs two steps
-    with pytest.raises(FuelExhausted):
+    # needs two steps; the message names what each engine's fuel counts
+    t = Closure(Lam(Index(1)), Shift(1))
+    with pytest.raises(FuelExhausted, match="^no normal form within 1 rule instances$"):
         normalize_sigma(t, fuel=1)
+    for ruleset in EqMode:
+        with pytest.raises(FuelExhausted, match="^no normal form within 1 rewrite steps$"):
+            normalize_traced(t, ruleset, fuel=1)
 
 
 def test_fuel_exact_budget_is_enough():
@@ -418,6 +422,40 @@ def test_scan_resumes_above_merged_shifts():
             ((), RuleId.VAR_SHIFT),
         ]
         assert nf == Index(4)
+
+
+def test_a_cons_ancestor_is_retested_after_a_change_deep_below_it():
+    # The literal EtaConsShift form compares whole subtrees, so a cons can
+    # become a redex through a change several levels below it.
+    mode, beta = EqMode.SIGMA_ONLY, False
+
+    def agrees(t, strategy):
+        expected = [(path, rule, result) for result, path, rule in rescanning_steps(t, beta, strategy())]
+        _, trace = normalize_traced(t, mode, strategy())
+        assert [(s.path, s.rule, s.result) for s in trace.steps] == expected
+        return [(path, rule) for path, rule, _ in expected]
+
+    # Randomized: IdSub at (1, 1, 1, 0) turns the tail's S2 into S, and the
+    # cons at (1,) is then 1[S] . (^1 o S).
+    s = Cons(Index(2), Shift(3))
+    s2 = Cons(Closure(Index(2), Shift(0)), Shift(3))
+    t = Closure(Meta("X"), Cons(Closure(Index(1), s), Comp(Shift(1), s2)))
+    eta_after_idsub = 0
+    for seed in range(20):
+        steps = agrees(t, lambda: RandomizedPosition(seed))
+        if steps[:2] == [((1, 1, 1, 0), RuleId.ID_SUB), ((1,), RuleId.ETA_CONS_SHIFT)]:
+            eta_after_idsub += 1
+    assert eta_after_idsub > 0
+
+    # Leftmost-outermost: ShiftCons at (1, 0, 1, 1) turns the head's
+    # substitution into the tail's, inside a head the scan has entered.
+    tail = Cons(Index(2), Shift(3))
+    head_subst = Comp(Shift(1), Comp(Shift(1), Cons(Index(9), tail)))
+    t = Closure(Meta("X"), Cons(Closure(Index(1), head_subst), Comp(Shift(1), Comp(Shift(1), tail))))
+    assert agrees(t, lambda: LEFTMOST_OUTERMOST)[:2] == [
+        ((1, 0, 1, 1), RuleId.SHIFT_CONS),
+        ((1,), RuleId.ETA_CONS_SHIFT),
+    ]
 
 
 # --- depth ---

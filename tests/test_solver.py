@@ -491,6 +491,14 @@ def test_sigma_applied_binder_against_a_rigid_spine_is_a_clash(monkeypatch):
     assert grafts == []
 
 
+def test_evaluator_fuel_abort_names_rule_instances():
+    """solve_sigma runs on the evaluator, whose fuel counts rule instances,
+    not rewrite steps."""
+    p = reduce_problem(gen_second_order_problem(46)).target
+    out = solve_sigma(p, SearchConfig(fuel=2, find_all=True))
+    assert out == Aborted("fuel exhausted: no normal form within 2 rule instances")
+
+
 def test_empty_product_normalizes_nothing():
     """X has no candidate, so no side is normalized: the right side, which
     needs more than one step, cannot exhaust the fuel."""
