@@ -25,6 +25,8 @@ from .rewrite import (
     DEFAULT_FUEL,
     FuelExhausted,
     LEFTMOST_OUTERMOST,
+    normalize_lambda_sigma,
+    normalize_sigma,
     normalize_traced,
 )
 from .sexpr import ParseError, parse_sexprs
@@ -255,10 +257,14 @@ def _cmd_normalize(args) -> int:
     else:
         term = pf.problem.lhs
     mode = EqMode.SIGMA_ONLY if args.mode == "sigma" else EqMode.LAMBDA_SIGMA
-    normal, trace = normalize_traced(term, mode, LEFTMOST_OUTERMOST, _fuel(args))
     if args.trace:
+        normal, trace = normalize_traced(term, mode, LEFTMOST_OUTERMOST, _fuel(args))
         for step_entry in trace.steps:
             print(f"{_path_str(step_entry.path)}\t{step_entry.rule.value}\t{render_debruijn(step_entry.result)}")
+    elif mode is EqMode.SIGMA_ONLY:
+        normal = normalize_sigma(term, _fuel(args))
+    else:
+        normal = normalize_lambda_sigma(term, _fuel(args))
     print(render_debruijn(normal))
     return 0
 

@@ -49,10 +49,10 @@ from .terms import (
     MetaSubst,
     Shift,
     Term,
+    contains,
     free_metavars,
     graft,
     is_simple,
-    subterms,
 )
 from .transform import InvalidProblem, precook
 
@@ -191,9 +191,7 @@ def _graftable_sides(p: UnifProblem) -> UnifProblem:
     """The sides that grafting is sound on: a full-equality problem in plain
     lambda syntax is precooked, so a binding grafted under a binder still
     refers to the right context slots; anything else is used as written."""
-    if p.mode is EqMode.LAMBDA_SIGMA and not any(
-        isinstance(node, Closure) for side in (p.lhs, p.rhs) for node in subterms(side)
-    ):
+    if p.mode is EqMode.LAMBDA_SIGMA and not (contains(p.lhs, Closure) or contains(p.rhs, Closure)):
         return precook(p)
     return p
 

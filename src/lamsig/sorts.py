@@ -73,16 +73,22 @@ class UnannotatedBinder(IllTyped):
 
 def order_of_type(ty: SimpleType) -> int:
     """Order 1 for base types, max(order(dom)+1, order(cod)) for arrows."""
-    match ty:
-        case Base():
-            return 1
-        case Arrow(dom, cod):
-            return max(order_of_type(dom) + 1, order_of_type(cod))
-    raise TypeError(f"not a type: {ty!r}")
+    order = 1
+    while type(ty) is Arrow:
+        dom = order_of_type(ty.dom) + 1
+        if dom > order:
+            order = dom
+        ty = ty.cod
+    if type(ty) is not Base:
+        raise TypeError(f"not a type: {ty!r}")
+    return order
 
 
 def check_second_order_context(ctx: Context) -> bool:
-    return all(order_of_type(ty) <= 2 for ty in ctx)
+    for ty in ctx:
+        if order_of_type(ty) > 2:
+            return False
+    return True
 
 
 def argument_types(ty: SimpleType) -> tuple[SimpleType, ...]:
@@ -118,104 +124,101 @@ def sort_check_term(
 
 
 def _infer(ctx, metavars, t, path) -> SimpleType:
-    match t:
-        case Index(n):
-            if n > len(ctx):
-                raise IllTyped(f"index {n} out of range for context of length {len(ctx)}", path)
-            return ctx[n - 1]
-        case Meta(name):
-            sort = metavars.get(name)
-            if sort is None:
-                raise IllTyped(f"undeclared metavariable {name}", path)
-            if sort.ctx != ctx:
-                raise IllTyped(f"metavariable {name} used outside its declared context", path)
-            return sort.ty
-        case App(fun, arg):
-            try:
-                fun_ty = _infer(ctx, metavars, fun, path + (0,))
-            except UnannotatedBinder:
-                # redex: the argument fixes the binder's domain
-                arg_ty = _infer(ctx, metavars, arg, path + (1,))
-                return _apply_type(ctx, metavars, fun, arg_ty, path + (0,))
-            if not isinstance(fun_ty, Arrow):
-                raise IllTyped("application head is not of arrow type", path)
-            _check(ctx, metavars, arg, fun_ty.dom, path + (1,))
-            return fun_ty.cod
-        case Lam(_):
-            raise UnannotatedBinder("cannot infer the domain of an unapplied binder", path)
-        case Closure(body, subst):
-            target = sort_check_subst(ctx, metavars, subst, path + (1,))
-            return _infer(target, metavars, body, path + (0,))
+    tp = type(t)
+    if tp is Index:
+        n = t.n
+        if n > len(ctx):
+            raise IllTyped(f"index {n} out of range for context of length {len(ctx)}", path)
+        return ctx[n - 1]
+    if tp is App:
+        try:
+            fun_ty = _infer(ctx, metavars, t.fun, path + (0,))
+        except UnannotatedBinder:
+            # redex: the argument fixes the binder's domain
+            arg_ty = _infer(ctx, metavars, t.arg, path + (1,))
+            return _apply_type(ctx, metavars, t.fun, arg_ty, path + (0,))
+        if type(fun_ty) is not Arrow:
+            raise IllTyped("application head is not of arrow type", path)
+        _check(ctx, metavars, t.arg, fun_ty.dom, path + (1,))
+        return fun_ty.cod
+    if tp is Meta:
+        name = t.name
+        sort = metavars.get(name)
+        if sort is None:
+            raise IllTyped(f"undeclared metavariable {name}", path)
+        if sort.ctx != ctx:
+            raise IllTyped(f"metavariable {name} used outside its declared context", path)
+        return sort.ty
+    if tp is Closure:
+        target = sort_check_subst(ctx, metavars, t.subst, path + (1,))
+        return _infer(target, metavars, t.body, path + (0,))
+    if tp is Lam:
+        raise UnannotatedBinder("cannot infer the domain of an unapplied binder", path)
     raise TypeError(f"not a term: {t!r}")
 
 
 def _apply_type(ctx, metavars, fun, arg_ty, path) -> SimpleType:
     """Type of `fun` applied to an argument of the given type, descending
     through binders and closures whose domain the argument now fixes."""
-    match fun:
-        case Lam(body):
-            return _infer((arg_ty,) + ctx, metavars, body, path + (0,))
-        case Closure(body, subst):
-            target = sort_check_subst(ctx, metavars, subst, path + (1,))
-            return _apply_type(target, metavars, body, arg_ty, path + (0,))
-        case _:
-            fun_ty = _infer(ctx, metavars, fun, path)
-            if not isinstance(fun_ty, Arrow):
-                raise IllTyped("application head is not of arrow type", path)
-            if fun_ty.dom != arg_ty:
-                raise IllTyped(
-                    f"argument type {render_type(arg_ty)} does not match "
-                    f"domain {render_type(fun_ty.dom)}",
-                    path,
-                )
-            return fun_ty.cod
+    tp = type(fun)
+    if tp is Lam:
+        return _infer((arg_ty,) + ctx, metavars, fun.body, path + (0,))
+    if tp is Closure:
+        target = sort_check_subst(ctx, metavars, fun.subst, path + (1,))
+        return _apply_type(target, metavars, fun.body, arg_ty, path + (0,))
+    fun_ty = _infer(ctx, metavars, fun, path)
+    if type(fun_ty) is not Arrow:
+        raise IllTyped("application head is not of arrow type", path)
+    if fun_ty.dom != arg_ty:
+        raise IllTyped(
+            f"argument type {render_type(arg_ty)} does not match "
+            f"domain {render_type(fun_ty.dom)}",
+            path,
+        )
+    return fun_ty.cod
 
 
 def _check(ctx, metavars, t, expected, path) -> None:
-    match t:
-        case Lam(body):
-            if not isinstance(expected, Arrow):
-                raise IllTyped("binder checked against a non-arrow type", path)
-            _check((expected.dom,) + ctx, metavars, body, expected.cod, path + (0,))
+    tp = type(t)
+    if tp is App:
+        try:
+            fun_ty = _infer(ctx, metavars, t.fun, path + (0,))
+        except UnannotatedBinder:
+            arg_ty = _infer(ctx, metavars, t.arg, path + (1,))
+            _check_applied(ctx, metavars, t.fun, arg_ty, expected, path + (0,))
             return
-        case Closure(body, subst):
-            target = sort_check_subst(ctx, metavars, subst, path + (1,))
-            _check(target, metavars, body, expected, path + (0,))
-            return
-        case App(fun, arg):
-            try:
-                fun_ty = _infer(ctx, metavars, fun, path + (0,))
-            except UnannotatedBinder:
-                arg_ty = _infer(ctx, metavars, arg, path + (1,))
-                _check_applied(ctx, metavars, fun, arg_ty, expected, path + (0,))
-                return
-            if not isinstance(fun_ty, Arrow):
-                raise IllTyped("application head is not of arrow type", path)
-            _check(ctx, metavars, arg, fun_ty.dom, path + (1,))
-            if fun_ty.cod != expected:
-                raise IllTyped(
-                    f"expected {render_type(expected)}, found {render_type(fun_ty.cod)}", path
-                )
-            return
-        case _:
-            got = _infer(ctx, metavars, t, path)
-            if got != expected:
-                raise IllTyped(f"expected {render_type(expected)}, found {render_type(got)}", path)
+        if type(fun_ty) is not Arrow:
+            raise IllTyped("application head is not of arrow type", path)
+        _check(ctx, metavars, t.arg, fun_ty.dom, path + (1,))
+        got = fun_ty.cod
+    elif tp is Lam:
+        if type(expected) is not Arrow:
+            raise IllTyped("binder checked against a non-arrow type", path)
+        _check((expected.dom,) + ctx, metavars, t.body, expected.cod, path + (0,))
+        return
+    elif tp is Closure:
+        target = sort_check_subst(ctx, metavars, t.subst, path + (1,))
+        _check(target, metavars, t.body, expected, path + (0,))
+        return
+    else:
+        got = _infer(ctx, metavars, t, path)
+    if got is not expected and got != expected:
+        raise IllTyped(f"expected {render_type(expected)}, found {render_type(got)}", path)
 
 
 def _check_applied(ctx, metavars, fun, arg_ty, expected, path) -> None:
     """Check `fun` applied to an argument type against an expected result,
     so nested binders stay in checking mode."""
-    match fun:
-        case Lam(body):
-            _check((arg_ty,) + ctx, metavars, body, expected, path + (0,))
-        case Closure(body, subst):
-            target = sort_check_subst(ctx, metavars, subst, path + (1,))
-            _check_applied(target, metavars, body, arg_ty, expected, path + (0,))
-        case _:
-            got = _apply_type(ctx, metavars, fun, arg_ty, path)
-            if got != expected:
-                raise IllTyped(f"expected {render_type(expected)}, found {render_type(got)}", path)
+    tp = type(fun)
+    if tp is Lam:
+        _check((arg_ty,) + ctx, metavars, fun.body, expected, path + (0,))
+    elif tp is Closure:
+        target = sort_check_subst(ctx, metavars, fun.subst, path + (1,))
+        _check_applied(target, metavars, fun.body, arg_ty, expected, path + (0,))
+    else:
+        got = _apply_type(ctx, metavars, fun, arg_ty, path)
+        if got != expected:
+            raise IllTyped(f"expected {render_type(expected)}, found {render_type(got)}", path)
 
 
 def sort_check_subst(
@@ -226,27 +229,28 @@ def sort_check_subst(
 ) -> Context:
     """Return the context a closure body must live in for Closure(body, s)
     to sort-check in ctx."""
-    match s:
-        case Shift(k):
-            if k > len(ctx):
-                raise IllTyped(f"shift {k} exceeds context of length {len(ctx)}", path)
-            return ctx[k:]
-        case Cons(head, tail):
-            head_ty = _infer(ctx, metavars, head, path + (0,))
-            target = sort_check_subst(ctx, metavars, tail, path + (1,))
-            return (head_ty,) + target
-        case Comp(first, second):
-            mid = sort_check_subst(ctx, metavars, second, path + (1,))
-            return sort_check_subst(mid, metavars, first, path + (0,))
+    tp = type(s)
+    if tp is Shift:
+        k = s.k
+        if k > len(ctx):
+            raise IllTyped(f"shift {k} exceeds context of length {len(ctx)}", path)
+        return ctx[k:]
+    if tp is Cons:
+        head_ty = _infer(ctx, metavars, s.head, path + (0,))
+        target = sort_check_subst(ctx, metavars, s.tail, path + (1,))
+        return (head_ty,) + target
+    if tp is Comp:
+        mid = sort_check_subst(ctx, metavars, s.second, path + (1,))
+        return sort_check_subst(mid, metavars, s.first, path + (0,))
     raise TypeError(f"not a substitution: {s!r}")
 
 
 def render_type(ty: SimpleType) -> str:
-    match ty:
-        case Base(name):
-            return name
-        case Arrow(dom, cod):
-            return f"(-> {render_type(dom)} {render_type(cod)})"
+    tp = type(ty)
+    if tp is Base:
+        return ty.name
+    if tp is Arrow:
+        return f"(-> {render_type(ty.dom)} {render_type(ty.cod)})"
     raise TypeError(f"not a type: {ty!r}")
 
 

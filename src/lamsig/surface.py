@@ -59,7 +59,7 @@ from .terms import (
     Shift,
     Subst,
     Term,
-    subterms,
+    contains,
 )
 
 
@@ -530,7 +530,7 @@ def render_problem(pf: ProblemFile) -> str:
     lines.append(f"  (metavars {' '.join(mv_entries)})")
     lines.append(f"  (mode {p.mode.value})")
     sort = None
-    if any(isinstance(node, Lam) for side in (p.lhs, p.rhs) for node in subterms(side)):
+    if contains(p.lhs, Lam) or contains(p.rhs, Lam):
         sort = Sort(p.ctx, equation_type(p))
     lhs = render_term(p.lhs, pf.ctx_names, sort, p.metavars)
     rhs = render_term(p.rhs, pf.ctx_names, sort, p.metavars)

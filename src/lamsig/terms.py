@@ -10,9 +10,10 @@ index adjustment.  Any renumbering a replacement needs is expressed by the
 substitution rules of the rewrite engine, never by ``graft`` itself.
 
 Only this module knows the shape of a node: ``children`` lists a node's
-children and ``rebuild`` maps a tree bottom-up.  Neither recurses, and
-``rebuild`` returns every subtree that comes back unchanged as the same
-object.
+children, ``subterms`` lists every node of a tree and ``rebuild`` maps a
+tree bottom-up.  None of them recurses, each dispatches on the exact type of
+a node, and ``rebuild`` returns every subtree that comes back unchanged as
+the same object.
 """
 
 from __future__ import annotations
@@ -114,61 +115,95 @@ def rebuild(root: Term | Subst, at_leaf: Callable, at_node: Callable | None = No
     every inner node through at_node once its children are rebuilt.  A node
     whose children all come back as the same objects is kept as it is."""
     done: list[Term | Subst] = []
+    up = object()  # on the stack above a node whose rebuilt children are on top of done
     todo: list = [root]
     while todo:
         node = todo.pop()
-        if type(node) is tuple:  # the rebuilt children of node are on top of done
-            node, kids = node
-            if len(kids) == 2:
+        if node is up:
+            node = todo.pop()
+            tp = type(node)
+            if tp is Lam:
+                body = done.pop()
+                if body is not node.body:
+                    node = Lam(body)
+            else:
                 second = done.pop()
                 first = done.pop()
-                if first is not kids[0] or second is not kids[1]:
-                    node = type(node)(first, second)
-            else:
-                body = done.pop()
-                if body is not kids[0]:
-                    node = type(node)(body)
-            if at_node is not None:
-                node = at_node(node)
-            done.append(node)
+                if tp is App:
+                    if first is not node.fun or second is not node.arg:
+                        node = App(first, second)
+                elif tp is Closure:
+                    if first is not node.body or second is not node.subst:
+                        node = Closure(first, second)
+                elif tp is Cons:
+                    if first is not node.head or second is not node.tail:
+                        node = Cons(first, second)
+                elif first is not node.first or second is not node.second:
+                    node = Comp(first, second)
+            done.append(node if at_node is None else at_node(node))
             continue
-        kids = children(node)
-        if kids:
-            todo.append((node, kids))
-            todo.extend(kids[::-1])
-        elif type(node) in (Index, Meta, Shift):
+        tp = type(node)
+        if tp is Index or tp is Meta or tp is Shift:
             done.append(at_leaf(node))
+        elif tp is App:
+            todo += (node, up, node.arg, node.fun)
+        elif tp is Closure:
+            todo += (node, up, node.subst, node.body)
+        elif tp is Lam:
+            todo += (node, up, node.body)
+        elif tp is Cons:
+            todo += (node, up, node.tail, node.head)
+        elif tp is Comp:
+            todo += (node, up, node.second, node.first)
         else:
             raise TypeError(f"not a term or substitution: {node!r}")
     return done[0]
 
 
-def subterms(t: Term | Subst) -> Iterator[Term | Subst]:
-    """All term and substitution nodes of t, the node itself included."""
-    stack: list[Term | Subst] = [t]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(children(node))
+def subterms(t: Term | Subst) -> list[Term | Subst]:
+    """All term and substitution nodes of t, the node itself included, every
+    node before its children."""
+    nodes = [t]
+    for node in nodes:  # the loop reaches the children it appends
+        tp = type(node)
+        if tp is App:
+            nodes += (node.fun, node.arg)
+        elif tp is Index or tp is Meta or tp is Shift:
+            pass
+        elif tp is Closure:
+            nodes += (node.body, node.subst)
+        elif tp is Lam:
+            nodes.append(node.body)
+        elif tp is Cons:
+            nodes += (node.head, node.tail)
+        elif tp is Comp:
+            nodes += (node.first, node.second)
+        else:
+            raise TypeError(f"not a term or substitution: {node!r}")
+    return nodes
+
+
+def contains(t: Term | Subst, kind: type) -> bool:
+    """True iff a node of exactly the type kind occurs in t."""
+    return kind in map(type, subterms(t))
 
 
 def term_size(t: Term | Subst) -> int:
     """Number of term and substitution constructors in t."""
-    return sum(1 for _ in subterms(t))
+    return len(subterms(t))
 
 
 def free_metavars(t: Term | Subst) -> set[str]:
     """Names of all metavariables occurring in t, cons heads included."""
-    return {node.name for node in subterms(t) if isinstance(node, Meta)}
+    return {node.name for node in subterms(t) if type(node) is Meta}
 
 
 def is_simple(t: Term | Subst) -> bool:
     """True iff every metavariable under a closure is closed over a plain
     shift.  Bare metavariables count as simple (read as a zero shift)."""
     for node in subterms(t):
-        if isinstance(node, Closure) and isinstance(node.body, Meta):
-            if not isinstance(node.subst, Shift):
-                return False
+        if type(node) is Closure and type(node.body) is Meta and type(node.subst) is not Shift:
+            return False
     return True
 
 
@@ -243,15 +278,18 @@ def canonicalize_shifts(s: Subst) -> Subst:
     """Collapse composed shifts: no composition of two shifts survives.
 
     Semantics-preserving; the rewrite engine relies on inputs being in this
-    form because no rewrite rule merges adjacent shifts.
+    form because no rewrite rule merges adjacent shifts.  Input with no
+    composition is returned as it is.
     """
+    if not contains(s, Comp):
+        return s
     # No leaf is a composition, so the node map passes every leaf through.
     return rebuild(s, _merge_shifts, _merge_shifts)
 
 
 def canonicalize_shifts_in_term(t: Term) -> Term:
     """Apply canonicalize_shifts to every substitution inside a term."""
-    return rebuild(t, _merge_shifts, _merge_shifts)
+    return canonicalize_shifts(t)
 
 
 def _merge_shifts(node: Term | Subst) -> Term | Subst:

@@ -53,10 +53,10 @@ from .terms import (
     Shift,
     Subst,
     Term,
+    contains,
     free_metavars,
     graft,
     is_simple_subst,
-    subterms,
 )
 
 
@@ -109,25 +109,25 @@ def precook(p: UnifProblem) -> UnifProblem:
     """
     if p.mode is not EqMode.LAMBDA_SIGMA:
         raise ValueError("precooking applies to full-equality problems only")
-    for side in (p.lhs, p.rhs):
-        if any(isinstance(node, Closure) for node in subterms(side)):
-            raise ValueError("precooking requires closure-free sides")
+    if contains(p.lhs, Closure) or contains(p.rhs, Closure):
+        raise ValueError("precooking requires closure-free sides")
 
     def go(t: Term, depth: int) -> Term:
-        match t:
-            case Meta(name):
-                if name not in p.metavars:
-                    raise ValueError(f"undeclared metavariable {name}")
-                k = depth - (len(p.metavars[name].ctx) - len(p.ctx))
-                if k < 0:
-                    raise ValueError(f"metavariable {name} occurs outside its declared context")
-                return t if k == 0 else Closure(t, Shift(k))
-            case Index():
-                return t
-            case App(fun, arg):
-                return App(go(fun, depth), go(arg, depth))
-            case Lam(body):
-                return Lam(go(body, depth + 1))
+        tp = type(t)
+        if tp is App:
+            return App(go(t.fun, depth), go(t.arg, depth))
+        if tp is Index:
+            return t
+        if tp is Meta:
+            name = t.name
+            if name not in p.metavars:
+                raise ValueError(f"undeclared metavariable {name}")
+            k = depth - (len(p.metavars[name].ctx) - len(p.ctx))
+            if k < 0:
+                raise ValueError(f"metavariable {name} occurs outside its declared context")
+            return t if k == 0 else Closure(t, Shift(k))
+        if tp is Lam:
+            return Lam(go(t.body, depth + 1))
         raise TypeError(f"not a lambda-syntax term: {t!r}")
 
     return UnifProblem(
@@ -238,44 +238,41 @@ def _closure_shape_violations(
     c_1 ... c_p . ^n with first-order entries matching the declared sort."""
 
     def walk_term(node: Term, local_ctx) -> None:
-        match node:
-            case Index() | Meta():
-                return
-            case App(fun, arg):
-                walk_term(fun, local_ctx)
-                walk_term(arg, local_ctx)
-            case Lam(_):
-                report.add(
-                    "closure-shape",
-                    False,
-                    f"{where}: binder without a domain blocks the walk",
-                )
-            case Closure(body, subst):
-                if isinstance(body, Meta):
-                    check_meta_closure(body.name, subst, local_ctx)
-                else:
-                    try:
-                        target = sort_check_subst(local_ctx, metavars, subst)
-                    except IllTyped as err:
-                        report.add("closure-shape", False, f"{where}: {err}")
-                        return
-                    walk_term(body, target)
-                walk_subst(subst, local_ctx)
+        tp = type(node)
+        if tp is App:
+            walk_term(node.fun, local_ctx)
+            walk_term(node.arg, local_ctx)
+        elif tp is Closure:
+            body, subst = node.body, node.subst
+            if type(body) is Meta:
+                check_meta_closure(body.name, subst, local_ctx)
+            else:
+                try:
+                    target = sort_check_subst(local_ctx, metavars, subst)
+                except IllTyped as err:
+                    report.add("closure-shape", False, f"{where}: {err}")
+                    return
+                walk_term(body, target)
+            walk_subst(subst, local_ctx)
+        elif tp is Lam:
+            report.add(
+                "closure-shape",
+                False,
+                f"{where}: binder without a domain blocks the walk",
+            )
 
     def walk_subst(node: Subst, local_ctx) -> None:
-        match node:
-            case Shift():
+        tp = type(node)
+        if tp is Cons:
+            walk_term(node.head, local_ctx)
+            walk_subst(node.tail, local_ctx)
+        elif tp is Comp:
+            walk_subst(node.second, local_ctx)
+            try:
+                mid = sort_check_subst(local_ctx, metavars, node.second)
+            except IllTyped:
                 return
-            case Cons(head, tail):
-                walk_term(head, local_ctx)
-                walk_subst(tail, local_ctx)
-            case Comp(first, second):
-                walk_subst(second, local_ctx)
-                try:
-                    mid = sort_check_subst(local_ctx, metavars, second)
-                except IllTyped:
-                    return
-                walk_subst(first, mid)
+            walk_subst(node.first, mid)
 
     def check_meta_closure(name: str, subst: Subst, local_ctx) -> None:
         if isinstance(subst, Shift):

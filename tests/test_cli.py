@@ -176,6 +176,17 @@ def test_golden_normalize_trace():
     assert out == golden("normalize_trace.txt")
 
 
+@pytest.mark.parametrize("mode", ["sigma", "lambdasigma"])
+def test_normalize_without_trace_prints_the_traced_normal_form(mode):
+    # without --trace the evaluator (sigma) or the untraced stepper
+    # (lambdasigma) runs; it must print the trace's last line
+    for path in sorted(CORPUS.glob("*.sig")):
+        status, out = run_command(["normalize", str(path), "--mode", mode])
+        traced_status, traced = run_command(["normalize", str(path), "--mode", mode, "--trace"])
+        assert (status, traced_status) == (0, 0), (path.name, out, traced)
+        assert out == traced.splitlines(keepends=True)[-1], path.name
+
+
 # --- corpus runner ---
 
 

@@ -6,6 +6,7 @@ from lamsig import (
     Arrow,
     Base,
     Closure,
+    Comp,
     Cons,
     EqMode,
     IllTyped,
@@ -14,6 +15,7 @@ from lamsig import (
     Meta,
     Shift,
     Sort,
+    UnannotatedBinder,
     UnifProblem,
     check_second_order_context,
     order_of_type,
@@ -160,8 +162,6 @@ def test_subst_shift_too_long():
 
 
 def test_subst_comp_composes_targets():
-    from lamsig import Comp
-
     # ^1 then ^1: drops two entries in total
     assert sort_check_subst((iota, iota, ii), {}, Comp(Shift(1), Shift(1))) == (ii,)
 
@@ -223,3 +223,60 @@ def test_report_renders_pass_fail_lines():
     lines = report.render().splitlines()
     assert all(line.startswith("PASS") for line in lines)
     assert len(lines) == 6
+
+
+# --- IllTyped messages and paths ---
+
+# One case per raise site of the checker that a term can reach, through each
+# of _infer, _check, _apply_type, _check_applied and sort_check_subst.  Each
+# pins the exception's exact class, reason and path.
+ill_typed_cases = [
+    ("index out of range", (ii,), {}, App(Index(1), Index(2)), None,
+     IllTyped, "index 2 out of range for context of length 1", (1,)),
+    ("undeclared metavariable", (ii,), {}, App(Index(1), Meta("X")), None,
+     IllTyped, "undeclared metavariable X", (1,)),
+    ("metavariable outside its context", (iota, iota), {"X": Sort((iota,), iota)},
+     Closure(Meta("X"), Shift(0)), None,
+     IllTyped, "metavariable X used outside its declared context", (0,)),
+    ("inferred head not of arrow type", (iota,), {}, Closure(App(Index(1), Index(1)), Shift(0)), None,
+     IllTyped, "application head is not of arrow type", (0,)),
+    ("checked head not of arrow type", (iota,), {}, Lam(App(Index(1), Index(1))), ii,
+     IllTyped, "application head is not of arrow type", (0,)),
+    ("head not of arrow type under an applied binder", (iota,), {},
+     App(Lam(App(Index(2), Index(1))), Index(1)), None,
+     IllTyped, "application head is not of arrow type", (0, 0)),
+    ("head not of arrow type under a checked applied binder", (iota,), {},
+     App(Closure(Lam(App(Index(2), Index(1))), Shift(0)), Index(1)), iota,
+     IllTyped, "application head is not of arrow type", (0, 0, 0)),
+    ("binder checked against a non-arrow type", (ii,), {}, App(Index(1), Lam(Index(1))), None,
+     IllTyped, "binder checked against a non-arrow type", (1,)),
+    ("application result against the expected type", (ii, iota), {}, App(Index(1), Index(2)), ii,
+     IllTyped, "expected (-> iota iota), found iota", ()),
+    ("inferred type against the expected type", (ii, ii), {}, App(Index(1), Index(2)), None,
+     IllTyped, "expected iota, found (-> iota iota)", (1,)),
+    ("shift exceeding the context", (iota,), {}, Closure(Index(1), Shift(2)), None,
+     IllTyped, "shift 2 exceeds context of length 1", (1,)),
+    ("shift exceeding the middle context of a composition", (iota,), {},
+     Closure(Index(1), Comp(Shift(1), Shift(1))), None,
+     IllTyped, "shift 1 exceeds context of length 0", (1, 0)),
+    ("unannotated binder", (iota,), {}, Closure(Index(1), Cons(Lam(Index(1)), Shift(0))), None,
+     UnannotatedBinder, "cannot infer the domain of an unapplied binder", (1, 0)),
+    ("unannotated binder under an applied closure", (iota,), {},
+     App(Closure(App(Lam(Lam(Index(1))), Index(1)), Shift(0)), Index(1)), None,
+     UnannotatedBinder, "cannot infer the domain of an unapplied binder", (0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "ctx, metavars, t, expected, kind, reason, path",
+    [case[1:] for case in ill_typed_cases],
+    ids=[case[0] for case in ill_typed_cases],
+)
+def test_ill_typed_message_and_path(ctx, metavars, t, expected, kind, reason, path):
+    with pytest.raises(IllTyped) as info:
+        sort_check_term(ctx, metavars, t, expected=expected)
+    err = info.value
+    assert type(err) is kind
+    assert (err.reason, err.path) == (reason, path)
+    at = ".".join(map(str, path)) if path else "root"
+    assert str(err) == f"{reason} (at {at})"

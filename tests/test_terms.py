@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from lamsig import (
     App,
+    Arrow,
+    Base,
     Closure,
     Comp,
     Cons,
@@ -18,8 +20,10 @@ from lamsig import (
     is_simple,
     is_simple_subst,
     normalize_sigma,
+    order_of_type,
     term_size,
 )
+from lamsig.sorts import render_type
 from lamsig.terms import subterms
 
 
@@ -204,10 +208,18 @@ def test_structural_maps_reject_non_nodes():
         canonicalize_shifts_in_term,
         to_pure_indices,
         from_pure_indices,
+        subterms,
+        free_metavars,
+        is_simple,
+        term_size,
     ):
-        for bad in ("X", None, App(Index(1), 3)):
+        for bad in ("X", None, App(Index(1), 3), Closure(Meta("X"), Cons("Y", Shift(0)))):
             with pytest.raises(TypeError):
                 walk(bad)
+    for read in (order_of_type, render_type):
+        for bad in ("iota", None, Arrow(Base("iota"), 3), Arrow(None, Base("iota"))):
+            with pytest.raises(TypeError):
+                read(bad)
 
 
 def test_rebuild_keeps_unchanged_subtrees():
