@@ -257,14 +257,15 @@ def _cmd_normalize(args) -> int:
     else:
         term = pf.problem.lhs
     mode = EqMode.SIGMA_ONLY if args.mode == "sigma" else EqMode.LAMBDA_SIGMA
+    fuel = _fuel(args)
     if args.trace:
-        normal, trace = normalize_traced(term, mode, LEFTMOST_OUTERMOST, _fuel(args))
+        normal, trace = normalize_traced(term, mode, LEFTMOST_OUTERMOST, fuel)
         for step_entry in trace.steps:
             print(f"{_path_str(step_entry.path)}\t{step_entry.rule.value}\t{render_debruijn(step_entry.result)}")
     elif mode is EqMode.SIGMA_ONLY:
-        normal = normalize_sigma(term, _fuel(args))
+        normal = normalize_sigma(term, fuel)
     else:
-        normal = normalize_lambda_sigma(term, _fuel(args))
+        normal = normalize_lambda_sigma(term, fuel)
     print(render_debruijn(normal))
     return 0
 

@@ -121,25 +121,16 @@ def rebuild(root: Term | Subst, at_leaf: Callable, at_node: Callable | None = No
         node = todo.pop()
         if node is up:
             node = todo.pop()
-            tp = type(node)
-            if tp is Lam:
-                body = done.pop()
-                if body is not node.body:
-                    node = Lam(body)
-            else:
+            kids = children(node)
+            if len(kids) == 2:
                 second = done.pop()
                 first = done.pop()
-                if tp is App:
-                    if first is not node.fun or second is not node.arg:
-                        node = App(first, second)
-                elif tp is Closure:
-                    if first is not node.body or second is not node.subst:
-                        node = Closure(first, second)
-                elif tp is Cons:
-                    if first is not node.head or second is not node.tail:
-                        node = Cons(first, second)
-                elif first is not node.first or second is not node.second:
-                    node = Comp(first, second)
+                if first is not kids[0] or second is not kids[1]:
+                    node = type(node)(first, second)
+            else:
+                body = done.pop()
+                if body is not kids[0]:
+                    node = type(node)(body)
             done.append(node if at_node is None else at_node(node))
             continue
         tp = type(node)

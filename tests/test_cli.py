@@ -187,6 +187,19 @@ def test_normalize_without_trace_prints_the_traced_normal_form(mode):
         assert out == traced.splitlines(keepends=True)[-1], path.name
 
 
+def test_normalize_fuel_counts_what_the_engine_runs():
+    argv = [
+        "normalize",
+        corpus_file("xc_eq_c.sig"),
+        "--expr",
+        "(clo (clo c (cons c (shift 0))) (cons c (shift 0)))",
+        "--fuel",
+        "1",
+    ]
+    assert run_command(argv) == (2, "error: no normal form within 1 rule instances\n")
+    assert run_command(argv + ["--trace"]) == (2, "error: no normal form within 1 rewrite steps\n")
+
+
 # --- corpus runner ---
 
 
