@@ -50,6 +50,23 @@ one exception is the literal EtaConsShift form 1[s] . (^1 o s), which
 compares whole subtrees and so can appear or vanish at a cons through a
 change any depth below it.  Both strategies produce the steps a fresh scan
 of each intermediate term would.
+
+Only a trace reads the intermediate terms, so the leftmost scan without
+one rebuilds an ancestor only when its next decision reads it: the parent,
+which is tested again, the compositions that merge into a shift, which
+move the scan, and a cons ancestor that could have become a redex.  Every
+other ancestor is rebuilt once, when the scan climbs out of it, and the
+root at the end.  A cons above the parent can have become a redex only if
+it already has the literal shape 1[_] . (^1 o _) before its rebuild, for
+two reasons.  First, the ancestors on the scan's path are never redexes:
+anything above the focus would have been contracted first, and the retest
+keeps that true.  So a closure ancestor's body and a composition
+ancestor's first half are leaves (a compound one makes a redex), and the
+path goes through the other child.  Second, rebuilding an ancestor above
+the parent keeps its constructor.  The parts of the shape, a closure head
+over index 1 and a composition tail after ^1, are therefore the same
+before and after the rebuild, and so is the absence of the second form,
+which needs two leaf children on a node the path goes through.
 """
 
 from __future__ import annotations
@@ -58,7 +75,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Generator, Optional, Union
 
 from .terms import (
     App,
@@ -206,22 +223,28 @@ def _comp_rule(s: Comp) -> Optional[tuple[RuleId, Subst]]:
     return None
 
 
+def _eta_shaped(s: Cons) -> bool:
+    """Whether s has the literal EtaConsShift shape 1[_] . (^1 o _), with
+    any substitutions in the holes."""
+    head, tail = s.head, s.tail
+    return (
+        type(head) is Closure
+        and type(head.body) is Index
+        and head.body.n == 1
+        and type(tail) is Comp
+        and type(tail.first) is Shift
+        and tail.first.k == 1
+    )
+
+
 def _cons_rule(s: Cons) -> Optional[tuple[RuleId, Subst]]:
     # EtaConsShift in both forms: 1[s] . (^1 o s), and n . ^n with n >= 1
     head, tail = s.head, s.tail
-    th, tt = type(head), type(tail)
-    if th is Closure and tt is Comp:
-        body, first = head.body, tail.first
-        if (
-            type(body) is Index
-            and body.n == 1
-            and type(first) is Shift
-            and first.k == 1
-            and head.subst == tail.second
-        ):
-            return RuleId.ETA_CONS_SHIFT, head.subst
-    elif th is Index and tt is Shift and head.n == tail.k:
-        return RuleId.ETA_CONS_SHIFT, Shift(tail.k - 1)
+    if type(head) is Index:
+        if type(tail) is Shift and head.n == tail.k:
+            return RuleId.ETA_CONS_SHIFT, Shift(tail.k - 1)
+    elif _eta_shaped(s) and head.subst == tail.second:
+        return RuleId.ETA_CONS_SHIFT, head.subst
     return None
 
 
@@ -304,12 +327,16 @@ def _collect_redexes(node: Term | Subst, beta: bool, path: Path, acc: list[Path]
             stack.append((kids[i], path + (i,)))
 
 
-Steps = Iterator[tuple[Term, Optional[Path], RuleId]]
+# Each step yields the new term (None when the scan builds no root), the
+# path (None unless asked for) and the rule; the finished scan returns the
+# normal form.
+Steps = Generator[tuple[Optional[Term], Optional[Path], RuleId], None, Term]
 
 
 def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
     """Contract the redexes of t in leftmost-outermost order, yielding the
-    new term, the path (None unless paths is set) and the rule of each step.
+    new term and the path (both None unless paths is set) and the rule of
+    each step, and returning the normal form.
 
     One pre-order scan serves every step.  After a contraction at p,
     everything left of p is unchanged and still redex-free, so the next
@@ -319,9 +346,18 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
     one (see the module docstring).  When p sat under compositions that
     merged into a shift, the changed subtree is the highest of them and the
     scan resumes there, because the nodes below it are gone.
+
+    A contraction rebuilds only the parent of the changed subtree, which
+    the retest reads, and the compositions that merge into a shift on the
+    way to it.  The ancestors above the parent are stale: each still holds
+    its child on the path as it was.  A stale ancestor is rebuilt when the
+    scan climbs out of its child, or when a cons ancestor is to be tested,
+    or at every step when paths is set, because the trace records each
+    intermediate term.
     """
     parents: list = []  # ancestors of node, root first
     idx: list[int] = []  # the child of each ancestor that the path takes
+    stale = 0  # parents[:stale] are stale
     node = t
     hit = _rule_at(node, beta)
     while True:
@@ -334,40 +370,67 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
             else:
                 while True:  # climb to the next unvisited sibling
                     if not parents:
-                        return
-                    i = idx[-1] + 1
-                    kids = children(parents[-1])
+                        return node
+                    k = len(parents) - 1
+                    parent = parents[k]
+                    if k < stale:  # node is the child it still lacks
+                        parent = parents[k] = _rebuild(parent, idx[k], node)
+                        stale = k
+                    i = idx[k] + 1
+                    kids = children(parent)
                     if i < len(kids):
-                        idx[-1] = i
+                        idx[k] = i
                         node = kids[i]
                         break
-                    parents.pop()
+                    node = parents.pop()
                     idx.pop()
             hit = _rule_at(node, beta)
-        rule, new = hit
+        rule, node = hit
         path = tuple(idx) if paths else None
-        root, depth = _replace(parents, idx, new)
-        if depth < len(parents):
-            node = parents[depth]
-            del parents[depth:], idx[depth:]
-        else:
-            node = new
-        yield root, path, rule
+        # Rebuild the parent, climbing while it is a composition that _comp
+        # merges into a shift: the merged node is the changed subtree.
+        k = len(parents) - 1
+        while k >= 0:
+            rebuilt = _rebuild(parents[k], idx[k], node)
+            if type(rebuilt) is not Shift:  # only a Comp can rebuild to one
+                parents[k] = rebuilt
+                break
+            node = rebuilt
+            k -= 1
+        del parents[k + 1 :], idx[k + 1 :]
+        stale = max(k, 0)
+        if paths:
+            _refresh(parents, idx, stale, 0)
+            stale = 0
+        yield (parents[0] if parents else node) if paths else None, path, rule
         last = len(parents) - 1
         for k, ancestor in enumerate(parents):
-            if k == last or type(ancestor) is Cons:
-                hit = _rule_at(ancestor, beta)
-                if hit is not None:
-                    node = ancestor
-                    del parents[k:], idx[k:]
-                    break
+            if k < last:
+                if type(ancestor) is not Cons or not _eta_shaped(ancestor):
+                    continue
+                if k < stale:
+                    _refresh(parents, idx, stale, k)
+                    stale = k
+                    ancestor = parents[k]
+            hit = _rule_at(ancestor, beta)
+            if hit is not None:
+                node = ancestor
+                del parents[k:], idx[k:]
+                break
         else:
             hit = _rule_at(node, beta)
+
+
+def _refresh(parents: list, idx: list[int], stale: int, k: int) -> None:
+    """Rebuild the stale ancestors parents[k:stale] bottom-up, each around
+    the one below it; parents[stale] is up to date."""
+    for j in range(stale - 1, k - 1, -1):
+        parents[j] = _rebuild(parents[j], idx[j], parents[j + 1])
 
 
 def _randomized(t: Term, beta: bool, strategy: RandomizedPosition) -> Steps:
-    """Contract a redex drawn by strategy until none is left, yielding as
-    _leftmost does.
+    """Contract a redex drawn by strategy until none is left, yielding and
+    returning as _leftmost does with paths set.
 
     The redex paths are kept sorted, which for tuples is pre-order.  After a
     contraction only the changed subtree's slice of paths is collected
@@ -401,6 +464,7 @@ def _randomized(t: Term, beta: bool, strategy: RandomizedPosition) -> Steps:
             elif not listed:
                 positions.insert(i, above)
         yield root, path, rule
+    return root
 
 
 def _steps(t: Term, ruleset: EqMode, strategy: Strategy, paths: bool) -> Steps:
@@ -618,14 +682,18 @@ def _normalize(
     current = canonicalize_shifts_in_term(t)
     if trace is not None:
         trace.initial = current
+    steps = _steps(current, ruleset, strategy, trace is not None)
     spent = 0
-    for current, path, rule in _steps(current, ruleset, strategy, trace is not None):
+    while True:
+        try:
+            current, path, rule = next(steps)
+        except StopIteration as done:
+            return done.value
         if spent >= fuel:
             raise FuelExhausted(fuel, trace)
         spent += 1
         if trace is not None:
             trace.steps.append(TraceStep(path, rule, current))
-    return current
 
 
 def normalize_lambda_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:

@@ -176,12 +176,16 @@ def _exact_size(
 
 
 def _arg_combos(ctx, arg_types, sizes, depth, pool) -> Iterator[tuple[Term, ...]]:
-    if not arg_types:
-        yield ()
-        return
-    for first in _exact_size(ctx, arg_types[0], sizes[0], depth, pool):
-        for rest in _arg_combos(ctx, arg_types[1:], sizes[1:], depth, pool):
-            yield (first,) + rest
+    """Every choice of arguments of the given types and sizes, the last
+    argument varying fastest.  Each argument's candidates are listed once;
+    an argument with none ends the listing before the later ones."""
+    lists = []
+    for ty, size in zip(arg_types, sizes):
+        candidates = list(_exact_size(ctx, ty, size, depth, pool))
+        if not candidates:
+            return iter(())
+        lists.append(candidates)
+    return itertools.product(*lists)
 
 
 # --- solution checking ----------------------------------------------------

@@ -370,6 +370,18 @@ def rescanning_steps(t, beta, strategy):
         yield hit
 
 
+def untraced_agrees(t):
+    """normalize_lambda_sigma reaches the traced normal form in exactly as
+    many steps; returns that normal form."""
+    nf, trace = normalize_traced(t, EqMode.LAMBDA_SIGMA)
+    n = len(trace.steps)
+    assert normalize_lambda_sigma(t, n) == nf
+    if n:
+        with pytest.raises(FuelExhausted, match="rewrite steps"):
+            normalize_lambda_sigma(t, n - 1)
+    return nf
+
+
 def strategies(seed):
     yield lambda: LEFTMOST_OUTERMOST
     yield lambda: RandomizedPosition(seed)
@@ -389,9 +401,16 @@ def test_resumed_scan_matches_rescanning_reference(mode):
             got = [(s.path, s.rule, s.result) for s in trace.steps]
             assert got == expected, seed
             assert nf == (expected[-1][2] if expected else start), seed
+            untraced = beta and make() is LEFTMOST_OUTERMOST
+            if untraced:
+                assert normalize_lambda_sigma(t) == nf, seed
             if seed >= 300 or not expected:
                 continue
             n = len(expected)
+            if untraced:
+                with pytest.raises(FuelExhausted, match="rewrite steps"):
+                    normalize_lambda_sigma(t, n - 1)
+                assert normalize_lambda_sigma(t, n) == nf, seed
             for fuel in (n - 1, n, n + 1):
                 if fuel < n:
                     with pytest.raises(FuelExhausted) as exc:
@@ -422,6 +441,7 @@ def test_scan_resumes_above_merged_shifts():
             ((), RuleId.VAR_SHIFT),
         ]
         assert nf == Index(4)
+    assert untraced_agrees(t) == Index(4)
 
 
 def test_a_cons_ancestor_is_retested_after_a_change_deep_below_it():
@@ -456,6 +476,7 @@ def test_a_cons_ancestor_is_retested_after_a_change_deep_below_it():
         ((1, 0, 1, 1), RuleId.SHIFT_CONS),
         ((1,), RuleId.ETA_CONS_SHIFT),
     ]
+    untraced_agrees(t)
 
 
 # --- depth ---
@@ -472,6 +493,7 @@ def test_normalization_recurses_nowhere():
     t = App(t, Closure(Index(1), Shift(1)))
     for nf in (
         normalize_sigma(t),
+        normalize_lambda_sigma(t),
         normalize_traced(t, EqMode.SIGMA_ONLY)[0],
         normalize_traced(t, EqMode.SIGMA_ONLY, RandomizedPosition(0))[0],
     ):

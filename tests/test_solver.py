@@ -116,6 +116,34 @@ def test_enumerate_deterministic():
     )
 
 
+def test_argument_lists_keep_the_nested_order(monkeypatch):
+    """Listing each argument's candidates once per size and taking their
+    product gives the stream of the nested enumeration, which lists the
+    later arguments again for every candidate of the first."""
+
+    def nested(ctx, arg_types, sizes, depth, pool):
+        if not arg_types:
+            yield ()
+            return
+        for first in solver._exact_size(ctx, arg_types[0], sizes[0], depth, pool):
+            for rest in nested(ctx, arg_types[1:], sizes[1:], depth, pool):
+                yield (first,) + rest
+
+    def streams():
+        return [
+            list(enumerate_simple_terms(sort, {}, SearchConfig(size_bound=bound)))
+            for seed in range(300)
+            for sort in gen_second_order_problem(seed).metavars.values()
+            for bound in range(1, 6)
+        ]
+
+    got = streams()
+    spines = [t for stream in got for t in stream if isinstance(t, App) and isinstance(t.fun, App)]
+    assert spines, "no candidate applies an index to two arguments"
+    monkeypatch.setattr(solver, "_arg_combos", nested)
+    assert got == streams()
+
+
 # --- solve_sigma ---
 
 
