@@ -351,9 +351,12 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
     the retest reads, and the compositions that merge into a shift on the
     way to it.  The ancestors above the parent are stale: each still holds
     its child on the path as it was.  A stale ancestor is rebuilt when the
-    scan climbs out of its child, or when a cons ancestor is to be tested,
-    or at every step when paths is set, because the trace records each
-    intermediate term.
+    scan climbs out of its child; or, with everything below it, when it is
+    a cons that already has the literal EtaConsShift shape and so is to be
+    tested; or at every step when paths is set, because the trace records
+    each intermediate term.  A stale cons without that shape is skipped: it
+    cannot have become a redex, since the rebuild keeps its children's
+    constructors and the leaves the shape reads (see the module docstring).
     """
     parents: list = []  # ancestors of node, root first
     idx: list[int] = []  # the child of each ancestor that the path takes
