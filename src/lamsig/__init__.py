@@ -19,7 +19,6 @@ from .terms import (
     Subst,
     Term,
     canonicalize_shifts,
-    canonicalize_shifts_in_term,
     free_metavars,
     graft,
     is_simple,

@@ -89,7 +89,7 @@ from .terms import (
     Shift,
     Subst,
     Term,
-    canonicalize_shifts_in_term,
+    canonicalize_shifts,
     children,
     rebuild,
 )
@@ -682,7 +682,7 @@ def _normalize(
     fuel: int,
     trace: Optional[RewriteTrace],
 ) -> Term:
-    current = canonicalize_shifts_in_term(t)
+    current = canonicalize_shifts(t)
     if trace is not None:
         trace.initial = current
     steps = _steps(current, ruleset, strategy, trace is not None)

@@ -8,7 +8,9 @@ sort-check in exactly their declared context.
 Lambda nodes carry no domain annotation, so pure inference cannot type every
 lambda.  ``sort_check_term`` therefore accepts an optional expected type and
 runs bidirectionally; plain inference handles index spines, metavariables,
-closures, and beta redexes whose argument is inferable.
+closures, and beta redexes whose argument is inferable.  ``binder_domains``
+returns the domain that check gives each lambda: the printer writes binder
+annotations from it, so this module alone decides how a binder is typed.
 """
 
 from __future__ import annotations
@@ -118,12 +120,26 @@ def sort_check_term(
     way to type a lambda whose domain is not forced by an application.
     """
     if expected is None:
-        return _infer(ctx, metavars, t, path)
-    _check(ctx, metavars, t, expected, path)
+        return _infer(ctx, metavars, {}, t, path)
+    _check(ctx, metavars, {}, t, expected, path)
     return expected
 
 
-def _infer(ctx, metavars, t, path) -> SimpleType:
+def binder_domains(ctx: Context, metavars: dict[str, Sort], t: Term, ty: SimpleType) -> list[SimpleType]:
+    """Check t against ty and return the domain the check gives each binder,
+    in reading order (the order printing and ``parse_term`` meet binders).
+
+    The walks below record each domain in ``domains`` under the binder's
+    path.  Sorted paths are reading order; visit order is not, since an
+    application whose function is a binder infers its argument first.  A
+    retried walk overwrites what an abandoned one recorded.
+    """
+    domains: dict[tuple[int, ...], SimpleType] = {}
+    _check(ctx, metavars, domains, t, ty, ())
+    return [domains[path] for path in sorted(domains)]
+
+
+def _infer(ctx, metavars, domains, t, path) -> SimpleType:
     tp = type(t)
     if tp is Index:
         n = t.n
@@ -132,14 +148,14 @@ def _infer(ctx, metavars, t, path) -> SimpleType:
         return ctx[n - 1]
     if tp is App:
         try:
-            fun_ty = _infer(ctx, metavars, t.fun, path + (0,))
-        except UnannotatedBinder:
+            fun_ty = _infer(ctx, metavars, domains, t.fun, path + (0,))
+        except UnannotatedBinder as err:
             # redex: the argument fixes the binder's domain
-            arg_ty = _infer(ctx, metavars, t.arg, path + (1,))
-            return _apply_type(ctx, metavars, t.fun, arg_ty, path + (0,))
+            arg_ty = _infer(ctx, metavars, domains, t.arg, path + (1,))
+            return _apply_type(ctx, metavars, domains, t.fun, arg_ty, path + (0,), err)
         if type(fun_ty) is not Arrow:
             raise IllTyped("application head is not of arrow type", path)
-        _check(ctx, metavars, t.arg, fun_ty.dom, path + (1,))
+        _check(ctx, metavars, domains, t.arg, fun_ty.dom, path + (1,))
         return fun_ty.cod
     if tp is Meta:
         name = t.name
@@ -150,75 +166,73 @@ def _infer(ctx, metavars, t, path) -> SimpleType:
             raise IllTyped(f"metavariable {name} used outside its declared context", path)
         return sort.ty
     if tp is Closure:
-        target = sort_check_subst(ctx, metavars, t.subst, path + (1,))
-        return _infer(target, metavars, t.body, path + (0,))
+        target = _check_subst(ctx, metavars, domains, t.subst, path + (1,))
+        return _infer(target, metavars, domains, t.body, path + (0,))
     if tp is Lam:
         raise UnannotatedBinder("cannot infer the domain of an unapplied binder", path)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _apply_type(ctx, metavars, fun, arg_ty, path) -> SimpleType:
+def _apply_type(ctx, metavars, domains, fun, arg_ty, path, err) -> SimpleType:
     """Type of `fun` applied to an argument of the given type, descending
-    through binders and closures whose domain the argument now fixes."""
+    through binders and closures whose domain the argument now fixes.
+
+    `err` is the UnannotatedBinder that inferring `fun` in ctx raised: only
+    that failure sends an application here.  A closure's substitution is
+    checked in the same context as before and its body is what failed to
+    infer, so any other `fun` fails again with `err`."""
     tp = type(fun)
     if tp is Lam:
-        return _infer((arg_ty,) + ctx, metavars, fun.body, path + (0,))
+        domains[path] = arg_ty
+        return _infer((arg_ty,) + ctx, metavars, domains, fun.body, path + (0,))
     if tp is Closure:
-        target = sort_check_subst(ctx, metavars, fun.subst, path + (1,))
-        return _apply_type(target, metavars, fun.body, arg_ty, path + (0,))
-    fun_ty = _infer(ctx, metavars, fun, path)
-    if type(fun_ty) is not Arrow:
-        raise IllTyped("application head is not of arrow type", path)
-    if fun_ty.dom != arg_ty:
-        raise IllTyped(
-            f"argument type {render_type(arg_ty)} does not match "
-            f"domain {render_type(fun_ty.dom)}",
-            path,
-        )
-    return fun_ty.cod
+        target = _check_subst(ctx, metavars, domains, fun.subst, path + (1,))
+        return _apply_type(target, metavars, domains, fun.body, arg_ty, path + (0,), err)
+    raise err
 
 
-def _check(ctx, metavars, t, expected, path) -> None:
+def _check(ctx, metavars, domains, t, expected, path) -> None:
     tp = type(t)
     if tp is App:
         try:
-            fun_ty = _infer(ctx, metavars, t.fun, path + (0,))
-        except UnannotatedBinder:
-            arg_ty = _infer(ctx, metavars, t.arg, path + (1,))
-            _check_applied(ctx, metavars, t.fun, arg_ty, expected, path + (0,))
+            fun_ty = _infer(ctx, metavars, domains, t.fun, path + (0,))
+        except UnannotatedBinder as err:
+            arg_ty = _infer(ctx, metavars, domains, t.arg, path + (1,))
+            _check_applied(ctx, metavars, domains, t.fun, arg_ty, expected, path + (0,), err)
             return
         if type(fun_ty) is not Arrow:
             raise IllTyped("application head is not of arrow type", path)
-        _check(ctx, metavars, t.arg, fun_ty.dom, path + (1,))
+        _check(ctx, metavars, domains, t.arg, fun_ty.dom, path + (1,))
         got = fun_ty.cod
     elif tp is Lam:
         if type(expected) is not Arrow:
             raise IllTyped("binder checked against a non-arrow type", path)
-        _check((expected.dom,) + ctx, metavars, t.body, expected.cod, path + (0,))
+        domains[path] = expected.dom
+        _check((expected.dom,) + ctx, metavars, domains, t.body, expected.cod, path + (0,))
         return
     elif tp is Closure:
-        target = sort_check_subst(ctx, metavars, t.subst, path + (1,))
-        _check(target, metavars, t.body, expected, path + (0,))
+        target = _check_subst(ctx, metavars, domains, t.subst, path + (1,))
+        _check(target, metavars, domains, t.body, expected, path + (0,))
         return
     else:
-        got = _infer(ctx, metavars, t, path)
+        got = _infer(ctx, metavars, domains, t, path)
     if got is not expected and got != expected:
         raise IllTyped(f"expected {render_type(expected)}, found {render_type(got)}", path)
 
 
-def _check_applied(ctx, metavars, fun, arg_ty, expected, path) -> None:
+def _check_applied(ctx, metavars, domains, fun, arg_ty, expected, path, err) -> None:
     """Check `fun` applied to an argument type against an expected result,
-    so nested binders stay in checking mode."""
+    so nested binders stay in checking mode; `err` is as in _apply_type,
+    and any `fun` but a binder or a closure fails again with it."""
     tp = type(fun)
     if tp is Lam:
-        _check((arg_ty,) + ctx, metavars, fun.body, expected, path + (0,))
+        domains[path] = arg_ty
+        _check((arg_ty,) + ctx, metavars, domains, fun.body, expected, path + (0,))
     elif tp is Closure:
-        target = sort_check_subst(ctx, metavars, fun.subst, path + (1,))
-        _check_applied(target, metavars, fun.body, arg_ty, expected, path + (0,))
+        target = _check_subst(ctx, metavars, domains, fun.subst, path + (1,))
+        _check_applied(target, metavars, domains, fun.body, arg_ty, expected, path + (0,), err)
     else:
-        got = _apply_type(ctx, metavars, fun, arg_ty, path)
-        if got != expected:
-            raise IllTyped(f"expected {render_type(expected)}, found {render_type(got)}", path)
+        raise err
 
 
 def sort_check_subst(
@@ -229,6 +243,10 @@ def sort_check_subst(
 ) -> Context:
     """Return the context a closure body must live in for Closure(body, s)
     to sort-check in ctx."""
+    return _check_subst(ctx, metavars, {}, s, path)
+
+
+def _check_subst(ctx, metavars, domains, s, path) -> Context:
     tp = type(s)
     if tp is Shift:
         k = s.k
@@ -236,12 +254,12 @@ def sort_check_subst(
             raise IllTyped(f"shift {k} exceeds context of length {len(ctx)}", path)
         return ctx[k:]
     if tp is Cons:
-        head_ty = _infer(ctx, metavars, s.head, path + (0,))
-        target = sort_check_subst(ctx, metavars, s.tail, path + (1,))
+        head_ty = _infer(ctx, metavars, domains, s.head, path + (0,))
+        target = _check_subst(ctx, metavars, domains, s.tail, path + (1,))
         return (head_ty,) + target
     if tp is Comp:
-        mid = sort_check_subst(ctx, metavars, s.second, path + (1,))
-        return sort_check_subst(mid, metavars, s.first, path + (0,))
+        mid = _check_subst(ctx, metavars, domains, s.second, path + (1,))
+        return _check_subst(mid, metavars, domains, s.first, path + (0,))
     raise TypeError(f"not a substitution: {s!r}")
 
 
@@ -305,12 +323,12 @@ class ValidationReport:
 def equation_type(p: UnifProblem) -> SimpleType:
     """Common type of both sides, inferring from whichever side allows it."""
     try:
-        ty = _infer(p.ctx, p.metavars, p.lhs, ())
+        ty = _infer(p.ctx, p.metavars, {}, p.lhs, ())
     except IllTyped:
-        ty = _infer(p.ctx, p.metavars, p.rhs, ())
-        _check(p.ctx, p.metavars, p.lhs, ty, ())
+        ty = _infer(p.ctx, p.metavars, {}, p.rhs, ())
+        _check(p.ctx, p.metavars, {}, p.lhs, ty, ())
         return ty
-    _check(p.ctx, p.metavars, p.rhs, ty, ())
+    _check(p.ctx, p.metavars, {}, p.rhs, ty, ())
     return ty
 
 

@@ -17,7 +17,8 @@ context slot behind all binders in force.
 ``render_term`` prints the same grammar back: context slots by name, slots
 past the named context as integers, and binders under fresh names ``x1``,
 ``x2``, ...  The de Bruijn form keeps no binder domains, so printing a
-binder needs the term's sort, from which the domains are re-typed.
+binder needs the term's sort: the sort checker gives each binder its domain
+(``binder_domains``), and the printer itself does no typing.
 
 The debug renderer prints compact de Bruijn forms (``λ.1``, ``?Y[^3]``,
 ``1 . ^0``) and is the canonical form golden tests pin down.
@@ -37,14 +38,10 @@ from .sorts import (
     IllTyped,
     SimpleType,
     Sort,
-    UnannotatedBinder,
     UnifProblem,
-    _apply_type,
-    _infer,
+    binder_domains,
     equation_type,
     render_type,
-    sort_check_subst,
-    sort_check_term,
 )
 from .terms import (
     App,
@@ -60,6 +57,7 @@ from .terms import (
     Subst,
     Term,
     contains,
+    free_metavars,
 )
 
 
@@ -230,17 +228,13 @@ def render_term(
     """Surface text of a term, which ``parse_term`` reads back.
 
     Context slots print by name, slots past the named context as integers,
-    and binders get fresh names ``x1``, ``x2``, ...  A binder's domain is
-    recovered by bidirectional re-typing against ``sort`` (a well-sorted
-    term's context and type); without a sort a binder is a ValueError.
+    and binders get fresh names ``x1``, ``x2``, ...  The walk does no typing:
+    each binder takes the next of the domains that the sort checker gives
+    the term at ``sort`` (a well-sorted term's context and type).  A term
+    that does not check at its sort is IllTyped; without a sort a binder is
+    a ValueError.
     """
-    return _render_term(t, ctx_names, sort, metavars, [])
-
-
-def _render_term(t, ctx_names, sort, metavars, domains: list[SimpleType]) -> str:
-    """render_term, appending the domain it gives each binder to domains in
-    reading order."""
-    metavars = metavars or {}
+    domains = iter(() if sort is None else binder_domains(sort.ctx, metavars or {}, t, sort.ty))
     counter = itertools.count(1)
 
     def fresh(binders: tuple[str, ...]) -> str:
@@ -249,8 +243,7 @@ def _render_term(t, ctx_names, sort, metavars, domains: list[SimpleType]) -> str
             if name not in ctx_names and name not in binders:
                 return name
 
-    # ctx and expected are None when untyped
-    def term(node: Term, binders, ctx, expected) -> str:
+    def term(node: Term, binders) -> str:
         match node:
             case Index(n):
                 names = binders + ctx_names
@@ -258,55 +251,35 @@ def _render_term(t, ctx_names, sort, metavars, domains: list[SimpleType]) -> str
             case Meta(name):
                 return f"?{name}"
             case App():
-                return f"(app {' '.join(spine(node, binders, ctx, expected))})"
+                parts = []
+                while isinstance(node, App):
+                    parts.append(node.arg)
+                    node = node.fun
+                words = [term(node, binders)]
+                for part in reversed(parts):
+                    words.append(term(part, binders))
+                return f"(app {' '.join(words)})"
             case Lam(body):
-                if not isinstance(expected, Arrow):
+                domain = next(domains, None)
+                if domain is None:
                     raise ValueError("cannot print a binder without its domain type")
                 name = fresh(binders)
-                domains.append(expected.dom)
-                inner = term(body, (name,) + binders, (expected.dom,) + ctx, expected.cod)
-                return f"(lam ({name} {render_type(expected.dom)}) {inner})"
+                return f"(lam ({name} {render_type(domain)}) {term(body, (name,) + binders)})"
             case Closure(body, s):
-                target = None if ctx is None else sort_check_subst(ctx, metavars, s)
-                return f"(clo {term(body, binders, target, expected)} {subst(s, binders, ctx)})"
+                return f"(clo {term(body, binders)} {subst(s, binders)})"
         raise TypeError(f"not a term: {node!r}")
 
-    def spine(node: Term, binders, ctx, expected) -> list[str]:
-        if not isinstance(node, App):
-            return [term(node, binders, ctx, expected)]
-        fun_ty = None if ctx is None else _function_type(ctx, metavars, node, expected)
-        arg_ty = None if fun_ty is None else fun_ty.dom
-        return spine(node.fun, binders, ctx, fun_ty) + [term(node.arg, binders, ctx, arg_ty)]
-
-    def subst(s: Subst, binders, ctx) -> str:
+    def subst(s: Subst, binders) -> str:
         match s:
             case Shift(k):
                 return f"(shift {k})"
             case Cons(head, tail):
-                head_ty = None if ctx is None else _infer(ctx, metavars, head, ())
-                return f"(cons {term(head, binders, ctx, head_ty)} {subst(tail, binders, ctx)})"
+                return f"(cons {term(head, binders)} {subst(tail, binders)})"
             case Comp(first, second):
-                mid = None if ctx is None else sort_check_subst(ctx, metavars, second)
-                return f"(comp {subst(first, binders, mid)} {subst(second, binders, ctx)})"
+                return f"(comp {subst(first, binders)} {subst(second, binders)})"
         raise TypeError(f"not a substitution: {s!r}")
 
-    if sort is None:
-        return term(t, (), None, None)
-    return term(t, (), sort.ctx, sort.ty)
-
-
-def _function_type(ctx: Context, metavars, node: App, expected: Optional[SimpleType]) -> Arrow:
-    """The type of an application's function part; a binder there takes its
-    domain from the argument."""
-    try:
-        fun_ty = _infer(ctx, metavars, node.fun, ())
-    except UnannotatedBinder:
-        arg_ty = _infer(ctx, metavars, node.arg, ())
-        result = expected or _apply_type(ctx, metavars, node.fun, arg_ty, ())
-        return Arrow(arg_ty, result)
-    if not isinstance(fun_ty, Arrow):
-        raise IllTyped("application head is not of arrow type")
-    return fun_ty
+    return term(t, ())
 
 
 # --- problem files -----------------------------------------------------------
@@ -427,7 +400,7 @@ def parse_problem(text: str) -> ProblemFile:
     for domain, binder in annotations:
         _check_base_names((domain,), base_types, binder)
     for side in (lhs, rhs):
-        undeclared = _undeclared_metas(side, metavars)
+        undeclared = free_metavars(side) - metavars.keys()
         if undeclared:
             raise ParseError(eq.line, eq.col, f"undeclared metavariable(s): {', '.join(sorted(undeclared))}")
 
@@ -466,20 +439,18 @@ def parse_problem(text: str) -> ProblemFile:
     problem = UnifProblem(base_types, ctx, metavars, lhs, rhs, mode)
     if annotations:
         try:
-            sort = Sort(ctx, equation_type(problem))
+            ty = equation_type(problem)
+            domains = binder_domains(ctx, metavars, lhs, ty) + binder_domains(ctx, metavars, rhs, ty)
         except IllTyped:
             pass  # no domains to compare with; validate_problem reports the sort error
         else:
-            _check_binder_annotations((lhs, rhs), ctx_names, sort, metavars, annotations)
+            _check_binder_annotations(annotations, domains)
     return ProblemFile(problem, ctx_names, expect, certificate)
 
 
-def _check_binder_annotations(terms, ctx_names, sort: Sort, metavars, annotations) -> None:
-    """Each binder's written type must be the domain that typing the terms
-    at sort gives it, as printing them back would write it."""
-    domains: list[SimpleType] = []
-    for t in terms:
-        _render_term(t, ctx_names, sort, metavars, domains)
+def _check_binder_annotations(annotations, domains: list[SimpleType]) -> None:
+    """Each binder's written type must be the domain the sort checker gives
+    it, as printing the term back would write it."""
     for (written, binder), domain in zip(annotations, domains):
         if written != domain:
             raise ParseError(
@@ -487,12 +458,6 @@ def _check_binder_annotations(terms, ctx_names, sort: Sort, metavars, annotation
                 binder.col,
                 f"binder annotated {render_type(written)} has domain {render_type(domain)}",
             )
-
-
-def _undeclared_metas(t: Term, metavars) -> set[str]:
-    from .terms import free_metavars
-
-    return free_metavars(t) - metavars.keys()
 
 
 def _check_base_names(types, base_types, node) -> None:
@@ -578,11 +543,11 @@ def parse_subst_file(text: str, pf: ProblemFile) -> MetaSubst:
             _check_base_names((domain,), pf.problem.base_types, binder)
         if annotations:
             try:
-                sort_check_term(sort.ctx, pf.problem.metavars, term, expected=sort.ty)
+                domains = binder_domains(sort.ctx, pf.problem.metavars, term, sort.ty)
             except IllTyped:
                 pass  # check_solution reports the sort error
             else:
-                _check_binder_annotations((term,), ctx_names, sort, pf.problem.metavars, annotations)
+                _check_binder_annotations(annotations, domains)
         bindings[name] = term
     return MetaSubst(bindings)
 

@@ -265,8 +265,9 @@ def graft(theta: MetaSubst | Mapping[str, Term], t: Term) -> Term:
     return rebuild(t, at_leaf)
 
 
-def canonicalize_shifts(s: Subst) -> Subst:
-    """Collapse composed shifts: no composition of two shifts survives.
+def canonicalize_shifts(s: Term | Subst) -> Term | Subst:
+    """Collapse composed shifts in a term or substitution: no composition of
+    two shifts survives.
 
     Semantics-preserving; the rewrite engine relies on inputs being in this
     form because no rewrite rule merges adjacent shifts.  Input with no
@@ -276,11 +277,6 @@ def canonicalize_shifts(s: Subst) -> Subst:
         return s
     # No leaf is a composition, so the node map passes every leaf through.
     return rebuild(s, _merge_shifts, _merge_shifts)
-
-
-def canonicalize_shifts_in_term(t: Term) -> Term:
-    """Apply canonicalize_shifts to every substitution inside a term."""
-    return canonicalize_shifts(t)
 
 
 def _merge_shifts(node: Term | Subst) -> Term | Subst:

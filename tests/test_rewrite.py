@@ -26,7 +26,6 @@ from lamsig import (
     SIGMA_RULES,
     Shift,
     canonicalize_shifts,
-    canonicalize_shifts_in_term,
     free_metavars,
     graft,
     normalize_lambda_sigma,
@@ -233,7 +232,7 @@ def test_normalize_idempotent():
         nf = normalize_sigma(t)
         assert normalize_sigma(nf) == nf
         # the *_equal functions compare normal forms without canonicalizing
-        assert canonicalize_shifts_in_term(nf) == nf
+        assert canonicalize_shifts(nf) == nf
 
 
 def test_subject_reduction_sigma():
@@ -392,7 +391,7 @@ def test_resumed_scan_matches_rescanning_reference(mode):
     beta = mode is EqMode.LAMBDA_SIGMA
     for seed in range(1_000):
         ctx, m, t, ty = gen_checked_term(seed)
-        start = canonicalize_shifts_in_term(t)
+        start = canonicalize_shifts(t)
         for make in strategies(seed):
             expected = [
                 (path, rule, result) for result, path, rule in rescanning_steps(start, beta, make())
@@ -423,7 +422,7 @@ def test_resumed_scan_matches_rescanning_reference(mode):
 def test_step_is_the_first_step_of_a_normalization():
     for seed in range(100):
         ctx, m, t, ty = gen_checked_term(seed)
-        t = canonicalize_shifts_in_term(t)
+        t = canonicalize_shifts(t)
         _, trace = normalize_traced(t, EqMode.SIGMA_ONLY)
         first = trace.steps[0] if trace.steps else None
         got = step(t, EqMode.SIGMA_ONLY)
@@ -530,7 +529,7 @@ def test_structural_maps_recurse_nowhere():
     assert term_size(t) == sum(1 for _ in subterms(t)) == 2 * (depth - 1) + 5
     assert free_metavars(t) == {"X"}
     assert spine(graft({"X": Index(1)}, t)) == (Closure(Index(1), Comp(Shift(1), Shift(1))), twos)
-    assert spine(canonicalize_shifts_in_term(t)) == (Closure(Meta("X"), Shift(2)), twos)
+    assert spine(canonicalize_shifts(t)) == (Closure(Meta("X"), Shift(2)), twos)
     assert canonicalize_shifts(s) == Shift(depth)
     encoded = to_pure_indices(t)
     assert spine(encoded) == (head, [Closure(Index(1), Shift(1))] * (depth - 1))

@@ -15,8 +15,10 @@ from lamsig import (
     Lam,
     Meta,
     MetaSubst,
+    IllTyped,
     Shift,
     Sort,
+    sort_check_term,
 )
 from lamsig.sexpr import ParseError, parse_sexprs
 from lamsig.surface import (
@@ -207,6 +209,41 @@ def test_render_parse_round_trip_over_generated_terms():
         assert parse_term(parse_sexprs(text)[0], names) == t, (seed, text)
         binders += "(lam " in text
     assert binders > 1000
+
+
+def test_render_rejects_a_term_the_checker_rejects():
+    # (app (lam (x iota) (lam (y iota) x)) c d) at iota: the inner binder is
+    # unapplied, so the checker finds no domain for it and neither may the printer
+    iota = Base("iota")
+    ctx = (iota, iota)
+    t = App(App(Lam(Lam(Index(2))), Index(1)), Index(2))
+    with pytest.raises(IllTyped) as checked:
+        sort_check_term(ctx, {}, t, expected=iota)
+    with pytest.raises(IllTyped) as printed:
+        render_term(t, ("c", "d"), Sort(ctx, iota), {})
+    assert type(printed.value) is type(checked.value)
+    assert (printed.value.reason, printed.value.path) == (checked.value.reason, checked.value.path)
+
+
+def test_render_binder_domains_in_reading_order():
+    # the checker types the argument's binder z before x and y; the printer
+    # must still give x1, x2, x3 the domains of x, y, z
+    text = """
+(problem
+  (base-types iota o)
+  (context (f (-> (-> o iota) iota)) (c iota))
+  (metavars)
+  (mode lambdasigma)
+  (equation (app (lam (x iota) (app f (lam (y o) x))) (app f (lam (z o) c))) c))
+"""
+    assert render_problem(parse_problem(text)) == """(problem
+  (base-types iota o)
+  (context (f (-> (-> o iota) iota)) (c iota))
+  (metavars )
+  (mode lambdasigma)
+  (equation (app (lam (x1 iota) (app f (lam (x2 o) x1))) (app f (lam (x3 o) c))) c)
+)
+"""
 
 
 # --- substitution files ---

@@ -14,7 +14,6 @@ from lamsig import (
     MetaSubst,
     Shift,
     canonicalize_shifts,
-    canonicalize_shifts_in_term,
     free_metavars,
     graft,
     is_simple,
@@ -205,7 +204,6 @@ def test_structural_maps_reject_non_nodes():
     for walk in (
         lambda t: graft({}, t),
         canonicalize_shifts,
-        canonicalize_shifts_in_term,
         to_pure_indices,
         from_pure_indices,
         subterms,
@@ -230,7 +228,7 @@ def test_rebuild_keeps_unchanged_subtrees():
     assert out == App(left, App(Index(3), right))
     assert out.fun is left and out.arg.arg is right
     assert graft({"Z": Index(3)}, t) is t
-    assert canonicalize_shifts_in_term(t) is t
+    assert canonicalize_shifts(t) is t
 
 
 # --- canonicalize_shifts ---
@@ -267,7 +265,7 @@ def test_canonicalize_removes_all_shift_compositions(s):
 @settings(deadline=None)
 @given(terms)
 def test_canonicalize_preserves_sigma_normal_form(t):
-    assert normalize_sigma(t) == normalize_sigma(canonicalize_shifts_in_term(t))
+    assert normalize_sigma(t) == normalize_sigma(canonicalize_shifts(t))
 
 
 # --- free_metavars ---
