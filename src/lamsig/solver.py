@@ -8,7 +8,10 @@ once with the unknowns left inert, and decomposes their rigid structure
 (Huet's simplification: Decompose and Fail).  A rigid clash ends the search
 before any assignment is tried or any stream is read past its first
 candidate; otherwise total assignments are tried one by one in product
-order, comparing the normal forms of the grafted flex pairs.  solve_sigma
+order, comparing the normal forms of the grafted flex pairs.  The streams
+are read only as far as the assignments tried reach, so the first hit
+ends the search without listing the rest, and each flex part is grafted
+along paths to its unknowns found once per search.  solve_sigma
 and match_sigma run it with the substitution rules, decide_small_lambda
 with Beta added; check_solution re-checks every hit against the whole
 problem.  That keeps the trusted core small enough for the transfer
@@ -43,6 +46,7 @@ from .terms import (
     App,
     Closure,
     EqMode,
+    GraftPlan,
     Index,
     Lam,
     Meta,
@@ -287,6 +291,47 @@ def _rigid(head: Term, args: list[Term], sigma: bool) -> bool:
     return type(head) is Index or (type(head) is Lam and (sigma or not args))
 
 
+def _assignments(
+    names: list[str],
+    streams: list[Iterator[Term]],
+    firsts: list[Term],
+) -> Iterator[dict[str, Term]]:
+    """Every assignment of the streams' candidates to names, in product
+    order with the last name varying fastest, as one dict updated in place.
+
+    A stream is drawn from only when the product first reaches a candidate
+    past those drawn, and what is drawn is kept for the next round of the
+    names before it, so each stream is read at most once and no further
+    than the search goes.  With no names there is one assignment, the empty
+    one.
+    """
+    drawn = [[first] for first in firsts]
+    streams = list(streams)
+    ranks = [0] * len(names)
+    assignment = dict(zip(names, firsts))
+    while True:
+        yield assignment
+        k = len(names) - 1
+        while k >= 0:
+            rank = ranks[k] + 1
+            candidates = drawn[k]
+            if rank == len(candidates) and streams[k] is not None:
+                candidate = next(streams[k], None)
+                if candidate is None:
+                    streams[k] = None
+                else:
+                    candidates.append(candidate)
+            if rank < len(candidates):
+                ranks[k] = rank
+                assignment[names[k]] = candidates[rank]
+                break
+            ranks[k] = 0
+            assignment[names[k]] = candidates[0]
+            k -= 1
+        else:
+            return
+
+
 def _product_search(
     p: UnifProblem,
     lhs: Term,
@@ -303,8 +348,11 @@ def _product_search(
     along an index-headed spine or, without Beta, at an applied binder, so
     the rigid structure survives grafting.  Each stream is drawn from once
     before anything is normalized, so an empty product normalizes nothing,
-    and read in full only when decomposition leaves something to search.
-    An assignment is tried as a plain dict, and only a hit becomes a
+    and after that only as far as the assignments tried reach (see
+    _assignments): the first hit ends the search without listing the
+    rest.  Each flex part with unknowns gets one GraftPlan, which grafts
+    every assignment along the part's paths to its unknowns.  An
+    assignment is tried as a plain dict, and only a hit becomes a
     MetaSubst, which check_solution re-checks.  The candidates are ground,
     so no assignment can fail MetaSubst's idempotency check.
     """
@@ -313,24 +361,24 @@ def _product_search(
     firsts = [next(stream, None) for stream in streams]
     if any(first is None for first in firsts):
         return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
+    fuel = cfg.fuel
 
     def grafted(part: Term) -> Callable[[dict[str, Term]], Term]:
-        if free_metavars(part):
-            return lambda theta: normalize(graft(theta, part), cfg.fuel)
+        plan = GraftPlan(part)
+        if plan:
+            return lambda theta: normalize(plan.apply(theta), fuel)
         return lambda theta: part
 
     solutions: list[MetaSubst] = []
     try:
-        flex = _decompose(normalize(lhs, cfg.fuel), normalize(rhs, cfg.fuel), p.mode)
+        flex = _decompose(normalize(lhs, fuel), normalize(rhs, fuel), p.mode)
         if flex is None:
             return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
         pairs = [(grafted(a), grafted(b)) for a, b in flex]
-        candidates = [[first, *stream] for first, stream in zip(firsts, streams)]
-        for combo in itertools.product(*candidates):
-            assignment = dict(zip(names, combo))
+        for assignment in _assignments(names, streams, firsts):
             if all(left(assignment) == right(assignment) for left, right in pairs):
                 theta = MetaSubst(assignment)
-                if not check_solution(p, theta, cfg.fuel):
+                if not check_solution(p, theta, fuel):
                     raise RuntimeError(f"search hit {theta!r} fails check_solution")
                 solutions.append(theta)
                 if not cfg.find_all or len(solutions) >= cfg.max_solutions:

@@ -136,6 +136,10 @@ def binder_domains(ctx: Context, metavars: dict[str, Sort], t: Term, ty: SimpleT
     """
     domains: dict[tuple[int, ...], SimpleType] = {}
     _check(ctx, metavars, domains, t, ty, ())
+    return _reading_order(domains)
+
+
+def _reading_order(domains: dict[tuple[int, ...], SimpleType]) -> list[SimpleType]:
     return [domains[path] for path in sorted(domains)]
 
 
@@ -322,13 +326,33 @@ class ValidationReport:
 
 def equation_type(p: UnifProblem) -> SimpleType:
     """Common type of both sides, inferring from whichever side allows it."""
+    return _equation_walk(p, {}, {})
+
+
+def equation_domains(p: UnifProblem) -> tuple[SimpleType, list[SimpleType], list[SimpleType]]:
+    """Common type of both sides, and the domains ``binder_domains`` gives
+    the binders of each side at that type, from one walk of each side."""
+    lhs_domains: dict[tuple[int, ...], SimpleType] = {}
+    rhs_domains: dict[tuple[int, ...], SimpleType] = {}
+    ty = _equation_walk(p, lhs_domains, rhs_domains)
+    return ty, _reading_order(lhs_domains), _reading_order(rhs_domains)
+
+
+def _equation_walk(p: UnifProblem, lhs_domains: dict, rhs_domains: dict) -> SimpleType:
+    """equation_type's walk, recording each side's binder domains.
+
+    The side the type is inferred from records the same domains as
+    checking it would: inference reaches every binder of a well-sorted
+    side, and the two directions give a binder the same domain.
+    """
     try:
-        ty = _infer(p.ctx, p.metavars, {}, p.lhs, ())
+        ty = _infer(p.ctx, p.metavars, lhs_domains, p.lhs, ())
     except IllTyped:
-        ty = _infer(p.ctx, p.metavars, {}, p.rhs, ())
-        _check(p.ctx, p.metavars, {}, p.lhs, ty, ())
-        return ty
-    _check(p.ctx, p.metavars, {}, p.rhs, ty, ())
+        ty = _infer(p.ctx, p.metavars, rhs_domains, p.rhs, ())
+        lhs_domains.clear()  # drop what the abandoned inference recorded
+        _check(p.ctx, p.metavars, lhs_domains, p.lhs, ty, ())
+    else:
+        _check(p.ctx, p.metavars, rhs_domains, p.rhs, ty, ())
     return ty
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .sexpr import ParseError, SAtom, SList, expect_atom, expect_list, parse_sexprs
 from .sorts import (
@@ -40,7 +40,7 @@ from .sorts import (
     Sort,
     UnifProblem,
     binder_domains,
-    equation_type,
+    equation_domains,
     render_type,
 )
 from .terms import (
@@ -234,7 +234,12 @@ def render_term(
     that does not check at its sort is IllTyped; without a sort a binder is
     a ValueError.
     """
-    domains = iter(() if sort is None else binder_domains(sort.ctx, metavars or {}, t, sort.ty))
+    return _render(t, ctx_names, () if sort is None else binder_domains(sort.ctx, metavars or {}, t, sort.ty))
+
+
+def _render(t: Term, ctx_names: tuple[str, ...], domains: Iterable[SimpleType]) -> str:
+    """render_term's walk, which gives each binder the next of domains."""
+    domains = iter(domains)
     counter = itertools.count(1)
 
     def fresh(binders: tuple[str, ...]) -> str:
@@ -439,12 +444,11 @@ def parse_problem(text: str) -> ProblemFile:
     problem = UnifProblem(base_types, ctx, metavars, lhs, rhs, mode)
     if annotations:
         try:
-            ty = equation_type(problem)
-            domains = binder_domains(ctx, metavars, lhs, ty) + binder_domains(ctx, metavars, rhs, ty)
+            _, lhs_domains, rhs_domains = equation_domains(problem)
         except IllTyped:
             pass  # no domains to compare with; validate_problem reports the sort error
         else:
-            _check_binder_annotations(annotations, domains)
+            _check_binder_annotations(annotations, lhs_domains + rhs_domains)
     return ProblemFile(problem, ctx_names, expect, certificate)
 
 
@@ -494,11 +498,12 @@ def render_problem(pf: ProblemFile) -> str:
             mv_entries.append(f"(?{name} {render_type(sort.ty)} :ctx ({override}))")
     lines.append(f"  (metavars {' '.join(mv_entries)})")
     lines.append(f"  (mode {p.mode.value})")
-    sort = None
+    lhs_domains: list[SimpleType] = []
+    rhs_domains: list[SimpleType] = []
     if contains(p.lhs, Lam) or contains(p.rhs, Lam):
-        sort = Sort(p.ctx, equation_type(p))
-    lhs = render_term(p.lhs, pf.ctx_names, sort, p.metavars)
-    rhs = render_term(p.rhs, pf.ctx_names, sort, p.metavars)
+        _, lhs_domains, rhs_domains = equation_domains(p)
+    lhs = _render(p.lhs, pf.ctx_names, lhs_domains)
+    rhs = _render(p.rhs, pf.ctx_names, rhs_domains)
     lines.append(f"  (equation {lhs} {rhs})")
     if pf.expect is not None:
         lines.append(f"  (expect {pf.expect.kind} :bound {pf.expect.bound})")

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gen import gen_second_order_problem
+from gen import gen_checked_term, gen_second_order_problem
 from oracles import brute_simple_terms
 
 from lamsig import (
@@ -43,6 +44,7 @@ from lamsig import (
 )
 from lamsig import solver
 from lamsig.surface import parse_problem
+from lamsig.terms import GraftPlan, children, free_metavars, graft, rebuild
 
 CORPUS = Path(__file__).parent.parent / "src" / "lamsig" / "corpus"
 
@@ -142,6 +144,59 @@ def test_argument_lists_keep_the_nested_order(monkeypatch):
     assert spines, "no candidate applies an index to two arguments"
     monkeypatch.setattr(solver, "_arg_combos", nested)
     assert got == streams()
+
+
+# --- grafting plans ---
+
+
+def rebuild_graft(theta, t):
+    """Grafting as one bottom-up map over the whole term."""
+    return rebuild(t, lambda node: theta[node.name] if type(node) is Meta and node.name in theta else node)
+
+
+def test_graft_plan_matches_a_full_rebuild():
+    """On random bindings of generated terms the plan grafts what a full
+    rebuild grafts, keeps every subtree without a bound occurrence as the
+    same object, and returns the term itself when nothing it holds is
+    bound."""
+    images = [Index(1), Index(3), Lam(Index(1)), App(Index(2), Index(1)),
+              Closure(Meta("Z"), Shift(1)), Meta("M1")]
+    for seed in range(2000):
+        _, _, t, _ = gen_checked_term(seed)
+        rng = random.Random(seed)
+        names = sorted(free_metavars(t)) + ["Z"]
+        theta = {name: rng.choice(images) for name in names if rng.random() < 0.5}
+        plan = GraftPlan(t)
+        grafted = plan.apply(theta)
+        assert grafted == rebuild_graft(theta, t), seed
+        assert bool(plan) == (len(names) > 1), seed
+        if not theta.keys() & free_metavars(t):
+            assert grafted is t, seed
+        pairs = [(t, grafted)]
+        while pairs:
+            before, after = pairs.pop()
+            if not theta.keys() & free_metavars(before):
+                assert after is before, seed
+            elif type(before) is Meta:
+                assert after is theta[before.name], seed
+            else:
+                pairs += zip(children(before), children(after))
+
+
+def test_graft_plan_recurses_nowhere():
+    """f (f ... (f X)), 5,000 deep: the plan rebuilds the spine down to X
+    and shares every head."""
+    depth = 5_000
+    assert depth > 2 * sys.getrecursionlimit()
+    f = Index(2)
+    t = Meta("X")
+    for _ in range(depth):
+        t = App(f, t)
+    for grafted in (GraftPlan(t).apply({"X": Index(1)}), graft({"X": Index(1)}, t)):
+        for _ in range(depth):
+            assert type(grafted) is App and grafted.fun is f
+            grafted = grafted.arg
+        assert grafted == Index(1)
 
 
 # --- solve_sigma ---
@@ -477,14 +532,9 @@ def test_a_hit_that_fails_check_solution_raises(monkeypatch):
         solve_sigma(reduced_worked_problem(), SearchConfig(size_bound=2))
 
 
-def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
-    """f (X a) (Y b) = g (Y a): the heads clash, so each stream is read only
-    as far as its first candidate, which shows that it is not empty."""
-    ctx = (iota, iota, ii, Arrow(iota, ii))
-    a, b, g, f = Index(1), Index(2), Index(3), Index(4)
-    X, Y = Meta("X"), Meta("Y")
-    p = lp(ctx, {"X": Sort(ctx, ii), "Y": Sort(ctx, ii)},
-           App(App(f, App(X, a)), App(Y, b)), App(g, App(Y, a)))
+def counting_draws(monkeypatch) -> list[int]:
+    """Route the search's streams through a counter: one entry per stream
+    opened, holding the number of candidates drawn from it so far."""
     draws: list[int] = []
     enumerate_all = solver.enumerate_simple_terms
 
@@ -496,6 +546,18 @@ def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
             yield term
 
     monkeypatch.setattr(solver, "enumerate_simple_terms", counting)
+    return draws
+
+
+def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
+    """f (X a) (Y b) = g (Y a): the heads clash, so each stream is read only
+    as far as its first candidate, which shows that it is not empty."""
+    ctx = (iota, iota, ii, Arrow(iota, ii))
+    a, b, g, f = Index(1), Index(2), Index(3), Index(4)
+    X, Y = Meta("X"), Meta("Y")
+    p = lp(ctx, {"X": Sort(ctx, ii), "Y": Sort(ctx, ii)},
+           App(App(f, App(X, a)), App(Y, b)), App(g, App(Y, a)))
+    draws = counting_draws(monkeypatch)
     cfg = SearchConfig(size_bound=4, find_all=True)
     for search, problem in [(decide_small_lambda, p), (solve_sigma, reduce_problem(p).target)]:
         draws.clear()
@@ -503,18 +565,58 @@ def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
         assert draws == [1, 1], search.__name__
 
 
+def hit_ranks(problem, search, cfg):
+    """Each stream in full, and the rank in it of the first hit's binding."""
+    streams = [list(enumerate_simple_terms(sort, {}, cfg)) for sort in problem.metavars.values()]
+    theta = search(problem, cfg).solutions[0]
+    return streams, [stream.index(theta[x]) for x, stream in zip(problem.metavars, streams)]
+
+
+def test_a_hit_at_rank_r_draws_r_plus_one_candidates(monkeypatch):
+    """X c = f (f c): the search stops at its first hit, so it reads the
+    stream of its one unknown no further than that hit."""
+    ctx = (iota, ii)
+    c, f = Index(1), Index(2)
+    p = lp(ctx, {"X": Sort(ctx, ii)}, App(Meta("X"), c), App(f, App(f, c)))
+    cfg = SearchConfig(size_bound=6)
+    for search, problem in [(decide_small_lambda, p), (solve_sigma, reduce_problem(p).target)]:
+        (stream,), (rank,) = hit_ranks(problem, search, cfg)
+        assert 0 < rank < len(stream) - 1, search.__name__
+        draws = counting_draws(monkeypatch)
+        search(problem, cfg)
+        assert draws == [rank + 1], search.__name__
+
+
+def test_inner_streams_are_drawn_once(monkeypatch):
+    """The scaling family's first hit lies inside X's stream: X is read as
+    far as the hit, and Y, which varies fastest, is read once in full and
+    then reused for every later candidate of X."""
+    p = scaling_family_problem()
+    for search, problem, bound in [(decide_small_lambda, p, 6), (solve_sigma, reduce_problem(p).target, 7)]:
+        cfg = SearchConfig(size_bound=bound)
+        (x_stream, y_stream), (x_rank, y_rank) = hit_ranks(problem, search, cfg)
+        assert 0 < x_rank < len(x_stream) - 1, search.__name__
+        draws = counting_draws(monkeypatch)
+        search(problem, cfg)
+        assert draws == [x_rank + 1, len(y_stream)], search.__name__
+
+
 def test_sigma_applied_binder_against_a_rigid_spine_is_a_clash(monkeypatch):
     """Without Beta the applied binder survives every graft, so the search
     ends at decomposition and grafts nothing."""
     p = dict(decomposition_problems())["sigma, applied binder against a rigid spine"]
     grafts = []
-    graft_once = solver.graft
 
     def counting(theta, t):
         grafts.append(t)
-        return graft_once(theta, t)
+        return graft(theta, t)
+
+    def counting_plan(t):
+        grafts.append(t)
+        return GraftPlan(t)
 
     monkeypatch.setattr(solver, "graft", counting)
+    monkeypatch.setattr(solver, "GraftPlan", counting_plan)
     assert isinstance(solve_sigma(p, SearchConfig(size_bound=3)), ExhaustedNoSolution)
     assert grafts == []
 

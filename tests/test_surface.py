@@ -20,6 +20,7 @@ from lamsig import (
     Sort,
     sort_check_term,
 )
+from lamsig import sorts
 from lamsig.sexpr import ParseError, parse_sexprs
 from lamsig.surface import (
     ProblemFile,
@@ -225,10 +226,7 @@ def test_render_rejects_a_term_the_checker_rejects():
     assert (printed.value.reason, printed.value.path) == (checked.value.reason, checked.value.path)
 
 
-def test_render_binder_domains_in_reading_order():
-    # the checker types the argument's binder z before x and y; the printer
-    # must still give x1, x2, x3 the domains of x, y, z
-    text = """
+TWO_SIDED_BINDERS = """
 (problem
   (base-types iota o)
   (context (f (-> (-> o iota) iota)) (c iota))
@@ -236,7 +234,12 @@ def test_render_binder_domains_in_reading_order():
   (mode lambdasigma)
   (equation (app (lam (x iota) (app f (lam (y o) x))) (app f (lam (z o) c))) c))
 """
-    assert render_problem(parse_problem(text)) == """(problem
+
+
+def test_render_binder_domains_in_reading_order():
+    # the checker types the argument's binder z before x and y; the printer
+    # must still give x1, x2, x3 the domains of x, y, z
+    assert render_problem(parse_problem(TWO_SIDED_BINDERS)) == """(problem
   (base-types iota o)
   (context (f (-> (-> o iota) iota)) (c iota))
   (metavars )
@@ -244,6 +247,25 @@ def test_render_binder_domains_in_reading_order():
   (equation (app (lam (x1 iota) (app f (lam (x2 o) x1))) (app f (lam (x3 o) c))) c)
 )
 """
+
+
+def test_an_equation_with_binders_is_sort_checked_once(monkeypatch):
+    """Parsing and printing take the common type and every binder's domain
+    from one checker walk of each side: a walk starts at the root path, and
+    checking the leaf c enters inference at the same path once more."""
+    walks = []
+    for name in ("_infer", "_check"):
+        def counting(*args, walk=getattr(sorts, name)):
+            if args[-1] == ():
+                walks.append(walk.__name__)
+            return walk(*args)
+
+        monkeypatch.setattr(sorts, name, counting)
+    pf = parse_problem(TWO_SIDED_BINDERS)
+    assert walks == ["_infer", "_check", "_infer"]
+    walks.clear()
+    render_problem(pf)
+    assert walks == ["_infer", "_check", "_infer"]
 
 
 # --- substitution files ---
