@@ -3,6 +3,9 @@
 Normalization under the substitution rules with or without Beta, reduction
 of second-order unification problems to substitution-only ones, bounded
 unifier search, and an s-expression problem format with a CLI.
+
+The imports below are the package's public surface.  A public name that no
+other module uses stays only if it is imported here.
 """
 
 from .terms import (
@@ -48,7 +51,6 @@ from .rewrite import (
     RandomizedPosition,
     RewriteTrace,
     RuleId,
-    SIGMA_RULES,
     lambda_sigma_equal,
     normalize_lambda_sigma,
     normalize_sigma,
@@ -56,6 +58,14 @@ from .rewrite import (
     replay_trace,
     sigma_equal,
     step,
+    to_pure_indices,
+)
+from .surface import (
+    ProblemFile,
+    parse_problem,
+    parse_subst_file,
+    render_problem,
+    render_subst,
 )
 from .transform import (
     InvalidProblem,
@@ -81,6 +91,5 @@ from .solver import (
     check_solution,
     decide_small_lambda,
     enumerate_simple_terms,
-    match_sigma,
     solve_sigma,
 )

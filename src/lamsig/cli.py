@@ -126,10 +126,6 @@ def _build_parser() -> _ArgumentParser:
     p_solve.add_argument("--max-solutions", type=_positive_int, default=16)
     p_solve.add_argument("--mode", choices=["sigma", "lambdasigma"], default=None,
                          help="override the problem's equality mode")
-    p_solve.add_argument("--oracle", action="store_true",
-                         help="insist on the bounded lambda-side search, which a full-equality "
-                              "problem gets anyway: the flag changes nothing there and rejects "
-                              "a sigma problem as a usage error")
     add_fuel(p_solve)
 
     p_verify = sub.add_parser("verify", help="check a substitution against a problem")
@@ -156,12 +152,20 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _load(path: str) -> ProblemFile:
+def _file(path: str | Path, text: Optional[str] = None) -> str:
+    """Read the file at `path`, or write `text` to it.  A failed file
+    operation is a usage error, so it keeps the exit contract."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        if text is None:
+            return Path(path).read_text(encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
+        return text
     except OSError as err:
-        raise UsageError(f"cannot read {path}: {err.strerror}")
-    return parse_problem(text)
+        raise UsageError(f"cannot {'read' if text is None else 'write'} {path}: {err.strerror}")
+
+
+def _load(path: str) -> ProblemFile:
+    return parse_problem(_file(path))
 
 
 def _path_str(path: tuple[int, ...]) -> str:
@@ -189,9 +193,9 @@ def _cmd_reduce(args) -> int:
     cert = reduce_problem(pf.problem, fuel=_fuel(args))
     out = ProblemFile(cert.target, pf.ctx_names, pf.expect, cert.var_map)
     text = render_problem(out)
-    print(text, end="")
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _file(args.output, text)
+    print(text, end="")
     return 0
 
 
@@ -208,8 +212,6 @@ def _cmd_solve(args) -> int:
     problem = pf.problem
     if args.mode is not None:
         problem = replace(problem, mode=EqMode(args.mode))
-    if args.oracle and problem.mode is EqMode.SIGMA_ONLY:
-        raise UsageError("--oracle applies to full-equality problems only")
     cfg = SearchConfig(
         size_bound=args.bound,
         depth_bound=args.depth,
@@ -234,11 +236,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     pf = _load(args.file)
-    try:
-        subst_text = Path(args.subst).read_text(encoding="utf-8")
-    except OSError as err:
-        raise UsageError(f"cannot read {args.subst}: {err.strerror}")
-    theta = parse_subst_file(subst_text, pf)
+    theta = parse_subst_file(_file(args.subst), pf)
     ok = check_solution(pf.problem, theta, fuel=_fuel(args))
     if ok:
         print("solution verified")
@@ -256,7 +254,7 @@ def _cmd_normalize(args) -> int:
         term = parse_term(forms[0], pf.ctx_names)
     else:
         term = pf.problem.lhs
-    mode = EqMode.SIGMA_ONLY if args.mode == "sigma" else EqMode.LAMBDA_SIGMA
+    mode = EqMode(args.mode)
     fuel = _fuel(args)
     if args.trace:
         normal, trace = normalize_traced(term, mode, LEFTMOST_OUTERMOST, fuel)
@@ -272,8 +270,7 @@ def _cmd_normalize(args) -> int:
 
 def _corpus_files(directory: Optional[str]):
     if directory is not None:
-        paths = sorted(Path(directory).glob("*.sig"))
-        return [(p.name, p.read_text(encoding="utf-8")) for p in paths]
+        return [(p.name, _file(p)) for p in sorted(Path(directory).glob("*.sig"))]
     root = resources.files("lamsig").joinpath("corpus")
     out = []
     for entry in sorted(root.iterdir(), key=lambda e: e.name):

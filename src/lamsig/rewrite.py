@@ -116,9 +116,6 @@ class RuleId(Enum):
     ETA_CONS_SHIFT = "EtaConsShift"
 
 
-SIGMA_RULES = frozenset(RuleId) - {RuleId.BETA}
-
-
 @dataclass
 class TraceStep:
     path: Path
@@ -757,20 +754,7 @@ def to_pure_indices(t: Term | Subst) -> Term | Subst:
     return rebuild(t, _encode_index)
 
 
-def from_pure_indices(t: Term | Subst) -> Term | Subst:
-    """Structural inverse of to_pure_indices."""
-    # No leaf is a closure, so the node map passes every leaf through as is.
-    return rebuild(t, _decode_index, _decode_index)
-
-
 def _encode_index(node: Term | Subst) -> Term | Subst:
     if type(node) is Index and node.n > 1:
         return Closure(Index(1), Shift(node.n - 1))
-    return node
-
-
-def _decode_index(node: Term | Subst) -> Term | Subst:
-    match node:
-        case Closure(Index(1), Shift(k)) if k >= 1:
-            return Index(k + 1)
     return node

@@ -11,11 +11,13 @@ candidate; otherwise total assignments are tried one by one in product
 order, comparing the normal forms of the grafted flex pairs.  The streams
 are read only as far as the assignments tried reach, so the first hit
 ends the search without listing the rest, and each flex part is grafted
-along paths to its unknowns found once per search.  solve_sigma
-and match_sigma run it with the substitution rules, decide_small_lambda
-with Beta added; check_solution re-checks every hit against the whole
-problem.  That keeps the trusted core small enough for the transfer
-properties to be checked against it rather than through it.
+along paths to its unknowns found once per search.  A part without
+unknowns is compared as it is, so a matching problem, with one ground
+side, needs no search of its own.  solve_sigma runs the search with the
+substitution rules, decide_small_lambda with Beta added; check_solution
+re-checks every hit against the whole problem.  That keeps the trusted
+core small enough for the transfer properties to be checked against it
+rather than through it.
 """
 
 from __future__ import annotations
@@ -399,18 +401,6 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
     """
     _validate(p, EqMode.SIGMA_ONLY, "solve_sigma")
     return _product_search(p, p.lhs, p.rhs, cfg, normalize_sigma)
-
-
-def match_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """solve_sigma restricted to a ground right-hand side.
-
-    The search loop normalizes each side only once and compares a part
-    without unknowns as it is, so matching needs no search of its own; the
-    outcome is solve_sigma's.
-    """
-    if free_metavars(p.rhs):
-        raise ValueError("match_sigma expects a ground right-hand side")
-    return solve_sigma(p, cfg)
 
 
 def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:

@@ -53,17 +53,6 @@ def test_usage_error_exits_two():
     assert status == 2
 
 
-def test_oracle_on_a_sigma_problem_is_a_usage_error():
-    for argv in (
-        ["solve", corpus_file("sigma_ground.sig"), "--oracle"],
-        ["solve", corpus_file("xc_eq_c.sig"), "--mode", "sigma", "--oracle"],
-    ):
-        status, out = run_command(argv)
-        assert status == 2, argv
-        assert out == "usage error: --oracle applies to full-equality problems only\n", argv
-    assert run_command(["solve", corpus_file("xc_eq_c.sig"), "--oracle"]) == (0, "?X := λ.1\n")
-
-
 def test_reduce_on_a_sigma_problem_exits_two():
     for name in ("sigma_ground.sig", "sigma_meta_cons.sig"):
         path = corpus_file(name)
@@ -72,18 +61,6 @@ def test_reduce_on_a_sigma_problem_exits_two():
         assert out == (
             f"usage error: reduce takes a full-equality problem; {path} declares (mode sigma)\n"
         ), name
-
-
-def test_oracle_changes_nothing_on_a_full_equality_problem():
-    files = [
-        path
-        for path in sorted(CORPUS.glob("*.sig"))
-        if parse_problem(path.read_text(encoding="utf-8")).problem.mode is EqMode.LAMBDA_SIGMA
-    ]
-    assert len(files) == 19
-    for path in files:
-        plain = run_command(["solve", str(path)])
-        assert run_command(["solve", str(path), "--oracle"]) == plain, path.name
 
 
 def test_help_shows_no_source_markup():
@@ -96,6 +73,21 @@ def test_help_shows_no_source_markup():
 def test_missing_file_exits_two():
     status, out = run_command(["check", "/nonexistent/never.sig"])
     assert status == 2
+
+
+def test_unwritable_output_exits_two(tmp_path):
+    target = tmp_path / "missing" / "out.sig"
+    status, out = run_command(["reduce", corpus_file("xc_eq_c.sig"), "-o", str(target)])
+    assert status == 2
+    assert out == f"usage error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
+def test_unreadable_corpus_entry_exits_two(tmp_path):
+    (tmp_path / "x.sig").mkdir()
+    status, out = run_command(["corpus", "run", "--dir", str(tmp_path)])
+    assert status == 2
+    assert out == f"usage error: cannot read {tmp_path / 'x.sig'}: Is a directory\n"
 
 
 def test_solve_no_solution_exits_one(tmp_path):
@@ -490,7 +482,7 @@ def test_the_reused_parser_is_reentrant():
     help included, gives what each command gives in a fresh process."""
     path = corpus_file("xc_eq_c.sig")
     sequence = [
-        ["solve", path, "--all", "--bound", "3", "--mode", "sigma", "--oracle", "--fuel", "7"],
+        ["solve", path, "--all", "--bound", "3", "--mode", "sigma", "--fuel", "7"],
         ["solve", path, "--bound", "0"],
         ["--help"],
         ["--help"],
@@ -508,7 +500,7 @@ def test_the_reused_parser_is_reentrant():
 
     together = run(sequence)
     assert together == [run([argv])[0] for argv in sequence]
-    assert [status for status, _ in together] == [2, 2, 0, 0, 2, 0]
+    assert [status for status, _ in together] == [1, 2, 0, 0, 2, 0]
     assert together[2] == together[3] and together[2][1].startswith("usage: lamsig")
     assert together[5][1] == "?X := λ.1\n"
 

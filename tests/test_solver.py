@@ -33,7 +33,6 @@ from lamsig import (
     decide_small_lambda,
     enumerate_simple_terms,
     is_simple_subst,
-    match_sigma,
     normalize_lambda_sigma,
     normalize_sigma,
     reduce_problem,
@@ -262,7 +261,7 @@ def test_solve_sigma_max_solutions_cap():
     assert isinstance(out, Solved) and len(out.solutions) == 1
 
 
-# --- match_sigma ---
+# --- matching: solve_sigma with a ground right-hand side ---
 
 
 def match_problem():
@@ -277,28 +276,16 @@ def match_problem():
 
 
 def test_match_sigma_worked_example():
-    out = match_sigma(match_problem(), SearchConfig(size_bound=3, find_all=True))
+    out = solve_sigma(match_problem(), SearchConfig(size_bound=3, find_all=True))
     assert isinstance(out, Solved)
     assert MetaSubst({"Y": App(Index(3), Index(1))}) in out.solutions
 
 
 def test_match_sigma_ground_equal_sides():
     p = sp((iota,), {}, Index(1), Index(1))
-    out = match_sigma(p, SearchConfig(size_bound=1))
+    out = solve_sigma(p, SearchConfig(size_bound=1))
     assert isinstance(out, Solved)
     assert out.solutions == [MetaSubst({})]
-
-
-def test_match_sigma_requires_ground_rhs():
-    p = sp((iota,), {"Y": Sort((iota,), iota)}, Index(1), Meta("Y"))
-    with pytest.raises(ValueError):
-        match_sigma(p, SearchConfig())
-
-
-def test_match_agrees_with_solve():
-    for problem, bound in [(match_problem(), 3), (reduced_worked_problem(), 2)]:
-        cfg = SearchConfig(size_bound=bound, find_all=True)
-        assert match_sigma(problem, cfg).solutions == solve_sigma(problem, cfg).solutions
 
 
 # --- check_solution ---

@@ -199,13 +199,12 @@ def test_metasubst_rejects_self_reference():
 
 
 def test_structural_maps_reject_non_nodes():
-    from lamsig.rewrite import from_pure_indices, to_pure_indices
+    from lamsig.rewrite import to_pure_indices
 
     for walk in (
         lambda t: graft({}, t),
         canonicalize_shifts,
         to_pure_indices,
-        from_pure_indices,
         subterms,
         free_metavars,
         is_simple,
