@@ -7,17 +7,25 @@ terms for every unknown in a deterministic order, normalizes the two sides
 once with the unknowns left inert, and decomposes their rigid structure
 (Huet's simplification: Decompose and Fail).  A rigid clash ends the search
 before any assignment is tried or any stream is read past its first
-candidate; otherwise total assignments are tried one by one in product
-order, comparing the normal forms of the grafted flex pairs.  The streams
-are read only as far as the assignments tried reach, so the first hit
-ends the search without listing the rest, and each flex part is grafted
-along paths to its unknowns found once per search.  A part without
-unknowns is compared as it is, so a matching problem, with one ground
-side, needs no search of its own.  solve_sigma runs the search with the
-substitution rules, decide_small_lambda with Beta added; check_solution
-re-checks every hit against the whole problem.  That keeps the trusted
-core small enough for the transfer properties to be checked against it
-rather than through it.
+candidate.  Otherwise each flex-rigid pair prunes the stream of the unknown
+at the head of its flex side (Huet's rigid-head test, in the
+explicit-substitution form of Dowek, Hardin and Kirchner): the rigid side's
+head survives grafting, and the head of the flex side's instance is a
+function of the candidate's head, the closure's entries and the spine's
+arguments.  A candidate whose instance head is decided and clashes fails
+every assignment, so it is dropped before it is grafted or normalized.
+The pruning keeps the order of the candidates it keeps, so what is left
+is the old product order with failing assignments taken out.  Total
+assignments are then tried one by one in product order, comparing the
+normal forms of the grafted flex pairs.  The streams are read only as far
+as the assignments tried reach, so the first hit ends the search without
+listing the rest, and each flex part is grafted along paths to its
+unknowns found on its first graft.  A part without unknowns is compared
+as it is, so a matching problem, with one ground side, needs no search of
+its own.  solve_sigma runs the search with the substitution rules,
+decide_small_lambda with Beta added; check_solution re-checks every hit
+against the whole problem.  That keeps the trusted core small enough for
+the transfer properties to be checked against it rather than through it.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .sorts import (
 from .terms import (
     App,
     Closure,
+    Cons,
     EqMode,
     GraftPlan,
     Index,
@@ -293,6 +302,95 @@ def _rigid(head: Term, args: list[Term], sigma: bool) -> bool:
     return type(head) is Index or (type(head) is Lam and (sigma or not args))
 
 
+def _head_demands(flex: list[tuple[Term, Term]], sigma: bool) -> dict[str, list[tuple]]:
+    """The rigid heads the flex-rigid pairs demand of each unknown's
+    instances, as a list per unknown of (entries, n, args, head, count).
+
+    A pair counts when its flex side is a spine X a1..am, X[^n] a1..am or
+    X[c1..cp . ^n] a1..am, and its other side is rigid with count
+    arguments; entries are the c's, args the a's.  Rigid heads are keyed
+    as _decompose compares them: an index by its number, a binder by 0.
+    """
+    demands: dict[str, list[tuple]] = {}
+    for a, b in flex:
+        a_head, a_args = _spine(a)
+        b_head, b_args = _spine(b)
+        if _rigid(b_head, b_args, sigma):
+            head, args, rigid_head, rigid_args = a_head, a_args, b_head, b_args
+        elif _rigid(a_head, a_args, sigma):
+            head, args, rigid_head, rigid_args = b_head, b_args, a_head, a_args
+        else:
+            continue
+        entries: list[Term] = []
+        if type(head) is Closure:
+            subst = head.subst
+            head = head.body
+            while type(subst) is Cons:
+                entries.append(subst.head)
+                subst = subst.tail
+            if type(subst) is not Shift:
+                continue
+            n = subst.k
+        else:
+            n = 0
+        if type(head) is Meta:
+            key = rigid_head.n if type(rigid_head) is Index else 0
+            demands.setdefault(head.name, []).append((entries, n, args, key, len(rigid_args)))
+    return demands
+
+
+def _instance_head(
+    u: Term, entries: list[Term], n: int, args: list[Term], beta: bool
+) -> tuple[int, int] | None:
+    """The head key and argument count of the normal form of
+    u[c1..cp . ^n] a1..am, read off u's head alone; None when they depend on
+    more than that.
+
+    With Beta, each leading binder of u consumes one argument, j in all.  A
+    binder left over stays a binder, applied to the arguments it did not
+    consume: none with Beta, all m without.  Otherwise u's head index i
+    looks up the substitution a_j..a_1 . c1..cp . ^n: i <= j projects onto
+    a(j-i+1) and j < i <= j+p onto c(i-j), and the instance's head is the
+    head of that term if it is an index; a larger i imitates i-j-p+n.  The
+    instance's arguments are those of the projected term, if any, then
+    u's own, then the m-j that no binder consumed.
+    """
+    m = len(args)
+    binders = 0
+    while type(u) is Lam:
+        binders += 1
+        u = u.body
+    j = min(binders, m) if beta else 0
+    if binders > j:
+        return 0, m - j
+    head, own = _spine(u)
+    if type(head) is not Index:
+        return None
+    i = head.n
+    count = len(own) + m - j
+    if i > j + len(entries):
+        return i - j - len(entries) + n, count
+    target = args[j - i] if i <= j else entries[i - j - 1]
+    head, own = _spine(target)
+    if type(head) is not Index:
+        return None
+    return head.n, len(own) + count
+
+
+def _fits(demands: list[tuple], beta: bool) -> Callable[[Term], bool]:
+    """Whether a candidate can meet every demand: False only when some
+    instance head is decided and differs from the head its pair demands."""
+
+    def fits(u: Term) -> bool:
+        for entries, n, args, head, count in demands:
+            got = _instance_head(u, entries, n, args, beta)
+            if got is not None and got != (head, count):
+                return False
+        return True
+
+    return fits
+
+
 def _assignments(
     names: list[str],
     streams: list[Iterator[Term]],
@@ -348,12 +446,30 @@ def _product_search(
     so rewriting is closed under grafting and, normal forms being unique,
     nf(graft theta t) = nf(graft theta (nf t)); no rule fires at a binder,
     along an index-headed spine or, without Beta, at an applied binder, so
-    the rigid structure survives grafting.  Each stream is drawn from once
-    before anything is normalized, so an empty product normalizes nothing,
-    and after that only as far as the assignments tried reach (see
-    _assignments): the first hit ends the search without listing the
-    rest.  Each flex part with unknowns gets one GraftPlan, which grafts
-    every assignment along the part's paths to its unknowns.  An
+    the rigid structure survives grafting.
+
+    Before the product, each unknown's stream drops the candidates that
+    fail a flex-rigid pair on every assignment (Huet's rigid-head test).
+    The rigid side's head and argument count survive grafting.  The flex
+    side is a spine X[c1..cp . ^n] a1..am, and the head and argument count
+    of its instance are a function of the candidate's head, the entries
+    and the arguments (see _instance_head): other unknowns occur only in
+    the entries and arguments, below any head that is an index, so their
+    bindings cannot change it.  A candidate whose instance head is decided
+    and differs is dropped.  The filter keeps the order of what it keeps,
+    and the product order of the kept candidates is the old product order
+    with failing assignments left out, so hits come in the same order and
+    find_all lists are unchanged.  A dropped candidate is never grafted or
+    normalized: with too little fuel to normalize one of its assignments,
+    the search no longer aborts there.
+
+    Each stream is drawn from once before anything is normalized, so an
+    empty product normalizes nothing, and after that only as far as the
+    assignments tried reach (see _assignments): the first hit ends the
+    search without listing the rest.  Each flex part gets a GraftPlan when
+    it is first grafted, so a search that ends before grafting builds none;
+    the plan grafts every assignment along the part's paths to its
+    unknowns, and a part without unknowns comes back as itself.  An
     assignment is tried as a plain dict, and only a hit becomes a
     MetaSubst, which check_solution re-checks.  The candidates are ground,
     so no assignment can fail MetaSubst's idempotency check.
@@ -366,16 +482,31 @@ def _product_search(
     fuel = cfg.fuel
 
     def grafted(part: Term) -> Callable[[dict[str, Term]], Term]:
-        plan = GraftPlan(part)
-        if plan:
-            return lambda theta: normalize(plan.apply(theta), fuel)
-        return lambda theta: part
+        plan: GraftPlan | None = None
+
+        def instance(theta: dict[str, Term]) -> Term:
+            nonlocal plan
+            if plan is None:
+                plan = GraftPlan(part)
+            term = plan.apply(theta)
+            # a part without unknowns comes back as itself, already normal
+            return part if term is part else normalize(term, fuel)
+
+        return instance
 
     solutions: list[MetaSubst] = []
     try:
         flex = _decompose(normalize(lhs, fuel), normalize(rhs, fuel), p.mode)
         if flex is None:
             return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
+        beta = p.mode is EqMode.LAMBDA_SIGMA
+        demands = _head_demands(flex, not beta)
+        for k, name in enumerate(names):
+            if name in demands:
+                kept = filter(_fits(demands[name], beta), itertools.chain((firsts[k],), streams[k]))
+                streams[k], firsts[k] = kept, next(kept, None)
+                if firsts[k] is None:
+                    return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
         pairs = [(grafted(a), grafted(b)) for a, b in flex]
         for assignment in _assignments(names, streams, firsts):
             if all(left(assignment) == right(assignment) for left, right in pairs):

@@ -469,6 +469,49 @@ def unvalidated_problems():
     ]
 
 
+def head_filter_problems():
+    """(name, problem): problems for the branches of the rigid-head filter
+    that prunes candidate streams (solver._instance_head).  The reductions
+    of the full-equality ones reach the filter's cons-entry branch, and
+    unknown_under_binder_problem reaches it on the source side too."""
+    # a, b: iota; g: iota -> iota; f: iota -> iota -> iota
+    ctx = (iota, iota, ii, Arrow(iota, ii))
+    a, b, g, f = Index(1), Index(2), Index(3), Index(4)
+    X, Y = Meta("X"), Meta("Y")
+    unary, binary = Sort(ctx, ii), Sort(ctx, Arrow(iota, ii))
+    return [
+        # X a = g b: a candidate imitating anything but g with one argument
+        # clashes
+        ("imitation clash", lp(ctx, {"X": unary}, App(X, a), App(g, b))),
+        # X (f a b) (g a) = g a: lam lam. 2 projects onto f a b and clashes,
+        # lam lam. 1 projects onto g a and solves
+        ("projection onto an argument",
+         lp(ctx, {"X": binary}, App(App(X, App(App(f, a), b)), App(g, a)), App(g, a))),
+        # X (Y a) = g a: a projection onto Y a is undecided and kept
+        ("projection onto a flex argument",
+         lp(ctx, {"X": unary, "Y": unary}, App(X, App(Y, a)), App(g, a))),
+        # X[^1] = g b, X over (b, g, f): X := g 1 imitates g through the shift
+        ("imitation through a shift",
+         sp(ctx, {"X": Sort(ctx[1:], iota)}, Closure(X, Shift(1)), App(g, b))),
+        # X a = f a a: X := f a consumes no argument with a binder
+        ("fewer binders than arguments", lp(ctx, {"X": unary}, App(X, a), App(App(f, a), a))),
+        # X a = g a without Beta: every binder stays applied and clashes,
+        # and X := g solves
+        ("sigma, applied binder", sp(ctx, {"X": unary}, App(X, a), App(g, a))),
+        # X a = (lam x. g x) a without Beta: only a binder can match
+        ("sigma, applied binder against an applied binder",
+         sp(ctx, {"X": unary}, App(X, a), App(Lam(App(Index(4), Index(1))), a))),
+        # (lam x. X) (g c) = g c: X := x projects onto g c and solves, X := c
+        # imitates c and clashes
+        ("unknown under a binder, projected onto the argument",
+         lp((iota, ii), {"X": Sort((iota, iota, ii), iota)},
+            App(Lam(X), App(Index(2), Index(1))), App(Index(2), Index(1)))),
+        # X = f a a: below size 5 no candidate has head f and two arguments,
+        # so the filtered stream is empty
+        ("a filtered stream that ends up empty", lp(ctx, {"X": Sort(ctx, iota)}, X, App(App(f, a), a))),
+    ]
+
+
 def unvalidated_search(p, cfg):
     """The search loop of solve_sigma or decide_small_lambda, without
     their validation."""
@@ -486,6 +529,7 @@ def differential_cases():
     sources += [(f"seed {seed}", gen_second_order_problem(seed), (1, 2, 3)) for seed in range(60)]
     sources.append(("scaling family", scaling_family_problem(), (6,)))
     sources += [(name, p, (1, 2, 3)) for name, p in decomposition_problems()]
+    sources += [(name, p, (1, 2, 3)) for name, p in head_filter_problems()]
     for name, p, bounds in sources:
         if p.mode is EqMode.SIGMA_ONLY:
             yield name, p, solve_sigma, bounds
@@ -586,6 +630,92 @@ def test_inner_streams_are_drawn_once(monkeypatch):
         draws = counting_draws(monkeypatch)
         search(problem, cfg)
         assert draws == [x_rank + 1, len(y_stream)], search.__name__
+
+
+def head_key(t):
+    """The head of a normal form and its argument count, the head as the
+    filter keys it: the index, 0 for a binder, None for anything flex."""
+    head, args = solver._spine(t)
+    key = head.n if type(head) is Index else 0 if type(head) is Lam else None
+    return key, len(args)
+
+
+def test_instance_heads_match_the_normal_form():
+    """Wherever the filter decides an instance's head from the candidate's
+    head, grafting the candidate alone into the flex side and normalizing
+    gives that head and argument count.  Every branch problem has a
+    candidate the filter drops."""
+    cases = head_filter_problems()
+    cases += [(f"seed {seed}", gen_second_order_problem(seed)) for seed in range(60)]
+    cases.append(("unknown under a binder", unknown_under_binder_problem()))
+    cases.append(("scaling family", scaling_family_problem()))
+    cases += [(f"{name}, reduced", reduce_problem(p).target)
+              for name, p in cases if p.mode is EqMode.LAMBDA_SIGMA]
+    cfg = SearchConfig(size_bound=4)
+    decided = 0
+    for name, p in cases:
+        beta = p.mode is EqMode.LAMBDA_SIGMA
+        norm = normalize_lambda_sigma if beta else normalize_sigma
+        sides = solver._graftable_sides(p)
+        flex = solver._decompose(norm(sides.lhs, cfg.fuel), norm(sides.rhs, cfg.fuel), p.mode)
+        dropped = 0
+        for pair in flex or []:
+            demands = solver._head_demands([pair], not beta)
+            for x, [(entries, n, args, head, count)] in demands.items():
+                side = next(t for t in pair if head_key(t)[0] is None)
+                for u in enumerate_simple_terms(p.metavars[x], {}, cfg):
+                    got = solver._instance_head(u, entries, n, args, beta)
+                    if got is None:
+                        continue
+                    assert head_key(norm(graft({x: u}, side), cfg.fuel)) == got, (name, u)
+                    decided += 1
+                    dropped += got != (head, count)
+        if not name.startswith("seed"):
+            assert dropped > 0, name
+    assert decided > 100
+
+
+def counting_grafts(monkeypatch) -> list[int]:
+    """Count the grafts of flex parts with unknowns, one entry per part
+    whose plan is built."""
+    grafts: list[int] = []
+
+    class Counting(GraftPlan):
+        def __init__(self, t):
+            super().__init__(t)
+            self.call = len(grafts)
+            grafts.append(0)
+
+        def apply(self, theta):
+            if self:
+                grafts[self.call] += 1
+            return super().apply(theta)
+
+    monkeypatch.setattr(solver, "GraftPlan", Counting)
+    return grafts
+
+
+def test_pruned_candidates_are_never_grafted(monkeypatch):
+    """X c = f (f c) at bound 6: the flex part is grafted once for each
+    candidate up to the first hit whose instance has f's head and one
+    argument, and never for the candidates the filter drops."""
+    ctx = (iota, ii)
+    c, f = Index(1), Index(2)
+    p = lp(ctx, {"X": Sort(ctx, ii)}, App(Meta("X"), c), App(f, App(f, c)))
+    cfg = SearchConfig(size_bound=6)
+    cases = [(decide_small_lambda, p, normalize_lambda_sigma, 6, 4),
+             (solve_sigma, reduce_problem(p).target, normalize_sigma, 5, 3)]
+    for search, problem, norm, drawn, kept in cases:
+        (stream,), (rank,) = hit_ranks(problem, search, cfg)
+        (x,) = problem.metavars
+        sides = solver._graftable_sides(problem)
+        want = head_key(norm(sides.rhs, cfg.fuel))
+        survivors = [u for u in stream[: rank + 1]
+                     if head_key(norm(graft({x: u}, sides.lhs), cfg.fuel)) == want]
+        assert (rank + 1, len(survivors)) == (drawn, kept), search.__name__
+        grafts = counting_grafts(monkeypatch)
+        search(problem, cfg)
+        assert sorted(grafts) == [0, kept], search.__name__
 
 
 def test_sigma_applied_binder_against_a_rigid_spine_is_a_clash(monkeypatch):
