@@ -16,8 +16,6 @@ import io
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -211,7 +209,9 @@ def _cmd_solve(args) -> int:
     pf = _load(args.file)
     problem = pf.problem
     if args.mode is not None:
-        problem = replace(problem, mode=EqMode(args.mode))
+        problem = UnifProblem(
+            problem.base_types, problem.ctx, problem.metavars, problem.lhs, problem.rhs, EqMode(args.mode)
+        )
     cfg = SearchConfig(
         size_bound=args.bound,
         depth_bound=args.depth,
@@ -271,6 +271,9 @@ def _cmd_normalize(args) -> int:
 def _corpus_files(directory: Optional[str]):
     if directory is not None:
         return [(p.name, _file(p)) for p in sorted(Path(directory).glob("*.sig"))]
+    # imported by its one user, so that start-up does not load it
+    from importlib import resources
+
     root = resources.files("lamsig").joinpath("corpus")
     out = []
     for entry in sorted(root.iterdir(), key=lambda e: e.name):

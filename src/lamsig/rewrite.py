@@ -73,10 +73,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Generator, Optional, Union
 
+from .records import Record
 from .terms import (
     App,
     Closure,
@@ -116,17 +116,21 @@ class RuleId(Enum):
     ETA_CONS_SHIFT = "EtaConsShift"
 
 
-@dataclass
-class TraceStep:
-    path: Path
-    rule: RuleId
-    result: Term
+class TraceStep(Record):
+    __slots__ = ("path", "rule", "result")
+
+    def __init__(self, path: Path, rule: RuleId, result: Term):
+        self.path = path
+        self.rule = rule
+        self.result = result
 
 
-@dataclass
-class RewriteTrace:
-    initial: Term
-    steps: list[TraceStep] = field(default_factory=list)
+class RewriteTrace(Record):
+    __slots__ = ("initial", "steps")
+
+    def __init__(self, initial: Term, steps: list[TraceStep] | None = None):
+        self.initial = initial
+        self.steps = [] if steps is None else steps
 
     @property
     def fuel_spent(self) -> int:

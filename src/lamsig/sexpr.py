@@ -7,7 +7,7 @@ started at so callers can report errors precisely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record
 
 
 class ParseError(Exception):
@@ -17,21 +17,25 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass
-class SAtom:
-    text: str
-    line: int = 0
-    col: int = 0
+class SAtom(Record):
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int = 0, col: int = 0):
+        self.text = text
+        self.line = line
+        self.col = col
 
     def __repr__(self):
         return self.text
 
 
-@dataclass
-class SList:
-    items: list
-    line: int = 0
-    col: int = 0
+class SList(Record):
+    __slots__ = ("items", "line", "col")
+
+    def __init__(self, items: list, line: int = 0, col: int = 0):
+        self.items = items
+        self.line = line
+        self.col = col
 
     def __repr__(self):
         return "(" + " ".join(map(repr, self.items)) + ")"

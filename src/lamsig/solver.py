@@ -31,8 +31,6 @@ the transfer properties to be checked against it rather than through it.
 from __future__ import annotations
 
 import itertools
-import logging
-from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .rewrite import (
@@ -43,6 +41,7 @@ from .rewrite import (
     normalize_sigma,
     sigma_equal,
 )
+from .records import FrozenRecord, Record
 from .sorts import (
     Arrow,
     Context,
@@ -71,40 +70,51 @@ from .terms import (
 )
 from .transform import InvalidProblem, precook
 
-log = logging.getLogger(__name__)
 
+class SearchConfig(FrozenRecord):
+    __slots__ = ("size_bound", "depth_bound", "fuel", "find_all", "max_solutions")
 
-@dataclass(frozen=True)
-class SearchConfig:
-    size_bound: int = 4
-    depth_bound: int = 8
-    fuel: int = DEFAULT_FUEL
-    find_all: bool = False
-    max_solutions: int = 16
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        size_bound: int = 4,
+        depth_bound: int = 8,
+        fuel: int = DEFAULT_FUEL,
+        find_all: bool = False,
+        max_solutions: int = 16,
+    ):
+        object.__setattr__(self, "size_bound", size_bound)
+        object.__setattr__(self, "depth_bound", depth_bound)
+        object.__setattr__(self, "fuel", fuel)
+        object.__setattr__(self, "find_all", find_all)
+        object.__setattr__(self, "max_solutions", max_solutions)
         for name in ("size_bound", "depth_bound", "fuel", "max_solutions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
-@dataclass
-class Solved:
-    solutions: list[MetaSubst]
+class Solved(Record):
+    __slots__ = ("solutions",)
+
+    def __init__(self, solutions: list[MetaSubst]):
+        self.solutions = solutions
 
 
-@dataclass
-class ExhaustedNoSolution:
-    size_bound: int
-    depth_bound: int
+class ExhaustedNoSolution(Record):
+    __slots__ = ("size_bound", "depth_bound")
+
+    def __init__(self, size_bound: int, depth_bound: int):
+        self.size_bound = size_bound
+        self.depth_bound = depth_bound
 
     def __str__(self):
         return f"no solution within size <= {self.size_bound}, depth <= {self.depth_bound}"
 
 
-@dataclass
-class Aborted:
-    reason: str
+class Aborted(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 SearchOutcome = Union[Solved, ExhaustedNoSolution, Aborted]
@@ -215,6 +225,15 @@ def _graftable_sides(p: UnifProblem) -> UnifProblem:
     return p
 
 
+def _warn(message: str, *args) -> None:
+    """Log a warning on the ``lamsig.solver`` logger.  ``logging`` is
+    imported on the first warning, not at start-up: nothing else uses it,
+    and it is slow to import."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -> bool:
     """True iff grafting theta makes the two sides equal in p's equality.
 
@@ -232,9 +251,9 @@ def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -
             continue
         sort_check_term(sort.ctx, p.metavars, term, expected=sort.ty)
         if not is_simple(term):
-            log.warning("binding for %s is not simple", name)
+            _warn("binding for %s is not simple", name)
         if normalize_lambda_sigma(term, fuel) != term:
-            log.warning("binding for %s contains redexes", name)
+            _warn("binding for %s contains redexes", name)
 
     sides = _graftable_sides(p)
     equal = lambda_sigma_equal if p.mode is EqMode.LAMBDA_SIGMA else sigma_equal

@@ -15,9 +15,9 @@ annotations from it, so this module alone decides how a binder is typed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .records import FrozenRecord, Record
 from .terms import (
     App,
     Closure,
@@ -34,25 +34,31 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Base:
-    name: str
+class Base(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Arrow:
-    dom: "SimpleType"
-    cod: "SimpleType"
+class Arrow(FrozenRecord):
+    __slots__ = ("dom", "cod")
+
+    def __init__(self, dom: SimpleType, cod: SimpleType):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
 
 
 SimpleType = Union[Base, Arrow]
 Context = tuple[SimpleType, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Sort:
-    ctx: Context
-    ty: SimpleType
+class Sort(FrozenRecord):
+    __slots__ = ("ctx", "ty")
+
+    def __init__(self, ctx: Context, ty: SimpleType):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "ty", ty)
 
 
 class IllTyped(Exception):
@@ -279,8 +285,7 @@ def render_type(ty: SimpleType) -> str:
 # --- unification problems ------------------------------------------------
 
 
-@dataclass(eq=True)
-class UnifProblem:
+class UnifProblem(Record):
     """One equation between two sides, with its context and declarations.
 
     Invariants (validated by validate_problem, not enforced on construction
@@ -289,24 +294,39 @@ class UnifProblem:
     occurs is declared.
     """
 
-    base_types: frozenset[str]
-    ctx: Context
-    metavars: dict[str, Sort]
-    lhs: Term
-    rhs: Term
-    mode: EqMode
+    __slots__ = ("base_types", "ctx", "metavars", "lhs", "rhs", "mode")
+
+    def __init__(
+        self,
+        base_types: frozenset[str],
+        ctx: Context,
+        metavars: dict[str, Sort],
+        lhs: Term,
+        rhs: Term,
+        mode: EqMode,
+    ):
+        self.base_types = base_types
+        self.ctx = ctx
+        self.metavars = metavars
+        self.lhs = lhs
+        self.rhs = rhs
+        self.mode = mode
 
 
-@dataclass
-class CheckEntry:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckEntry(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
-class ValidationReport:
-    entries: list[CheckEntry] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[CheckEntry] | None = None):
+        self.entries = [] if entries is None else entries
 
     @property
     def ok(self) -> bool:

@@ -27,9 +27,9 @@ The debug renderer prints compact de Bruijn forms (``λ.1``, ``?Y[^3]``,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .records import Record
 from .sexpr import ParseError, SAtom, SList, expect_atom, expect_list, parse_sexprs
 from .sorts import (
     Arrow,
@@ -290,18 +290,28 @@ def _render(t: Term, ctx_names: tuple[str, ...], domains: Iterable[SimpleType]) 
 # --- problem files -----------------------------------------------------------
 
 
-@dataclass
-class Expectation:
-    kind: str  # "solvable" | "no-solution"
-    bound: int
+class Expectation(Record):
+    __slots__ = ("kind", "bound")
+
+    def __init__(self, kind: str, bound: int):
+        self.kind = kind  # "solvable" | "no-solution"
+        self.bound = bound
 
 
-@dataclass
-class ProblemFile:
-    problem: UnifProblem
-    ctx_names: tuple[str, ...]
-    expect: Optional[Expectation] = None
-    certificate: Optional[dict[str, tuple[str, int]]] = None
+class ProblemFile(Record):
+    __slots__ = ("problem", "ctx_names", "expect", "certificate")
+
+    def __init__(
+        self,
+        problem: UnifProblem,
+        ctx_names: tuple[str, ...],
+        expect: Optional[Expectation] = None,
+        certificate: Optional[dict[str, tuple[str, int]]] = None,
+    ):
+        self.problem = problem
+        self.ctx_names = ctx_names
+        self.expect = expect
+        self.certificate = certificate
 
 
 def _named_form(node, what: str) -> tuple[SAtom, SList]:

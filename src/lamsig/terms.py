@@ -5,6 +5,12 @@ substitution, and a substitution may carry terms in its cons cells.  Indices
 are 1-based and primitive (``Index(3)`` rather than a chain of unit shifts);
 ``Shift(0)`` is the only representation of the identity substitution.
 
+The eight node classes are frozen slotted records (``records.FrozenRecord``):
+a node compares and hashes by its fields, prints as
+``App(fun=Index(n=1), arg=Meta(name='X'))`` and matches positionally, as in
+``case App(fun, arg)``.  ``Index`` rejects an index below 1 and ``Shift`` a
+negative shift when the node is built.
+
 Metavariables are instantiated by *grafting*: literal replacement with no
 index adjustment.  Any renumbering a replacement needs is expressed by the
 substitution rules of the rewrite engine, never by ``graft`` itself.
@@ -20,9 +26,10 @@ same object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Union
+
+from .records import FrozenRecord
 
 
 class EqMode(Enum):
@@ -36,59 +43,71 @@ class EqMode(Enum):
 # --- terms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Index:
-    n: int
+class Index(FrozenRecord):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"de Bruijn index must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True, slots=True)
-class Meta:
-    name: str
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError(f"de Bruijn index must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+class Meta(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Lam:
-    body: "Term"
+class App(FrozenRecord):
+    __slots__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        object.__setattr__(self, "fun", fun)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, slots=True)
-class Closure:
-    body: "Term"
-    subst: "Subst"
+class Lam(FrozenRecord):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Term):
+        object.__setattr__(self, "body", body)
+
+
+class Closure(FrozenRecord):
+    __slots__ = ("body", "subst")
+
+    def __init__(self, body: Term, subst: Subst):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "subst", subst)
 
 
 # --- substitutions -------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Shift:
-    k: int
+class Shift(FrozenRecord):
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"shift must be >= 0, got {self.k}")
-
-
-@dataclass(frozen=True, slots=True)
-class Cons:
-    head: "Term"
-    tail: "Subst"
+    def __init__(self, k: int):
+        if k < 0:
+            raise ValueError(f"shift must be >= 0, got {k}")
+        object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True, slots=True)
-class Comp:
-    first: "Subst"
-    second: "Subst"
+class Cons(FrozenRecord):
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head: Term, tail: Subst):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
+
+
+class Comp(FrozenRecord):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Subst, second: Subst):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
 
 
 Term = Union[Index, Meta, App, Lam, Closure]
@@ -333,9 +352,16 @@ def graft(theta: MetaSubst | Mapping[str, Term], t: Term) -> Term:
     """Replace every bound metavariable of t by its image, literally.
 
     No index shifting happens here; the result may contain redexes that the
-    rewrite engine is expected to clean up.
+    rewrite engine is expected to clean up.  A term grafted many times is
+    cheaper through one ``GraftPlan``; this is a single ``rebuild`` pass.
     """
-    return GraftPlan(t).apply(theta)
+
+    def at_leaf(node):
+        if type(node) is Meta and node.name in theta:
+            return theta[node.name]
+        return node
+
+    return rebuild(t, at_leaf)
 
 
 def canonicalize_shifts(s: Term | Subst) -> Term | Subst:

@@ -17,8 +17,7 @@ the full normal form and the substitution-only normal form coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .records import Record
 from .rewrite import (
     DEFAULT_FUEL,
     normalize_lambda_sigma,
@@ -85,17 +84,19 @@ class InvalidProblem(Exception):
         super().__init__(f"problem fails validation: {failed}")
 
 
-@dataclass
-class ReductionCertificate:
+class ReductionCertificate(Record):
     """Links a source problem to its substitution-only image.
 
     var_map sends each original metavariable to its fresh replacement and
     the replacement's arity (the number of binders traded away).
     """
 
-    var_map: dict[str, tuple[str, int]]
-    source: UnifProblem
-    target: UnifProblem
+    __slots__ = ("var_map", "source", "target")
+
+    def __init__(self, var_map: dict[str, tuple[str, int]], source: UnifProblem, target: UnifProblem):
+        self.var_map = var_map
+        self.source = source
+        self.target = target
 
 
 def precook(p: UnifProblem) -> UnifProblem:
@@ -140,10 +141,12 @@ def precook(p: UnifProblem) -> UnifProblem:
     )
 
 
-@dataclass
-class CertificateStub:
-    var_map: dict[str, tuple[str, int]]
-    fresh_metavars: dict[str, Sort]
+class CertificateStub(Record):
+    __slots__ = ("var_map", "fresh_metavars")
+
+    def __init__(self, var_map: dict[str, tuple[str, int]], fresh_metavars: dict[str, Sort]):
+        self.var_map = var_map
+        self.fresh_metavars = fresh_metavars
 
 
 def _fresh_names(taken: set[str], originals: list[str]) -> dict[str, str]:

@@ -522,11 +522,9 @@ def test_structural_maps_recurse_nowhere():
     assert spine(encoded) == (head, [Closure(Index(1), Shift(1))] * (depth - 1))
 
 
-def test_import_leaves_the_recursion_limit_alone():
-    code = (
-        "import sys; before = sys.getrecursionlimit(); import lamsig, lamsig.cli; "
-        "print(before == sys.getrecursionlimit())"
-    )
+def run_isolated(code: str) -> str:
+    """What `code` prints in a fresh isolated interpreter that imports
+    lamsig from this checkout."""
     src = str(Path(__file__).parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
@@ -534,7 +532,26 @@ def test_import_leaves_the_recursion_limit_alone():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); import lamsig, lamsig.cli; "
+        "print(before == sys.getrecursionlimit())"
+    )
+    assert run_isolated(code) == "True"
+
+
+def test_import_loads_no_dataclasses_inspect_or_logging():
+    """The records are plain slotted classes and the solver imports logging
+    only to warn, so start-up loads none of these modules."""
+    code = (
+        "import sys; heavy = ('dataclasses', 'inspect', 'logging'); "
+        "before = set(sys.modules); import lamsig, lamsig.cli; "
+        "print(sorted(name for name in heavy if name in sys.modules and name not in before))"
+    )
+    assert run_isolated(code) == "[]"
 
 
 # --- the one-pass evaluator against the stepper ---
