@@ -49,12 +49,10 @@ from .sorts import (
     Sort,
     UnifProblem,
     sort_check_term,
-    validate_problem,
 )
 from .terms import (
     App,
     Closure,
-    Cons,
     EqMode,
     GraftPlan,
     Index,
@@ -68,7 +66,7 @@ from .terms import (
     graft,
     is_simple,
 )
-from .transform import InvalidProblem, precook
+from .transform import decompose_cons_shift, precook, require_valid
 
 
 class SearchConfig(FrozenRecord):
@@ -263,15 +261,6 @@ def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -
 # --- bounded search ---------------------------------------------------------
 
 
-def _validate(p: UnifProblem, mode: EqMode, caller: str) -> None:
-    if p.mode is not mode:
-        kind = "substitution-only" if mode is EqMode.SIGMA_ONLY else "full-equality"
-        raise ValueError(f"{caller} expects a {kind} problem")
-    report = validate_problem(p)
-    if not report.ok:
-        raise InvalidProblem(report)
-
-
 def _spine(t: Term) -> tuple[Term, list[Term]]:
     """Head and arguments of an application spine, arguments in order."""
     args: list[Term] = []
@@ -341,17 +330,13 @@ def _head_demands(flex: list[tuple[Term, Term]], sigma: bool) -> dict[str, list[
         else:
             continue
         entries: list[Term] = []
+        n = 0
         if type(head) is Closure:
-            subst = head.subst
-            head = head.body
-            while type(subst) is Cons:
-                entries.append(subst.head)
-                subst = subst.tail
-            if type(subst) is not Shift:
+            split = decompose_cons_shift(head.subst)
+            if split is None:
                 continue
-            n = subst.k
-        else:
-            n = 0
+            entries, n = split
+            head = head.body
         if type(head) is Meta:
             key = rigid_head.n if type(rigid_head) is Index else 0
             demands.setdefault(head.name, []).append((entries, n, args, key, len(rigid_args)))
@@ -549,7 +534,7 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
     assignments are tried in deterministic product order.  A negative
     outcome only rules out the searched bounds.
     """
-    _validate(p, EqMode.SIGMA_ONLY, "solve_sigma")
+    require_valid(p, EqMode.SIGMA_ONLY, "solve_sigma")
     return _product_search(p, p.lhs, p.rhs, cfg, normalize_sigma)
 
 
@@ -563,6 +548,6 @@ def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> S
     well-sorted, simple, normal terms.  Nothing here goes through the
     reduction machinery, so transfer results can be checked against it.
     """
-    _validate(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda")
+    require_valid(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda")
     sides = _graftable_sides(p)
     return _product_search(p, sides.lhs, sides.rhs, cfg, normalize_lambda_sigma)

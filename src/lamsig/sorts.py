@@ -6,11 +6,13 @@ it was declared in with its type; metavariables are context-rigid and only
 sort-check in exactly their declared context.
 
 Lambda nodes carry no domain annotation, so pure inference cannot type every
-lambda.  ``sort_check_term`` therefore accepts an optional expected type and
-runs bidirectionally; plain inference handles index spines, metavariables,
-closures, and beta redexes whose argument is inferable.  ``binder_domains``
-returns the domain that check gives each lambda: the printer writes binder
-annotations from it, so this module alone decides how a binder is typed.
+lambda.  The checker is therefore one bidirectional walk, ``_walk``, whose
+expected type is None when it infers: inference handles index spines,
+metavariables, closures, and beta redexes whose argument is inferable, and
+an expected type is carried down to the binders that need it.
+``sort_check_term`` runs it either way.  ``binder_domains`` returns the
+domain the walk gives each lambda: the printer writes binder annotations
+from it, so this module alone decides how a binder is typed.
 """
 
 from __future__ import annotations
@@ -125,23 +127,20 @@ def sort_check_term(
     With ``expected`` given the check runs bidirectionally, which is the only
     way to type a lambda whose domain is not forced by an application.
     """
-    if expected is None:
-        return _infer(ctx, metavars, {}, t, path)
-    _check(ctx, metavars, {}, t, expected, path)
-    return expected
+    return _walk(ctx, metavars, {}, t, expected, path)
 
 
 def binder_domains(ctx: Context, metavars: dict[str, Sort], t: Term, ty: SimpleType) -> list[SimpleType]:
     """Check t against ty and return the domain the check gives each binder,
     in reading order (the order printing and ``parse_term`` meet binders).
 
-    The walks below record each domain in ``domains`` under the binder's
+    The walk records each domain in ``domains`` under the binder's
     path.  Sorted paths are reading order; visit order is not, since an
     application whose function is a binder infers its argument first.  A
     retried walk overwrites what an abandoned one recorded.
     """
     domains: dict[tuple[int, ...], SimpleType] = {}
-    _check(ctx, metavars, domains, t, ty, ())
+    _walk(ctx, metavars, domains, t, ty, ())
     return _reading_order(domains)
 
 
@@ -149,25 +148,45 @@ def _reading_order(domains: dict[tuple[int, ...], SimpleType]) -> list[SimpleTyp
     return [domains[path] for path in sorted(domains)]
 
 
-def _infer(ctx, metavars, domains, t, path) -> SimpleType:
+def _walk(ctx, metavars, domains, t, expected, path) -> SimpleType:
+    """The type of t in ctx: inferred when ``expected`` is None, checked
+    against ``expected`` otherwise.
+
+    Only a binder needs the expected type, so checking passes it down
+    through binders, closures and applied binders, and any other node
+    checks as it infers: a leaf is inferred at the same path and compared,
+    an application's result is compared at the application."""
     tp = type(t)
-    if tp is Index:
+    if tp is Closure:
+        target = _check_subst(ctx, metavars, domains, t.subst, path + (1,))
+        return _walk(target, metavars, domains, t.body, expected, path + (0,))
+    if tp is Lam:
+        if expected is None:
+            raise UnannotatedBinder("cannot infer the domain of an unapplied binder", path)
+        if type(expected) is not Arrow:
+            raise IllTyped("binder checked against a non-arrow type", path)
+        domains[path] = expected.dom
+        _walk((expected.dom,) + ctx, metavars, domains, t.body, expected.cod, path + (0,))
+        return expected
+    if tp is App:
+        try:
+            fun_ty = _walk(ctx, metavars, domains, t.fun, None, path + (0,))
+        except UnannotatedBinder as err:
+            # redex: the argument fixes the binder's domain
+            arg_ty = _walk(ctx, metavars, domains, t.arg, None, path + (1,))
+            return _applied_binder(ctx, metavars, domains, t.fun, arg_ty, expected, path + (0,), err)
+        if type(fun_ty) is not Arrow:
+            raise IllTyped("application head is not of arrow type", path)
+        _walk(ctx, metavars, domains, t.arg, fun_ty.dom, path + (1,))
+        got = fun_ty.cod
+    elif expected is not None:
+        got = _walk(ctx, metavars, domains, t, None, path)
+    elif tp is Index:
         n = t.n
         if n > len(ctx):
             raise IllTyped(f"index {n} out of range for context of length {len(ctx)}", path)
         return ctx[n - 1]
-    if tp is App:
-        try:
-            fun_ty = _infer(ctx, metavars, domains, t.fun, path + (0,))
-        except UnannotatedBinder as err:
-            # redex: the argument fixes the binder's domain
-            arg_ty = _infer(ctx, metavars, domains, t.arg, path + (1,))
-            return _apply_type(ctx, metavars, domains, t.fun, arg_ty, path + (0,), err)
-        if type(fun_ty) is not Arrow:
-            raise IllTyped("application head is not of arrow type", path)
-        _check(ctx, metavars, domains, t.arg, fun_ty.dom, path + (1,))
-        return fun_ty.cod
-    if tp is Meta:
+    elif tp is Meta:
         name = t.name
         sort = metavars.get(name)
         if sort is None:
@@ -175,17 +194,18 @@ def _infer(ctx, metavars, domains, t, path) -> SimpleType:
         if sort.ctx != ctx:
             raise IllTyped(f"metavariable {name} used outside its declared context", path)
         return sort.ty
-    if tp is Closure:
-        target = _check_subst(ctx, metavars, domains, t.subst, path + (1,))
-        return _infer(target, metavars, domains, t.body, path + (0,))
-    if tp is Lam:
-        raise UnannotatedBinder("cannot infer the domain of an unapplied binder", path)
-    raise TypeError(f"not a term: {t!r}")
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    if expected is not None and got is not expected and got != expected:
+        raise IllTyped(f"expected {render_type(expected)}, found {render_type(got)}", path)
+    return got
 
 
-def _apply_type(ctx, metavars, domains, fun, arg_ty, path, err) -> SimpleType:
-    """Type of `fun` applied to an argument of the given type, descending
-    through binders and closures whose domain the argument now fixes.
+def _applied_binder(ctx, metavars, domains, fun, arg_ty, expected, path, err) -> SimpleType:
+    """The walk of `fun` applied to an argument of type arg_ty: the argument
+    fixes the domain of the binder `fun` is, or of the one under its
+    closures, and the binder's body is walked with ``expected`` as is, so
+    nested binders stay in checking mode.
 
     `err` is the UnannotatedBinder that inferring `fun` in ctx raised: only
     that failure sends an application here.  A closure's substitution is
@@ -194,55 +214,11 @@ def _apply_type(ctx, metavars, domains, fun, arg_ty, path, err) -> SimpleType:
     tp = type(fun)
     if tp is Lam:
         domains[path] = arg_ty
-        return _infer((arg_ty,) + ctx, metavars, domains, fun.body, path + (0,))
+        return _walk((arg_ty,) + ctx, metavars, domains, fun.body, expected, path + (0,))
     if tp is Closure:
         target = _check_subst(ctx, metavars, domains, fun.subst, path + (1,))
-        return _apply_type(target, metavars, domains, fun.body, arg_ty, path + (0,), err)
+        return _applied_binder(target, metavars, domains, fun.body, arg_ty, expected, path + (0,), err)
     raise err
-
-
-def _check(ctx, metavars, domains, t, expected, path) -> None:
-    tp = type(t)
-    if tp is App:
-        try:
-            fun_ty = _infer(ctx, metavars, domains, t.fun, path + (0,))
-        except UnannotatedBinder as err:
-            arg_ty = _infer(ctx, metavars, domains, t.arg, path + (1,))
-            _check_applied(ctx, metavars, domains, t.fun, arg_ty, expected, path + (0,), err)
-            return
-        if type(fun_ty) is not Arrow:
-            raise IllTyped("application head is not of arrow type", path)
-        _check(ctx, metavars, domains, t.arg, fun_ty.dom, path + (1,))
-        got = fun_ty.cod
-    elif tp is Lam:
-        if type(expected) is not Arrow:
-            raise IllTyped("binder checked against a non-arrow type", path)
-        domains[path] = expected.dom
-        _check((expected.dom,) + ctx, metavars, domains, t.body, expected.cod, path + (0,))
-        return
-    elif tp is Closure:
-        target = _check_subst(ctx, metavars, domains, t.subst, path + (1,))
-        _check(target, metavars, domains, t.body, expected, path + (0,))
-        return
-    else:
-        got = _infer(ctx, metavars, domains, t, path)
-    if got is not expected and got != expected:
-        raise IllTyped(f"expected {render_type(expected)}, found {render_type(got)}", path)
-
-
-def _check_applied(ctx, metavars, domains, fun, arg_ty, expected, path, err) -> None:
-    """Check `fun` applied to an argument type against an expected result,
-    so nested binders stay in checking mode; `err` is as in _apply_type,
-    and any `fun` but a binder or a closure fails again with it."""
-    tp = type(fun)
-    if tp is Lam:
-        domains[path] = arg_ty
-        _check((arg_ty,) + ctx, metavars, domains, fun.body, expected, path + (0,))
-    elif tp is Closure:
-        target = _check_subst(ctx, metavars, domains, fun.subst, path + (1,))
-        _check_applied(target, metavars, domains, fun.body, arg_ty, expected, path + (0,), err)
-    else:
-        raise err
 
 
 def sort_check_subst(
@@ -264,7 +240,7 @@ def _check_subst(ctx, metavars, domains, s, path) -> Context:
             raise IllTyped(f"shift {k} exceeds context of length {len(ctx)}", path)
         return ctx[k:]
     if tp is Cons:
-        head_ty = _infer(ctx, metavars, domains, s.head, path + (0,))
+        head_ty = _walk(ctx, metavars, domains, s.head, None, path + (0,))
         target = _check_subst(ctx, metavars, domains, s.tail, path + (1,))
         return (head_ty,) + target
     if tp is Comp:
@@ -366,13 +342,13 @@ def _equation_walk(p: UnifProblem, lhs_domains: dict, rhs_domains: dict) -> Simp
     side, and the two directions give a binder the same domain.
     """
     try:
-        ty = _infer(p.ctx, p.metavars, lhs_domains, p.lhs, ())
+        ty = _walk(p.ctx, p.metavars, lhs_domains, p.lhs, None, ())
     except IllTyped:
-        ty = _infer(p.ctx, p.metavars, rhs_domains, p.rhs, ())
+        ty = _walk(p.ctx, p.metavars, rhs_domains, p.rhs, None, ())
         lhs_domains.clear()  # drop what the abandoned inference recorded
-        _check(p.ctx, p.metavars, lhs_domains, p.lhs, ty, ())
+        _walk(p.ctx, p.metavars, lhs_domains, p.lhs, ty, ())
     else:
-        _check(p.ctx, p.metavars, rhs_domains, p.rhs, ty, ())
+        _walk(p.ctx, p.metavars, rhs_domains, p.rhs, ty, ())
     return ty
 
 

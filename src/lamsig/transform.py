@@ -9,6 +9,12 @@ The pipeline has three legs:
   a certificate recording the correspondence;
 * transport of solutions across the certificate, in both directions.
 
+``validate_reduced_problem`` checks the paper's Remark on the shape of the
+output.  Once both sides sort-check, the checker has matched the entries
+and shift of every closure X[c1...cp . ^n] to X's declared context; what is
+left (cons-then-shift form, a declared X, no more entries than its context,
+first-order entry types) is read off the syntax in one scan.
+
 ``check_graft_agreement`` is the executable form of the fact the reduction
 rests on: grafting a simple substitution into a term whose metavariable
 closures only carry first-order cons entries never creates a beta redex, so
@@ -35,14 +41,12 @@ from .sorts import (
     order_of_type,
     render_type,
     result_base,
-    sort_check_subst,
     sort_check_term,
     validate_problem,
 )
 from .terms import (
     App,
     Closure,
-    Comp,
     Cons,
     EqMode,
     Index,
@@ -56,6 +60,7 @@ from .terms import (
     free_metavars,
     graft,
     is_simple_subst,
+    subterms,
 )
 
 
@@ -82,6 +87,18 @@ class InvalidProblem(Exception):
         self.report = report
         failed = ", ".join(e.name for e in report.entries if not e.ok)
         super().__init__(f"problem fails validation: {failed}")
+
+
+def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> None:
+    """The pre-check before a reduction or a search: raise ValueError unless
+    p is in the mode `caller` expects, and InvalidProblem unless it passes
+    validate_problem."""
+    if p.mode is not mode:
+        kind = "substitution-only" if mode is EqMode.SIGMA_ONLY else "full-equality"
+        raise ValueError(f"{caller} expects a {kind} problem")
+    report = validate_problem(p)
+    if not report.ok:
+        raise InvalidProblem(report)
 
 
 class ReductionCertificate(Record):
@@ -197,12 +214,7 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
     normalized; the target equation is then to be solved modulo the
     substitution rules alone.
     """
-    if p.mode is not EqMode.LAMBDA_SIGMA:
-        raise ValueError("reduce_problem expects a full-equality problem")
-    report = validate_problem(p)
-    if not report.ok:
-        raise InvalidProblem(report)
-
+    require_valid(p, EqMode.LAMBDA_SIGMA, "reduce_problem")
     cooked = precook(p)
     lifting, stub = build_lifting_subst(p)
     lhs = normalize_lambda_sigma(graft(lifting, cooked.lhs), fuel)
@@ -222,113 +234,87 @@ def decompose_cons_shift(s: Subst) -> tuple[list[Term], int] | None:
     """Split a substitution into its cons entries and final shift, or None
     if a composition blocks the decomposition."""
     heads: list[Term] = []
-    while isinstance(s, Cons):
+    while type(s) is Cons:
         heads.append(s.head)
         s = s.tail
-    if isinstance(s, Shift):
+    if type(s) is Shift:
         return heads, s.k
     return None
 
 
-def _closure_shape_violations(
-    ctx,
-    metavars: dict[str, Sort],
-    t: Term,
-    report: ValidationReport,
-    where: str,
-) -> None:
-    """Walk a term, checking every metavariable closure for the shape
-    c_1 ... c_p . ^n with first-order entries matching the declared sort."""
+def _add_remark_entries(report: ValidationReport, ctx, metavars: dict[str, Sort], sides) -> None:
+    """Add to report what the Remark on the reduction's output asks and the
+    sort check does not give: a second-order context, atomic unknowns with
+    second-order contexts, and a scan of every closure X[s] over an unknown
+    in each (where, term) side.
 
-    def walk_term(node: Term, local_ctx) -> None:
-        tp = type(node)
-        if tp is App:
-            walk_term(node.fun, local_ctx)
-            walk_term(node.arg, local_ctx)
-        elif tp is Closure:
-            body, subst = node.body, node.subst
-            if type(body) is Meta:
-                check_meta_closure(body.name, subst, local_ctx)
+    Once a side sort-checks, the checker has typed each X[c1...cp . ^n] in
+    the context G it occurs in: it infers each c_i, of type t_i, and demands
+    that X's declared context equal the closure's target (t1...tp).G[n:].
+    That proves the shift stays inside G, that X's context extends G[n:] by
+    p entries, and that each entry has its declared type.  What is left is
+    syntax and declarations, with no context to track: the substitution is
+    cons-then-shift, X is declared, X has no more entries than its context,
+    and the declared entry types are first order.  A plain shift X[^n] has
+    no entries, so nothing is left to check of it.  The scan runs whether
+    or not the sides sort-check; the entry count guards the lookup of the
+    declared entry types.
+    """
+    report.add("context-second-order", check_second_order_context(ctx))
+
+    non_atomic = [x for x, sort in metavars.items() if type(sort.ty) is not Base]
+    report.add(
+        "metavar-types-atomic",
+        not non_atomic,
+        "" if not non_atomic else f"non-atomic: {', '.join(sorted(non_atomic))}",
+    )
+
+    bad_ctx = [x for x, sort in metavars.items() if not check_second_order_context(sort.ctx)]
+    report.add(
+        "metavar-contexts-second-order",
+        not bad_ctx,
+        "" if not bad_ctx else f"not second order: {', '.join(sorted(bad_ctx))}",
+    )
+
+    before = len(report.entries)
+    for where, t in sides:
+        for node in subterms(t):
+            if type(node) is not Closure or type(node.body) is not Meta:
+                continue
+            name = node.body.name
+            split = decompose_cons_shift(node.subst)
+            sort = metavars.get(name)
+            if split is None:
+                flaw = f"closure of {name} is not in cons-then-shift form"
+            elif not split[0]:
+                continue
+            elif sort is None:
+                flaw = f"undeclared metavariable {name}"
+            elif len(split[0]) > len(sort.ctx):
+                flaw = f"closure of {name} has more entries than its context"
             else:
-                try:
-                    target = sort_check_subst(local_ctx, metavars, subst)
-                except IllTyped as err:
-                    report.add("closure-shape", False, f"{where}: {err}")
-                    return
-                walk_term(body, target)
-            walk_subst(subst, local_ctx)
-        elif tp is Lam:
-            report.add(
-                "closure-shape",
-                False,
-                f"{where}: binder without a domain blocks the walk",
-            )
-
-    def walk_subst(node: Subst, local_ctx) -> None:
-        tp = type(node)
-        if tp is Cons:
-            walk_term(node.head, local_ctx)
-            walk_subst(node.tail, local_ctx)
-        elif tp is Comp:
-            walk_subst(node.second, local_ctx)
-            try:
-                mid = sort_check_subst(local_ctx, metavars, node.second)
-            except IllTyped:
-                return
-            walk_subst(node.first, mid)
-
-    def check_meta_closure(name: str, subst: Subst, local_ctx) -> None:
-        if isinstance(subst, Shift):
-            return
-        decomposed = decompose_cons_shift(subst)
-        if decomposed is None:
-            report.add(
-                "closure-shape",
-                False,
-                f"{where}: closure of {name} is not in cons-then-shift form",
-            )
-            return
-        heads, n = decomposed
-        sort = metavars.get(name)
-        if sort is None:
-            report.add("closure-shape", False, f"{where}: undeclared metavariable {name}")
-            return
-        if (
-            n > len(local_ctx)
-            or len(sort.ctx) != len(heads) + len(local_ctx) - n
-            or sort.ctx[len(heads):] != local_ctx[n:]
-        ):
-            report.add(
-                "closure-shape",
-                False,
-                f"{where}: closure of {name} does not match its declared context",
-            )
-            return
-        for i, head in enumerate(heads):
-            expected = sort.ctx[i]
-            if order_of_type(expected) != 1:
-                report.add(
-                    "closure-args-first-order",
-                    False,
-                    f"{where}: entry {i + 1} of {name}'s closure has type "
-                    f"{render_type(expected)} of order {order_of_type(expected)}",
-                )
-            try:
-                sort_check_term(local_ctx, metavars, head, expected=expected)
-            except IllTyped as err:
-                report.add(
-                    "closure-shape",
-                    False,
-                    f"{where}: entry {i + 1} of {name}'s closure: {err}",
-                )
-
-    walk_term(t, ctx)
+                for i, ty in enumerate(sort.ctx[: len(split[0])]):
+                    if order_of_type(ty) != 1:
+                        report.add(
+                            "closure-args-first-order",
+                            False,
+                            f"{where}: entry {i + 1} of {name}'s closure has type "
+                            f"{render_type(ty)} of order {order_of_type(ty)}",
+                        )
+                continue
+            report.add("closure-shape", False, f"{where}: {flaw}")
+    if len(report.entries) == before:
+        report.add("closure-shape", True)
+        report.add("closure-args-first-order", True)
 
 
 def validate_reduced_problem(cert: ReductionCertificate) -> ValidationReport:
-    """Shape checks on a reduction's target problem: second-order context,
-    atomic metavariables, and first-order entries in every metavariable
-    closure."""
+    """Check a reduction's target against the Remark on its shape: both
+    sides sort-check at a common type in a second-order context, the
+    unknowns are atomic with second-order contexts, and every closure
+    X[c1...cp . ^n] over an unknown is cons-then-shift with first-order
+    entries.  The sort check implies that each closure's entries and shift
+    match X's declared context; _add_remark_entries scans for the rest."""
     p = cert.target
     report = ValidationReport()
 
@@ -338,29 +324,7 @@ def validate_reduced_problem(cert: ReductionCertificate) -> ValidationReport:
     except IllTyped as err:
         report.add("sides-sort-check", False, str(err))
 
-    report.add("context-second-order", check_second_order_context(p.ctx))
-
-    non_atomic = [x for x, sort in p.metavars.items() if not isinstance(sort.ty, Base)]
-    report.add(
-        "metavar-types-atomic",
-        not non_atomic,
-        "" if not non_atomic else f"non-atomic: {', '.join(sorted(non_atomic))}",
-    )
-
-    bad_ctx = [x for x, sort in p.metavars.items() if not check_second_order_context(sort.ctx)]
-    report.add(
-        "metavar-contexts-second-order",
-        not bad_ctx,
-        "" if not bad_ctx else f"not second order: {', '.join(sorted(bad_ctx))}",
-    )
-
-    before = len(report.entries)
-    _closure_shape_violations(p.ctx, p.metavars, p.lhs, report, "lhs")
-    _closure_shape_violations(p.ctx, p.metavars, p.rhs, report, "rhs")
-    if len(report.entries) == before:
-        report.add("closure-shape", True)
-        report.add("closure-args-first-order", True)
-
+    _add_remark_entries(report, p.ctx, p.metavars, (("lhs", p.lhs), ("rhs", p.rhs)))
     return report
 
 
@@ -422,25 +386,13 @@ def check_graft_agreement(
         raise PreconditionViolated(f"term type {render_type(ty)} is not atomic")
     if normalize_lambda_sigma(a, fuel) != a:
         raise PreconditionViolated("term is not in normal form")
-    if not check_second_order_context(ctx):
-        raise PreconditionViolated("context is not second order")
 
     occurring = free_metavars(a)
-    for name in sorted(occurring):
-        sort = metavars.get(name)
-        if sort is None:
-            raise PreconditionViolated(f"undeclared metavariable {name}")
-        if not isinstance(sort.ty, Base):
-            raise PreconditionViolated(f"metavariable {name} is not of atomic type")
-        if not check_second_order_context(sort.ctx):
-            raise PreconditionViolated(f"context of metavariable {name} is not second order")
-
-    shape_report = ValidationReport()
-    _closure_shape_violations(ctx, metavars, a, shape_report, "term")
-    if not shape_report.ok:
-        raise PreconditionViolated(
-            "; ".join(e.detail for e in shape_report.entries if not e.ok)
-        )
+    shape = ValidationReport()
+    _add_remark_entries(shape, ctx, {x: metavars[x] for x in occurring}, (("term", a),))
+    failed = [f"{e.name} {e.detail}".rstrip() for e in shape.entries if not e.ok]
+    if failed:
+        raise PreconditionViolated("; ".join(failed))
 
     if not is_simple_subst(theta):
         raise PreconditionViolated("substitution is not simple")

@@ -227,9 +227,10 @@ def test_report_renders_pass_fail_lines():
 
 # --- IllTyped messages and paths ---
 
-# One case per raise site of the checker that a term can reach, through each
-# of _infer, _check, _apply_type, _check_applied and sort_check_subst.  Each
-# pins the exception's exact class, reason and path.
+# One case per raise site of the checker that a term can reach, through the
+# walk in both directions (inferring and checking), its helper for applied
+# binders, and sort_check_subst.  Each pins the exception's exact class,
+# reason and path.
 ill_typed_cases = [
     ("index out of range", (ii,), {}, App(Index(1), Index(2)), None,
      IllTyped, "index 2 out of range for context of length 1", (1,)),

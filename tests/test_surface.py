@@ -254,18 +254,18 @@ def test_an_equation_with_binders_is_sort_checked_once(monkeypatch):
     from one checker walk of each side: a walk starts at the root path, and
     checking the leaf c enters inference at the same path once more."""
     walks = []
-    for name in ("_infer", "_check"):
-        def counting(*args, walk=getattr(sorts, name)):
-            if args[-1] == ():
-                walks.append(walk.__name__)
-            return walk(*args)
 
-        monkeypatch.setattr(sorts, name, counting)
+    def counting(ctx, metavars, domains, t, expected, path, walk=sorts._walk):
+        if path == ():
+            walks.append("infer" if expected is None else "check")
+        return walk(ctx, metavars, domains, t, expected, path)
+
+    monkeypatch.setattr(sorts, "_walk", counting)
     pf = parse_problem(TWO_SIDED_BINDERS)
-    assert walks == ["_infer", "_check", "_infer"]
+    assert walks == ["infer", "check", "infer"]
     walks.clear()
     render_problem(pf)
-    assert walks == ["_infer", "_check", "_infer"]
+    assert walks == ["infer", "check", "infer"]
 
 
 # --- substitution files ---

@@ -12,6 +12,7 @@ from lamsig import (
     Arrow,
     Base,
     Closure,
+    Comp,
     Cons,
     EqMode,
     Index,
@@ -20,6 +21,7 @@ from lamsig import (
     MetaSubst,
     OrderTooHigh,
     PreconditionViolated,
+    ReductionCertificate,
     ShapeMismatch,
     Shift,
     Solved,
@@ -36,6 +38,7 @@ from lamsig import (
     solve_sigma,
     validate_reduced_problem,
 )
+from lamsig.sorts import equation_type, render_type
 
 iota = Base("iota")
 ii = Arrow(iota, iota)
@@ -248,9 +251,65 @@ def test_reduce_two_argument_cons_order():
 def test_reduce_outputs_validate():
     for seed in range(100):
         p = gen_second_order_problem(seed)
-        cert = reduce_problem(p)
-        report = validate_reduced_problem(cert)
-        assert report.ok, report.render()
+        report = validate_reduced_problem(reduce_problem(p))
+        assert [(e.name, e.ok, e.detail) for e in report.entries] == [
+            ("sides-sort-check", True, f"common type {render_type(equation_type(p))}"),
+            ("context-second-order", True, ""),
+            ("metavar-types-atomic", True, ""),
+            ("metavar-contexts-second-order", True, ""),
+            ("closure-shape", True, ""),
+            ("closure-args-first-order", True, ""),
+        ], report.render()
+
+
+def reduced_report(ctx, metavars, lhs, rhs):
+    """validate_reduced_problem on a hand-built target."""
+    target = UnifProblem(BT, ctx, metavars, lhs, rhs, EqMode.SIGMA_ONLY)
+    return validate_reduced_problem(ReductionCertificate({}, worked_problem(), target))
+
+
+# One hand-built target per message the closure scan can emit, with every
+# failed entry of the report.
+closure_scan_cases = [
+    ("composition in an unknown's closure", (iota,), {"Y": Sort((iota, iota), iota)},
+     Closure(Meta("Y"), Comp(Cons(Index(1), Shift(0)), Shift(0))),
+     [("closure-shape", "lhs: closure of Y is not in cons-then-shift form")]),
+    ("undeclared unknown under a closure", (iota,), {},
+     Closure(Meta("Y"), Cons(Index(1), Shift(0))),
+     [("sides-sort-check", "undeclared metavariable Y (at 0)"),
+      ("closure-shape", "lhs: undeclared metavariable Y")]),
+    ("more entries than the declared context", (iota,), {"Y": Sort((iota,), iota)},
+     Closure(Meta("Y"), Cons(Index(1), Cons(Index(1), Shift(1)))),
+     [("sides-sort-check", "metavariable Y used outside its declared context (at 0)"),
+      ("closure-shape", "lhs: closure of Y has more entries than its context")]),
+    ("order-2 declared entry", (ii, iota), {"Y": Sort((ii, ii, iota), iota)},
+     Closure(Meta("Y"), Cons(Index(1), Shift(0))),
+     [("closure-args-first-order", "lhs: entry 1 of Y's closure has type (-> iota iota) of order 2")]),
+]
+
+
+@pytest.mark.parametrize(
+    "ctx, metavars, lhs, failed",
+    [case[1:] for case in closure_scan_cases],
+    ids=[case[0] for case in closure_scan_cases],
+)
+def test_closure_scan_messages(ctx, metavars, lhs, failed):
+    report = reduced_report(ctx, metavars, lhs, Index(len(ctx)))
+    assert [(e.name, e.detail) for e in report.entries if not e.ok] == failed
+
+
+def test_a_well_sorted_binder_passes_closure_shape():
+    # the scan reads syntax, so a binder no longer stops it: a well-sorted
+    # target with a redex passes, and a closure under the binder is scanned
+    closure = Closure(Meta("Y"), Cons(Index(1), Shift(1)))
+    metavars = {"Y": Sort((iota, iota), iota)}
+    report = reduced_report((iota,), metavars, App(Lam(closure), Index(1)), Index(1))
+    assert report.ok, report.render()
+    composed = Closure(Meta("Y"), Comp(Cons(Index(1), Shift(1)), Shift(0)))
+    report = reduced_report((iota,), metavars, App(Lam(composed), Index(1)), Index(1))
+    assert [(e.name, e.detail) for e in report.entries if not e.ok] == [
+        ("closure-shape", "lhs: closure of Y is not in cons-then-shift form")
+    ]
 
 
 def test_reduced_validation_rejects_second_order_cons_entry():
@@ -265,8 +324,6 @@ def test_reduced_validation_rejects_second_order_cons_entry():
         Index(1),
         EqMode.SIGMA_ONLY,
     )
-    from lamsig.transform import ReductionCertificate
-
     cert = ReductionCertificate({"X": ("Y", 1)}, worked_problem(), target)
     report = validate_reduced_problem(cert)
     flags = [e for e in report.entries if e.name == "closure-args-first-order"]
@@ -282,8 +339,6 @@ def test_reduced_validation_rejects_non_atomic_meta():
         Meta("Y"),
         EqMode.SIGMA_ONLY,
     )
-    from lamsig.transform import ReductionCertificate
-
     cert = ReductionCertificate({"X": ("Y", 0)}, worked_problem(), target)
     report = validate_reduced_problem(cert)
     flags = {e.name: e.ok for e in report.entries}
@@ -402,6 +457,15 @@ def test_agreement_rejects_redex_binding():
     theta = MetaSubst({"Y": App(Lam(Index(1)), Index(1))})
     with pytest.raises(PreconditionViolated):
         check_graft_agreement(ctx, metavars, Meta("Y"), theta)
+
+
+def test_agreement_rejects_second_order_closure_entry():
+    # the closure scan of validate_reduced_problem gives the precondition
+    ctx = (ii, iota)
+    metavars = {"Y": Sort((ii, ii, iota), iota)}
+    a = Closure(Meta("Y"), Cons(Index(1), Shift(0)))
+    with pytest.raises(PreconditionViolated, match="closure-args-first-order"):
+        check_graft_agreement(ctx, metavars, a, MetaSubst({}))
 
 
 def test_agreement_property_over_generated_pairs():
