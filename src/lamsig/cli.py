@@ -16,7 +16,6 @@ import io
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .rewrite import (
@@ -150,13 +149,14 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _file(path: str | Path, text: Optional[str] = None) -> str:
+def _file(path: str, text: Optional[str] = None) -> str:
     """Read the file at `path`, or write `text` to it.  A failed file
     operation is a usage error, so it keeps the exit contract."""
     try:
-        if text is None:
-            return Path(path).read_text(encoding="utf-8")
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "r" if text is None else "w", encoding="utf-8") as f:
+            if text is None:
+                return f.read()
+            f.write(text)
         return text
     except OSError as err:
         raise UsageError(f"cannot {'read' if text is None else 'write'} {path}: {err.strerror}")
@@ -268,18 +268,16 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _corpus_files(directory: Optional[str]):
-    if directory is not None:
-        return [(p.name, _file(p)) for p in sorted(Path(directory).glob("*.sig"))]
-    # imported by its one user, so that start-up does not load it
-    from importlib import resources
-
-    root = resources.files("lamsig").joinpath("corpus")
-    out = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".sig"):
-            out.append((entry.name, entry.read_text(encoding="utf-8")))
-    return out
+def _corpus_files(directory: Optional[str]) -> list[tuple[str, str]]:
+    """Name and text of each `.sig` file in directory (the bundled corpus if
+    None) by name; a directory that cannot be listed has none."""
+    if directory is None:
+        directory = os.path.join(os.path.dirname(__file__), "corpus")
+    try:
+        names = sorted(name for name in os.listdir(directory) if name.endswith(".sig"))
+    except OSError:
+        names = []
+    return [(name, _file(os.path.join(directory, name))) for name in names]
 
 
 def _cmd_corpus(args) -> int:

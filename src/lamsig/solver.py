@@ -23,9 +23,9 @@ listing the rest, and each flex part is grafted along paths to its
 unknowns found on its first graft.  A part without unknowns is compared
 as it is, so a matching problem, with one ground side, needs no search of
 its own.  solve_sigma runs the search with the substitution rules,
-decide_small_lambda with Beta added; check_solution re-checks every hit
-against the whole problem.  That keeps the trusted core small enough for
-the transfer properties to be checked against it rather than through it.
+decide_small_lambda with Beta added; each hit gets every check of
+check_solution, on the sides searched.  That keeps the trusted core small
+enough for the transfer properties to be checked against it, not through it.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ from .terms import (
     MetaSubst,
     Shift,
     Term,
-    contains,
     free_metavars,
     graft,
     is_simple,
 )
-from .transform import decompose_cons_shift, precook, require_valid
+from .transform import ClosureInSides, decompose_cons_shift, precook, require_valid
 
 
 class SearchConfig(FrozenRecord):
@@ -214,13 +213,15 @@ def _arg_combos(ctx, arg_types, sizes, depth, pool) -> Iterator[tuple[Term, ...]
 # --- solution checking ----------------------------------------------------
 
 
-def _graftable_sides(p: UnifProblem) -> UnifProblem:
+def _graftable_sides(p: UnifProblem) -> tuple[Term, Term]:
     """The sides that grafting is sound on: a full-equality problem in plain
     lambda syntax is precooked, so a binding grafted under a binder still
     refers to the right context slots; anything else is used as written."""
-    if p.mode is EqMode.LAMBDA_SIGMA and not (contains(p.lhs, Closure) or contains(p.rhs, Closure)):
-        return precook(p)
-    return p
+    try:
+        cooked = precook(p) if p.mode is EqMode.LAMBDA_SIGMA else p
+    except ClosureInSides:
+        cooked = p
+    return cooked.lhs, cooked.rhs
 
 
 def _warn(message: str, *args) -> None:
@@ -232,12 +233,9 @@ def _warn(message: str, *args) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -> bool:
-    """True iff grafting theta makes the two sides equal in p's equality.
-
-    Bindings are sort-checked against their declarations; non-simple
-    bindings and bindings with inert redexes are accepted but logged.
-    """
+def _solves(p: UnifProblem, theta: MetaSubst, fuel: int, sides: Callable[[], tuple]) -> bool:
+    """check_solution on the graftable sides that `sides` gives, asked for
+    once theta passes its checks; the search gives those it searched."""
     needed = (free_metavars(p.lhs) | free_metavars(p.rhs)) & p.metavars.keys()
     missing = needed - set(theta.keys())
     if missing:
@@ -253,9 +251,16 @@ def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -
         if normalize_lambda_sigma(term, fuel) != term:
             _warn("binding for %s contains redexes", name)
 
-    sides = _graftable_sides(p)
+    lhs, rhs = sides()
     equal = lambda_sigma_equal if p.mode is EqMode.LAMBDA_SIGMA else sigma_equal
-    return equal(graft(theta, sides.lhs), graft(theta, sides.rhs), fuel)
+    return equal(graft(theta, lhs), graft(theta, rhs), fuel)
+
+
+def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -> bool:
+    """True iff grafting theta makes the two sides equal in p's equality.
+    Bindings are sort-checked against their declarations; non-simple ones
+    and ones with inert redexes are accepted but logged."""
+    return _solves(p, theta, fuel, lambda: _graftable_sides(p))
 
 
 # --- bounded search ---------------------------------------------------------
@@ -475,8 +480,8 @@ def _product_search(
     the plan grafts every assignment along the part's paths to its
     unknowns, and a part without unknowns comes back as itself.  An
     assignment is tried as a plain dict, and only a hit becomes a
-    MetaSubst, which check_solution re-checks.  The candidates are ground,
-    so no assignment can fail MetaSubst's idempotency check.
+    MetaSubst, checked as check_solution checks it, on lhs and rhs.  No
+    assignment can fail MetaSubst's idempotency check: candidates are ground.
     """
     names = list(p.metavars)
     streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
@@ -515,7 +520,7 @@ def _product_search(
         for assignment in _assignments(names, streams, firsts):
             if all(left(assignment) == right(assignment) for left, right in pairs):
                 theta = MetaSubst(assignment)
-                if not check_solution(p, theta, fuel):
+                if not _solves(p, theta, fuel, lambda: (lhs, rhs)):
                     raise RuntimeError(f"search hit {theta!r} fails check_solution")
                 solutions.append(theta)
                 if not cfg.find_all or len(solutions) >= cfg.max_solutions:
@@ -543,11 +548,11 @@ def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> S
     over normal lambda terms for every unknown, compared modulo Beta plus
     the substitution rules.
 
-    The sides are precooked once, as check_solution would precook them.
-    The candidates need no per-assignment checks: enumeration yields only
+    The sides are precooked once, and every hit is checked on them.  The
+    candidates need no per-assignment checks: enumeration yields only
     well-sorted, simple, normal terms.  Nothing here goes through the
     reduction machinery, so transfer results can be checked against it.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda")
-    sides = _graftable_sides(p)
-    return _product_search(p, sides.lhs, sides.rhs, cfg, normalize_lambda_sigma)
+    lhs, rhs = _graftable_sides(p)
+    return _product_search(p, lhs, rhs, cfg, normalize_lambda_sigma)

@@ -116,19 +116,13 @@ class ReductionCertificate(Record):
         self.target = target
 
 
-def precook(p: UnifProblem) -> UnifProblem:
-    """Close each metavariable occurrence over the shift of the binders
-    between it and the context the unknown is declared in.
+class ClosureInSides(ValueError):
+    """Precooking met a closure: it takes plain lambda syntax only."""
 
-    Requires plain lambda syntax (no closures) in full-equality mode.  An
-    unknown declared in the problem context is shifted by its binder depth;
-    one declared ``:ctx`` in an extension by n binders is shifted n less,
-    and stays bare where no binder lies between.
-    """
-    if p.mode is not EqMode.LAMBDA_SIGMA:
-        raise ValueError("precooking applies to full-equality problems only")
-    if contains(p.lhs, Closure) or contains(p.rhs, Closure):
-        raise ValueError("precooking requires closure-free sides")
+
+def _cook(p: UnifProblem, images: dict[str, Term]) -> tuple[Term, Term]:
+    """precook's walk over both sides, putting images[X] in place of each
+    unknown X; a closure raises ClosureInSides whatever else fails."""
 
     def go(t: Term, depth: int) -> Term:
         tp = type(t)
@@ -143,19 +137,34 @@ def precook(p: UnifProblem) -> UnifProblem:
             k = depth - (len(p.metavars[name].ctx) - len(p.ctx))
             if k < 0:
                 raise ValueError(f"metavariable {name} occurs outside its declared context")
-            return t if k == 0 else Closure(t, Shift(k))
+            return images[name] if k == 0 else Closure(images[name], Shift(k))
         if tp is Lam:
             return Lam(go(t.body, depth + 1))
+        if tp is Closure:
+            raise ValueError  # named by the except clause below
         raise TypeError(f"not a lambda-syntax term: {t!r}")
 
-    return UnifProblem(
-        base_types=p.base_types,
-        ctx=p.ctx,
-        metavars=dict(p.metavars),
-        lhs=go(p.lhs, 0),
-        rhs=go(p.rhs, 0),
-        mode=p.mode,
-    )
+    try:
+        return go(p.lhs, 0), go(p.rhs, 0)
+    except ValueError:
+        if contains(p.lhs, Closure) or contains(p.rhs, Closure):
+            raise ClosureInSides("precooking requires closure-free sides") from None
+        raise
+
+
+def precook(p: UnifProblem) -> UnifProblem:
+    """Close each metavariable occurrence over the shift of the binders
+    between it and the context the unknown is declared in.
+
+    Requires plain lambda syntax (no closures) in full-equality mode.  An
+    unknown declared in the problem context is shifted by its binder depth;
+    one declared ``:ctx`` in an extension by n binders is shifted n less,
+    and stays bare where no binder lies between.
+    """
+    if p.mode is not EqMode.LAMBDA_SIGMA:
+        raise ValueError("precooking applies to full-equality problems only")
+    lhs, rhs = _cook(p, {x: Meta(x) for x in p.metavars})
+    return UnifProblem(p.base_types, p.ctx, dict(p.metavars), lhs, rhs, p.mode)
 
 
 class CertificateStub(Record):
@@ -180,7 +189,7 @@ def _fresh_names(taken: set[str], originals: list[str]) -> dict[str, str]:
     return names
 
 
-def build_lifting_subst(p: UnifProblem) -> tuple[MetaSubst, CertificateStub]:
+def build_lifting_subst(p: UnifProblem) -> tuple[dict[str, Term], CertificateStub]:
     """Bind every declared unknown of arity n to n binders over a fresh
     unknown of atomic type.
 
@@ -203,22 +212,20 @@ def build_lifting_subst(p: UnifProblem) -> tuple[MetaSubst, CertificateStub]:
         bindings[x] = body
         var_map[x] = (y, n)
         fresh_sorts[y] = Sort(tuple(reversed(args)) + sort.ctx, result_base(sort.ty))
-    return MetaSubst(bindings), CertificateStub(var_map, fresh_sorts)
+    return bindings, CertificateStub(var_map, fresh_sorts)
 
 
 def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertificate:
     """Produce the substitution-only image of a valid second-order problem
     in full equality.
 
-    Each side is precooked, grafted with the lifting substitution, and fully
-    normalized; the target equation is then to be solved modulo the
-    substitution rules alone.
+    Each side is precooked with the lifting substitution's images in place
+    of the unknowns, which is grafting it into the precooked side, and fully
+    normalized; the target is to be solved modulo the substitution rules.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "reduce_problem")
-    cooked = precook(p)
     lifting, stub = build_lifting_subst(p)
-    lhs = normalize_lambda_sigma(graft(lifting, cooked.lhs), fuel)
-    rhs = normalize_lambda_sigma(graft(lifting, cooked.rhs), fuel)
+    lhs, rhs = (normalize_lambda_sigma(side, fuel) for side in _cook(p, lifting))
     target = UnifProblem(
         base_types=p.base_types,
         ctx=p.ctx,

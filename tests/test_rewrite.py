@@ -522,12 +522,12 @@ def test_structural_maps_recurse_nowhere():
     assert spine(encoded) == (head, [Closure(Index(1), Shift(1))] * (depth - 1))
 
 
-def run_isolated(code: str) -> str:
-    """What `code` prints in a fresh isolated interpreter that imports
-    lamsig from this checkout."""
+def run_isolated(code: str, *flags: str) -> str:
+    """What `code` prints in a fresh isolated interpreter, started with the
+    extra `flags`, that imports lamsig from this checkout."""
     src = str(Path(__file__).parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        [sys.executable, "-I", *flags, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
         capture_output=True,
         text=True,
     )
@@ -544,14 +544,17 @@ def test_import_leaves_the_recursion_limit_alone():
 
 
 def test_import_loads_no_dataclasses_inspect_or_logging():
-    """The records are plain slotted classes and the solver imports logging
-    only to warn, so start-up loads none of these modules."""
+    """The records are plain slotted classes, the solver imports logging
+    only to warn and the CLI reads files with open, so start-up loads none
+    of these modules.  Without -S, a .pth file in site-packages may have
+    loaded one before lamsig; -S runs no site module, so nothing can."""
     code = (
-        "import sys; heavy = ('dataclasses', 'inspect', 'logging'); "
+        "import sys; heavy = ('dataclasses', 'inspect', 'logging', 'pathlib'); "
         "before = set(sys.modules); import lamsig, lamsig.cli; "
         "print(sorted(name for name in heavy if name in sys.modules and name not in before))"
     )
     assert run_isolated(code) == "[]"
+    assert run_isolated(code, "-S") == "[]"
 
 
 # --- the one-pass evaluator against the stepper ---

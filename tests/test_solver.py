@@ -310,6 +310,16 @@ def test_check_solution_missing_binding():
         check_solution(source_worked_problem(), MetaSubst({}))
 
 
+def test_check_solution_checks_theta_before_precooking():
+    # X is declared under one binder more than the root gives it: precooking
+    # fails, but the binding that is missing is reported first
+    p = lp((iota,), {"X": Sort((iota, iota), iota), "Y": Sort((iota,), iota)}, Meta("X"), Meta("Y"))
+    with pytest.raises(ValueError, match="^substitution misses metavariable"):
+        check_solution(p, MetaSubst({"Y": Index(1)}))
+    with pytest.raises(ValueError, match="^metavariable X occurs outside its declared context$"):
+        check_solution(p, MetaSubst({"X": Index(1), "Y": Index(1)}))
+
+
 def test_check_solution_accepts_inert_redex_with_warning(caplog):
     import logging
 
@@ -512,8 +522,8 @@ def unvalidated_search(p, cfg):
     their validation."""
     if p.mode is EqMode.SIGMA_ONLY:
         return solver._product_search(p, p.lhs, p.rhs, cfg, normalize_sigma)
-    sides = solver._graftable_sides(p)
-    return solver._product_search(p, sides.lhs, sides.rhs, cfg, normalize_lambda_sigma)
+    lhs, rhs = solver._graftable_sides(p)
+    return solver._product_search(p, lhs, rhs, cfg, normalize_lambda_sigma)
 
 
 def differential_cases():
@@ -553,7 +563,7 @@ def test_search_matches_brute_force_filter():
 
 
 def test_a_hit_that_fails_check_solution_raises(monkeypatch):
-    monkeypatch.setattr(solver, "check_solution", lambda p, theta, fuel: False)
+    monkeypatch.setattr(solver, "_solves", lambda p, theta, fuel, sides: False)
     with pytest.raises(RuntimeError):
         solve_sigma(reduced_worked_problem(), SearchConfig(size_bound=2))
 
@@ -651,8 +661,8 @@ def test_instance_heads_match_the_normal_form():
     for name, p in cases:
         beta = p.mode is EqMode.LAMBDA_SIGMA
         norm = normalize_lambda_sigma if beta else normalize_sigma
-        sides = solver._graftable_sides(p)
-        flex = solver._decompose(norm(sides.lhs, cfg.fuel), norm(sides.rhs, cfg.fuel), p.mode)
+        lhs, rhs = solver._graftable_sides(p)
+        flex = solver._decompose(norm(lhs, cfg.fuel), norm(rhs, cfg.fuel), p.mode)
         dropped = 0
         for pair in flex or []:
             demands = solver._head_demands([pair], not beta)
@@ -703,10 +713,10 @@ def test_pruned_candidates_are_never_grafted(monkeypatch):
     for search, problem, norm, drawn, kept in cases:
         (stream,), (rank,) = hit_ranks(problem, search, cfg)
         (x,) = problem.metavars
-        sides = solver._graftable_sides(problem)
-        want = head_key(norm(sides.rhs, cfg.fuel))
+        lhs, rhs = solver._graftable_sides(problem)
+        want = head_key(norm(rhs, cfg.fuel))
         survivors = [u for u in stream[: rank + 1]
-                     if head_key(norm(graft({x: u}, sides.lhs), cfg.fuel)) == want]
+                     if head_key(norm(graft({x: u}, lhs), cfg.fuel)) == want]
         assert (rank + 1, len(survivors)) == (drawn, kept), search.__name__
         grafts = counting_grafts(monkeypatch)
         search(problem, cfg)

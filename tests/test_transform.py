@@ -38,7 +38,12 @@ from lamsig import (
     solve_sigma,
     validate_reduced_problem,
 )
+from lamsig import transform
+from lamsig.rewrite import normalize_lambda_sigma
 from lamsig.sorts import equation_type, render_type
+from lamsig.solver import SearchConfig, decide_small_lambda
+from lamsig.surface import parse_problem
+from lamsig.terms import graft
 
 iota = Base("iota")
 ii = Arrow(iota, iota)
@@ -90,6 +95,19 @@ def test_precook_rejects_closures():
     p = lp((iota,), {}, Closure(Index(1), Shift(0)), Index(1))
     with pytest.raises(ValueError):
         precook(p)
+
+
+def test_precook_reports_a_closure_before_a_misplaced_unknown():
+    # the walk may meet the unknown first; the closure error still wins
+    metavars = {"X": Sort((iota, iota), iota)}
+    closure = Closure(Index(1), Shift(0))
+    for lhs, rhs in [(Meta("X"), closure), (closure, Meta("X")), (Meta("Y"), closure)]:
+        with pytest.raises(ValueError, match="^precooking requires closure-free sides$"):
+            precook(lp((iota,), metavars, lhs, rhs))
+    with pytest.raises(ValueError, match="^metavariable X occurs outside its declared context$"):
+        precook(lp((iota,), metavars, Meta("X"), Index(1)))
+    with pytest.raises(ValueError, match="^undeclared metavariable Y$"):
+        precook(lp((iota,), metavars, Lam(Meta("Y")), Index(1)))
 
 
 def test_precook_rejects_sigma_mode():
@@ -226,6 +244,60 @@ def test_reduce_rejects_a_sigma_source():
         p = UnifProblem(BT, (iota,), metavars, lhs, Index(1), EqMode.SIGMA_ONLY)
         with pytest.raises(ValueError, match="reduce_problem expects a full-equality problem"):
             reduce_problem(p)
+
+
+CORPUS = Path(__file__).parent.parent / "src" / "lamsig" / "corpus"
+
+
+def three_pass_reduction(p):
+    """The paper's reduction as three passes: precook, graft the lifting
+    substitution, normalize.  The slow reference for reduce_problem."""
+    lifting, stub = build_lifting_subst(p)
+    cooked = precook(p)
+    lhs, rhs = (normalize_lambda_sigma(graft(lifting, side)) for side in (cooked.lhs, cooked.rhs))
+    return lhs, rhs, stub.var_map, stub.fresh_metavars
+
+
+def test_reduce_matches_the_three_pass_reference():
+    sources = [(path.name, parse_problem(path.read_text(encoding="utf-8")).problem)
+               for path in sorted(CORPUS.glob("*.sig"))]
+    sources += [(f"seed {seed}", gen_second_order_problem(seed)) for seed in range(500)]
+    checked = 0
+    for name, p in sources:
+        if p.mode is not EqMode.LAMBDA_SIGMA:
+            continue
+        cert = reduce_problem(p)
+        target = cert.target
+        assert (target.lhs, target.rhs, cert.var_map, target.metavars) == three_pass_reduction(p), name
+        checked += 1
+    assert checked == 519
+
+
+def test_one_precooking_per_search_and_no_graft_in_reduce(monkeypatch):
+    """decide_small_lambda precooks once however many hits it re-checks;
+    reduce_problem builds its target in the precooking walk, with no graft
+    and no MetaSubst."""
+    walks = []
+    walk = transform._cook
+    monkeypatch.setattr(transform, "_cook", lambda p, images: walks.append(images) or walk(p, images))
+    p = parse_problem((CORPUS / "two_var_cross.sig").read_text(encoding="utf-8")).problem
+    out = decide_small_lambda(p, SearchConfig(find_all=True, max_solutions=3))
+    assert isinstance(out, Solved) and len(out.solutions) == 3
+    assert walks == [{x: Meta(x) for x in p.metavars}]
+
+    calls = []
+
+    def forbidden(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for module_name, module in list(sys.modules.items()):
+        for name in ("graft", "MetaSubst"):
+            if module_name.split(".")[0] == "lamsig" and hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    walks.clear()
+    cert = reduce_problem(p)
+    assert calls == [] and walks == [build_lifting_subst(p)[0]]
+    assert cert.target.lhs == three_pass_reduction(p)[0]
 
 
 def test_reduce_two_argument_cons_order():
