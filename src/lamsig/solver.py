@@ -3,11 +3,11 @@
 Unification modulo the substitution rules is undecidable, so every negative
 answer here means "no solution within the stated bounds" and nothing more.
 There is one search, _product_search.  It streams well-sorted candidate
-terms for every unknown in a deterministic order, normalizes the two sides
-once with the unknowns left inert, and decomposes their rigid structure
-(Huet's simplification: Decompose and Fail).  A rigid clash ends the search
-before any assignment is tried or any stream is read past its first
-candidate.  Otherwise each flex-rigid pair prunes the stream of the unknown
+terms for every unknown that occurs in the sides, in a deterministic
+order, normalizes the two sides once with the unknowns left inert, and
+decomposes their rigid structure (Huet's simplification: Decompose and
+Fail).  A rigid clash ends the search before any assignment is tried or
+any stream is read past its first candidate.  Otherwise each flex-rigid pair prunes the stream of the unknown
 at the head of its flex side (Huet's rigid-head test, in the
 explicit-substitution form of Dowek, Hardin and Kirchner): the rigid side's
 head survives grafting, and the head of the flex side's instance is a
@@ -24,8 +24,10 @@ unknowns found on its first graft.  A part without unknowns is compared
 as it is, so a matching problem, with one ground side, needs no search of
 its own.  solve_sigma runs the search with the substitution rules,
 decide_small_lambda with Beta added; each hit gets every check of
-check_solution, on the sides searched.  That keeps the trusted core small
-enough for the transfer properties to be checked against it, not through it.
+check_solution.  Every verdict validates the problem first and reads its
+sides as written: a valid problem is its own precooked form (see
+transform.precook).  That keeps the trusted core small enough for the
+transfer properties to be checked against it, not through it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .terms import (
     graft,
     is_simple,
 )
-from .transform import ClosureInSides, decompose_cons_shift, precook, require_valid
+from .transform import decompose_cons_shift, require_valid
 
 
 class SearchConfig(FrozenRecord):
@@ -213,17 +215,6 @@ def _arg_combos(ctx, arg_types, sizes, depth, pool) -> Iterator[tuple[Term, ...]
 # --- solution checking ----------------------------------------------------
 
 
-def _graftable_sides(p: UnifProblem) -> tuple[Term, Term]:
-    """The sides that grafting is sound on: a full-equality problem in plain
-    lambda syntax is precooked, so a binding grafted under a binder still
-    refers to the right context slots; anything else is used as written."""
-    try:
-        cooked = precook(p) if p.mode is EqMode.LAMBDA_SIGMA else p
-    except ClosureInSides:
-        cooked = p
-    return cooked.lhs, cooked.rhs
-
-
 def _warn(message: str, *args) -> None:
     """Log a warning on the ``lamsig.solver`` logger.  ``logging`` is
     imported on the first warning, not at start-up: nothing else uses it,
@@ -233,11 +224,17 @@ def _warn(message: str, *args) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _solves(p: UnifProblem, theta: MetaSubst, fuel: int, sides: Callable[[], tuple]) -> bool:
-    """check_solution on the graftable sides that `sides` gives, asked for
-    once theta passes its checks; the search gives those it searched."""
-    needed = (free_metavars(p.lhs) | free_metavars(p.rhs)) & p.metavars.keys()
-    missing = needed - set(theta.keys())
+def _occurring(p: UnifProblem) -> list[str]:
+    """The declared unknowns that occur in the sides, in declaration order:
+    the ones a solution binds."""
+    occurring = free_metavars(p.lhs) | free_metavars(p.rhs)
+    return [name for name in p.metavars if name in occurring]
+
+
+def _solves(p: UnifProblem, theta: MetaSubst, fuel: int) -> bool:
+    """check_solution without the validation of p, which the search has
+    done before its hits come."""
+    missing = set(_occurring(p)) - set(theta.keys())
     if missing:
         raise ValueError(f"substitution misses metavariable(s): {', '.join(sorted(missing))}")
 
@@ -251,16 +248,18 @@ def _solves(p: UnifProblem, theta: MetaSubst, fuel: int, sides: Callable[[], tup
         if normalize_lambda_sigma(term, fuel) != term:
             _warn("binding for %s contains redexes", name)
 
-    lhs, rhs = sides()
     equal = lambda_sigma_equal if p.mode is EqMode.LAMBDA_SIGMA else sigma_equal
-    return equal(graft(theta, lhs), graft(theta, rhs), fuel)
+    return equal(graft(theta, p.lhs), graft(theta, p.rhs), fuel)
 
 
 def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -> bool:
-    """True iff grafting theta makes the two sides equal in p's equality.
-    Bindings are sort-checked against their declarations; non-simple ones
-    and ones with inert redexes are accepted but logged."""
-    return _solves(p, theta, fuel, lambda: _graftable_sides(p))
+    """True iff grafting theta makes the two sides of the valid problem p
+    equal in p's equality.  p is validated first, as for a search; theta
+    must bind every unknown that occurs in the sides.  Bindings are
+    sort-checked against their declarations; non-simple ones and ones with
+    inert redexes are accepted but logged."""
+    require_valid(p, p.mode, "check_solution")
+    return _solves(p, theta, fuel)
 
 
 # --- bounded search ---------------------------------------------------------
@@ -443,13 +442,14 @@ def _assignments(
 
 def _product_search(
     p: UnifProblem,
-    lhs: Term,
-    rhs: Term,
     cfg: SearchConfig,
     normalize: Callable[[Term, int], Term],
 ) -> SearchOutcome:
     """Try every assignment of the candidate streams in product order on
-    the flex pairs left by decomposing the normal forms of lhs and rhs.
+    the flex pairs left by decomposing the normal forms of p's sides.  The
+    streams are those of the unknowns that occur in the sides, the ones a
+    solution binds: an unknown the sides never mention neither multiplies
+    the product nor, with an empty stream, rules a solution out.
 
     Sound because unknowns are first-order and a closure over one is inert,
     so rewriting is closed under grafting and, normal forms being unique,
@@ -480,10 +480,10 @@ def _product_search(
     the plan grafts every assignment along the part's paths to its
     unknowns, and a part without unknowns comes back as itself.  An
     assignment is tried as a plain dict, and only a hit becomes a
-    MetaSubst, checked as check_solution checks it, on lhs and rhs.  No
-    assignment can fail MetaSubst's idempotency check: candidates are ground.
+    MetaSubst, checked as check_solution checks it.  No assignment can fail
+    MetaSubst's idempotency check: candidates are ground.
     """
-    names = list(p.metavars)
+    names = _occurring(p)
     streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
     firsts = [next(stream, None) for stream in streams]
     if any(first is None for first in firsts):
@@ -505,7 +505,7 @@ def _product_search(
 
     solutions: list[MetaSubst] = []
     try:
-        flex = _decompose(normalize(lhs, fuel), normalize(rhs, fuel), p.mode)
+        flex = _decompose(normalize(p.lhs, fuel), normalize(p.rhs, fuel), p.mode)
         if flex is None:
             return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
         beta = p.mode is EqMode.LAMBDA_SIGMA
@@ -520,7 +520,7 @@ def _product_search(
         for assignment in _assignments(names, streams, firsts):
             if all(left(assignment) == right(assignment) for left, right in pairs):
                 theta = MetaSubst(assignment)
-                if not _solves(p, theta, fuel, lambda: (lhs, rhs)):
+                if not _solves(p, theta, fuel):
                     raise RuntimeError(f"search hit {theta!r} fails check_solution")
                 solutions.append(theta)
                 if not cfg.find_all or len(solutions) >= cfg.max_solutions:
@@ -535,24 +535,24 @@ def _product_search(
 def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Bounded unifier search modulo the substitution rules.
 
-    Every unknown ranges over the ground simple-term stream of its sort, and
-    assignments are tried in deterministic product order.  A negative
-    outcome only rules out the searched bounds.
+    Every unknown that occurs ranges over the ground simple-term stream of
+    its sort, and assignments are tried in deterministic product order.  A
+    negative outcome only rules out the searched bounds.
     """
     require_valid(p, EqMode.SIGMA_ONLY, "solve_sigma")
-    return _product_search(p, p.lhs, p.rhs, cfg, normalize_sigma)
+    return _product_search(p, cfg, normalize_sigma)
 
 
 def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Bounded full-equality oracle: the same product search as solve_sigma,
-    over normal lambda terms for every unknown, compared modulo Beta plus
-    the substitution rules.
+    over normal lambda terms for every unknown that occurs, compared modulo
+    Beta plus the substitution rules.
 
-    The sides are precooked once, and every hit is checked on them.  The
-    candidates need no per-assignment checks: enumeration yields only
-    well-sorted, simple, normal terms.  Nothing here goes through the
-    reduction machinery, so transfer results can be checked against it.
+    A valid problem is its own precooked form, so the sides are searched,
+    and every hit checked, as written.  The candidates need no
+    per-assignment checks: enumeration yields only well-sorted, simple,
+    normal terms.  Nothing here goes through the reduction machinery, so
+    transfer results can be checked against it.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda")
-    lhs, rhs = _graftable_sides(p)
-    return _product_search(p, lhs, rhs, cfg, normalize_lambda_sigma)
+    return _product_search(p, cfg, normalize_lambda_sigma)

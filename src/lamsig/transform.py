@@ -3,7 +3,9 @@
 The pipeline has three legs:
 
 * tagging each metavariable occurrence with the shift of its binder depth,
-  so that grafting becomes sound ("precooking");
+  so that grafting becomes sound ("precooking"); a valid problem is its own
+  precooked form, so every verdict, after ``require_valid``, reads the sides
+  as written;
 * the lifting substitution, which trades every unknown of arrow type for a
   fresh unknown of atomic type living in an extended context, together with
   a certificate recording the correspondence;
@@ -90,9 +92,9 @@ class InvalidProblem(Exception):
 
 
 def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> None:
-    """The pre-check before a reduction or a search: raise ValueError unless
-    p is in the mode `caller` expects, and InvalidProblem unless it passes
-    validate_problem."""
+    """The pre-check before every verdict on a problem: raise ValueError
+    unless p is in the mode `caller` expects, and InvalidProblem unless it
+    passes validate_problem."""
     if p.mode is not mode:
         kind = "substitution-only" if mode is EqMode.SIGMA_ONLY else "full-equality"
         raise ValueError(f"{caller} expects a {kind} problem")
@@ -116,13 +118,9 @@ class ReductionCertificate(Record):
         self.target = target
 
 
-class ClosureInSides(ValueError):
-    """Precooking met a closure: it takes plain lambda syntax only."""
-
-
 def _cook(p: UnifProblem, images: dict[str, Term]) -> tuple[Term, Term]:
     """precook's walk over both sides, putting images[X] in place of each
-    unknown X; a closure raises ClosureInSides whatever else fails."""
+    unknown X; a closure is the error reported whatever else fails."""
 
     def go(t: Term, depth: int) -> Term:
         tp = type(t)
@@ -148,7 +146,7 @@ def _cook(p: UnifProblem, images: dict[str, Term]) -> tuple[Term, Term]:
         return go(p.lhs, 0), go(p.rhs, 0)
     except ValueError:
         if contains(p.lhs, Closure) or contains(p.rhs, Closure):
-            raise ClosureInSides("precooking requires closure-free sides") from None
+            raise ValueError("precooking requires closure-free sides") from None
         raise
 
 
@@ -160,19 +158,16 @@ def precook(p: UnifProblem) -> UnifProblem:
     unknown declared in the problem context is shifted by its binder depth;
     one declared ``:ctx`` in an extension by n binders is shifted n less,
     and stays bare where no binder lies between.
+
+    A valid problem is its own precooked form: the sort check requires a
+    bare X under d binders to be declared in the problem context extended
+    by those d binders, so k = d - d = 0 at every occurrence.  Precooking
+    makes a valid problem of one that places an unknown under binders.
     """
     if p.mode is not EqMode.LAMBDA_SIGMA:
         raise ValueError("precooking applies to full-equality problems only")
     lhs, rhs = _cook(p, {x: Meta(x) for x in p.metavars})
     return UnifProblem(p.base_types, p.ctx, dict(p.metavars), lhs, rhs, p.mode)
-
-
-class CertificateStub(Record):
-    __slots__ = ("var_map", "fresh_metavars")
-
-    def __init__(self, var_map: dict[str, tuple[str, int]], fresh_metavars: dict[str, Sort]):
-        self.var_map = var_map
-        self.fresh_metavars = fresh_metavars
 
 
 def _fresh_names(taken: set[str], originals: list[str]) -> dict[str, str]:
@@ -189,9 +184,12 @@ def _fresh_names(taken: set[str], originals: list[str]) -> dict[str, str]:
     return names
 
 
-def build_lifting_subst(p: UnifProblem) -> tuple[dict[str, Term], CertificateStub]:
+def build_lifting_subst(
+    p: UnifProblem,
+) -> tuple[dict[str, Term], dict[str, tuple[str, int]], dict[str, Sort]]:
     """Bind every declared unknown of arity n to n binders over a fresh
-    unknown of atomic type.
+    unknown of atomic type: the bindings, the certificate's var_map (each
+    unknown's fresh replacement and arity) and the fresh unknowns' sorts.
 
     The fresh unknown lives in the declaring context extended by the
     argument types, innermost binder first, and has the stripped base type.
@@ -212,7 +210,7 @@ def build_lifting_subst(p: UnifProblem) -> tuple[dict[str, Term], CertificateStu
         bindings[x] = body
         var_map[x] = (y, n)
         fresh_sorts[y] = Sort(tuple(reversed(args)) + sort.ctx, result_base(sort.ty))
-    return bindings, CertificateStub(var_map, fresh_sorts)
+    return bindings, var_map, fresh_sorts
 
 
 def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertificate:
@@ -224,17 +222,17 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
     normalized; the target is to be solved modulo the substitution rules.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "reduce_problem")
-    lifting, stub = build_lifting_subst(p)
+    lifting, var_map, fresh_metavars = build_lifting_subst(p)
     lhs, rhs = (normalize_lambda_sigma(side, fuel) for side in _cook(p, lifting))
     target = UnifProblem(
         base_types=p.base_types,
         ctx=p.ctx,
-        metavars=stub.fresh_metavars,
+        metavars=fresh_metavars,
         lhs=lhs,
         rhs=rhs,
         mode=EqMode.SIGMA_ONLY,
     )
-    return ReductionCertificate(stub.var_map, p, target)
+    return ReductionCertificate(var_map, p, target)
 
 
 def decompose_cons_shift(s: Subst) -> tuple[list[Term], int] | None:

@@ -7,9 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+sys.path.insert(0, str(Path(__file__).parent))
+
+from gen import gen_second_order_problem
+
 from lamsig import EqMode
 from lamsig.cli import run_command
-from lamsig.surface import parse_problem
+from lamsig.surface import ProblemFile, parse_problem, render_problem
 
 HERE = Path(__file__).parent
 GOLDENS = HERE / "goldens"
@@ -113,6 +117,36 @@ def test_verify_ill_typed_exits_two(tmp_path):
     status, out = run_command(["verify", corpus_file("xc_eq_c.sig"), str(sub)])
     assert status == 2
     assert "error" in out
+
+
+def test_solve_and_verify_reject_an_invalid_problem(tmp_path):
+    """verify validates first, as solve does: ?X : iota -> iota against c
+    is an error, not a verdict."""
+    bad = tmp_path / "bad.sig"
+    bad.write_text(
+        "(problem (base-types iota) (context (c iota))"
+        " (metavars (?X (-> iota iota))) (mode lambdasigma)"
+        " (equation ?X c))"
+    )
+    sub = tmp_path / "id.subst"
+    sub.write_text("(subst (?X (lam (x iota) x)))\n")
+    for argv in (["solve", str(bad)], ["verify", str(bad), str(sub)]):
+        status, out = run_command(argv)
+        assert status == 2, argv
+        assert out == "error: problem fails validation: sides-sort-check, common-type-atomic\n", argv
+
+
+def test_an_unused_unknown_leaves_solve_and_verify_agreeing(tmp_path):
+    """gen_second_order_problem(7) is c2 = c2 with an unused ?X1 of a type
+    that no closed term has: a solution binds only the unknowns that occur,
+    so solve finds the empty one and verify accepts it."""
+    p = gen_second_order_problem(7)
+    path = tmp_path / "seed7.sig"
+    path.write_text(render_problem(ProblemFile(p, ("c0", "c1", "c2"), None)))
+    sub = tmp_path / "empty.subst"
+    sub.write_text("(subst)\n")
+    assert run_command(["solve", str(path), "--bound", "4"]) == (0, "\n")
+    assert run_command(["verify", str(path), str(sub)]) == (0, "solution verified\n")
 
 
 # --- goldens (byte-for-byte) ---

@@ -34,7 +34,7 @@ from lamsig.sexpr import SAtom, SList
 from lamsig.solver import Aborted, ExhaustedNoSolution, Solved
 from lamsig.sorts import CheckEntry, ValidationReport
 from lamsig.surface import Expectation, ProblemFile
-from lamsig.transform import CertificateStub, ReductionCertificate
+from lamsig.transform import ReductionCertificate
 
 IOTA = Base("iota")
 SORT = Sort((IOTA,), IOTA)
@@ -87,10 +87,6 @@ CASES = [
     (
         ReductionCertificate(VAR_MAP, PROBLEM, PROBLEM),
         f"ReductionCertificate(var_map={{'X': (\"X'1\", 1)}}, source={PROBLEM_REPR}, target={PROBLEM_REPR})",
-    ),
-    (
-        CertificateStub(VAR_MAP, {"X'1": SORT}),
-        f"CertificateStub(var_map={{'X': (\"X'1\", 1)}}, fresh_metavars={{\"X'1\": {SORT_REPR}}})",
     ),
 ]
 

@@ -21,6 +21,7 @@ from lamsig import (
     ExhaustedNoSolution,
     FuelExhausted,
     Index,
+    InvalidProblem,
     Lam,
     Meta,
     MetaSubst,
@@ -35,6 +36,7 @@ from lamsig import (
     is_simple_subst,
     normalize_lambda_sigma,
     normalize_sigma,
+    precook,
     reduce_problem,
     solve_sigma,
     term_size,
@@ -43,7 +45,7 @@ from lamsig import (
 )
 from lamsig import solver
 from lamsig.surface import parse_problem
-from lamsig.terms import GraftPlan, children, free_metavars, graft
+from lamsig.terms import GraftPlan, children, contains, free_metavars, graft
 
 CORPUS = Path(__file__).parent.parent / "src" / "lamsig" / "corpus"
 
@@ -310,14 +312,18 @@ def test_check_solution_missing_binding():
         check_solution(source_worked_problem(), MetaSubst({}))
 
 
-def test_check_solution_checks_theta_before_precooking():
-    # X is declared under one binder more than the root gives it: precooking
-    # fails, but the binding that is missing is reported first
+def test_check_solution_validates_before_checking_theta():
+    # X is declared under one binder more than the root gives it: the
+    # problem fails validation, which is reported before the missing binding
     p = lp((iota,), {"X": Sort((iota, iota), iota), "Y": Sort((iota,), iota)}, Meta("X"), Meta("Y"))
+    for theta in [MetaSubst({"Y": Index(1)}), MetaSubst({"X": Index(1), "Y": Index(1)})]:
+        with pytest.raises(
+            InvalidProblem, match="^problem fails validation: sides-sort-check, common-type-atomic$"
+        ):
+            check_solution(p, theta)
+    valid = lp((iota,), {"X": Sort((iota,), iota), "Y": Sort((iota,), iota)}, Meta("X"), Meta("Y"))
     with pytest.raises(ValueError, match="^substitution misses metavariable"):
-        check_solution(p, MetaSubst({"Y": Index(1)}))
-    with pytest.raises(ValueError, match="^metavariable X occurs outside its declared context$"):
-        check_solution(p, MetaSubst({"X": Index(1), "Y": Index(1)}))
+        check_solution(valid, MetaSubst({"Y": Index(1)}))
 
 
 def test_check_solution_accepts_inert_redex_with_warning(caplog):
@@ -371,15 +377,22 @@ def test_oracle_requires_lambda_mode():
 # --- the search loop against a brute-force filter ---
 
 
+def occurring_unknowns(p):
+    """The declared unknowns that occur in p's sides, in declaration order."""
+    occurring = free_metavars(p.lhs) | free_metavars(p.rhs)
+    return [x for x in p.metavars if x in occurring]
+
+
 def brute_solutions(p, cfg):
-    """Every assignment of the enumerated streams, in product order, that
-    check_solution accepts."""
-    names = list(p.metavars)
+    """Every assignment of the occurring unknowns' enumerated streams, in
+    product order, that check_solution's checks accept.  They run without
+    its validation of p, which the unvalidated cases fail."""
+    names = occurring_unknowns(p)
     streams = [list(enumerate_simple_terms(p.metavars[x], {}, cfg)) for x in names]
     return [
         theta
         for theta in (MetaSubst(dict(zip(names, combo))) for combo in itertools.product(*streams))
-        if check_solution(p, theta, cfg.fuel)
+        if solver._solves(p, theta, cfg.fuel)
     ]
 
 
@@ -520,10 +533,8 @@ def head_filter_problems():
 def unvalidated_search(p, cfg):
     """The search loop of solve_sigma or decide_small_lambda, without
     their validation."""
-    if p.mode is EqMode.SIGMA_ONLY:
-        return solver._product_search(p, p.lhs, p.rhs, cfg, normalize_sigma)
-    lhs, rhs = solver._graftable_sides(p)
-    return solver._product_search(p, lhs, rhs, cfg, normalize_lambda_sigma)
+    normalize = normalize_sigma if p.mode is EqMode.SIGMA_ONLY else normalize_lambda_sigma
+    return solver._product_search(p, cfg, normalize)
 
 
 def differential_cases():
@@ -562,8 +573,53 @@ def test_search_matches_brute_force_filter():
     assert hits > 300
 
 
+def test_a_valid_problem_is_its_own_precooked_form():
+    """What lets every verdict read the sides as written: on each valid
+    full-equality problem with closure-free sides, precooking changes
+    nothing."""
+    cases = [(path.name, parse_problem(path.read_text(encoding="utf-8")).problem)
+             for path in sorted(CORPUS.glob("*.sig"))]
+    cases += [(f"seed {seed}", gen_second_order_problem(seed)) for seed in range(500)]
+    cases.append(("unknown under a binder", unknown_under_binder_problem()))
+    cases += decomposition_problems() + head_filter_problems()
+    checked = 0
+    for name, p in cases:
+        if p.mode is EqMode.SIGMA_ONLY or contains(p.lhs, Closure) or contains(p.rhs, Closure):
+            continue
+        assert validate_problem(p).ok, name
+        cooked = precook(p)
+        assert (cooked.lhs, cooked.rhs) == (p.lhs, p.rhs), name
+        checked += 1
+    assert checked == 519 + 1 + 3 + 6
+
+
+def test_search_and_check_solution_agree_on_generated_problems():
+    """One notion of solution: a solution binds the unknowns that occur in
+    the sides.  Whenever some assignment of their bounded streams passes
+    check_solution, the search is Solved, and every hit it returns passes
+    check_solution; on the source and on its reduction."""
+    solved = 0
+    for seed in range(500):
+        source = gen_second_order_problem(seed)
+        cases = [(source, decide_small_lambda), (reduce_problem(source).target, solve_sigma)]
+        for bound in (1, 2, 3, 4):
+            cfg = SearchConfig(size_bound=bound, find_all=True)
+            for p, search in cases:
+                out = search(p, cfg)
+                if isinstance(out, Solved):
+                    assert all(check_solution(p, theta) for theta in out.solutions), (seed, bound)
+                    solved += 1
+                    continue
+                names = occurring_unknowns(p)
+                streams = [list(enumerate_simple_terms(p.metavars[x], {}, cfg)) for x in names]
+                for combo in itertools.product(*streams):
+                    theta = MetaSubst(dict(zip(names, combo)))
+                    assert not check_solution(p, theta), (seed, bound, search.__name__, theta)
+    assert solved > 1000
+
+
 def test_a_hit_that_fails_check_solution_raises(monkeypatch):
-    monkeypatch.setattr(solver, "_solves", lambda p, theta, fuel, sides: False)
+    monkeypatch.setattr(solver, "_solves", lambda p, theta, fuel: False)
     with pytest.raises(RuntimeError):
         solve_sigma(reduced_worked_problem(), SearchConfig(size_bound=2))
 
@@ -661,8 +717,7 @@ def test_instance_heads_match_the_normal_form():
     for name, p in cases:
         beta = p.mode is EqMode.LAMBDA_SIGMA
         norm = normalize_lambda_sigma if beta else normalize_sigma
-        lhs, rhs = solver._graftable_sides(p)
-        flex = solver._decompose(norm(lhs, cfg.fuel), norm(rhs, cfg.fuel), p.mode)
+        flex = solver._decompose(norm(p.lhs, cfg.fuel), norm(p.rhs, cfg.fuel), p.mode)
         dropped = 0
         for pair in flex or []:
             demands = solver._head_demands([pair], not beta)
@@ -713,10 +768,9 @@ def test_pruned_candidates_are_never_grafted(monkeypatch):
     for search, problem, norm, drawn, kept in cases:
         (stream,), (rank,) = hit_ranks(problem, search, cfg)
         (x,) = problem.metavars
-        lhs, rhs = solver._graftable_sides(problem)
-        want = head_key(norm(rhs, cfg.fuel))
+        want = head_key(norm(problem.rhs, cfg.fuel))
         survivors = [u for u in stream[: rank + 1]
-                     if head_key(norm(graft({x: u}, lhs), cfg.fuel)) == want]
+                     if head_key(norm(graft({x: u}, problem.lhs), cfg.fuel)) == want]
         assert (rank + 1, len(survivors)) == (drawn, kept), search.__name__
         grafts = counting_grafts(monkeypatch)
         search(problem, cfg)

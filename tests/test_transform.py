@@ -16,6 +16,7 @@ from lamsig import (
     Cons,
     EqMode,
     Index,
+    InvalidProblem,
     Lam,
     Meta,
     MetaSubst,
@@ -36,9 +37,10 @@ from lamsig import (
     project_solution,
     reduce_problem,
     solve_sigma,
+    validate_problem,
     validate_reduced_problem,
 )
-from lamsig import transform
+from lamsig import solver, transform
 from lamsig.rewrite import normalize_lambda_sigma
 from lamsig.sorts import equation_type, render_type
 from lamsig.solver import SearchConfig, decide_small_lambda
@@ -57,27 +59,36 @@ def lp(ctx, metavars, lhs, rhs):
 # --- precook ---
 
 
-def test_precook_bare_meta_stays_bare():
-    p = lp((iota,), {"X": Sort((iota,), iota)}, Meta("X"), Index(1))
-    cooked = precook(p)
-    assert cooked.lhs == Meta("X")
-
-
-def test_precook_tags_binder_depth():
+# the problems precook is run on below, by the test that runs it
+PRECOOK_CASES = {
+    "bare": lp((iota,), {"X": Sort((iota,), iota)}, Meta("X"), Index(1)),
     # one binder: the metavariable occurrence closes over a unit shift
-    p = lp(
+    "binder depth": lp(
         (iota,),
         {"X": Sort((iota,), iota)},
         Lam(App(Meta("X"), Index(1))),
         Lam(Index(1)),
-    )
-    cooked = precook(p)
+    ),
+    # X lives in the context of one binder: bare under it, ^1 under two
+    "past the declared context": lp(
+        (iota,), {"X": Sort((iota, iota), iota)}, Lam(Meta("X")), Lam(Lam(Meta("X")))
+    ),
+    "closed": lp((iota,), {}, Lam(Lam(Index(2))), Lam(Lam(Index(2)))),
+}
+
+
+def test_precook_bare_meta_stays_bare():
+    cooked = precook(PRECOOK_CASES["bare"])
+    assert cooked.lhs == Meta("X")
+
+
+def test_precook_tags_binder_depth():
+    cooked = precook(PRECOOK_CASES["binder depth"])
     assert cooked.lhs == Lam(App(Closure(Meta("X"), Shift(1)), Index(1)))
 
 
 def test_precook_counts_binders_past_the_declared_context():
-    # X lives in the context of one binder: bare under it, ^1 under two
-    p = lp((iota,), {"X": Sort((iota, iota), iota)}, Lam(Meta("X")), Lam(Lam(Meta("X"))))
+    p = PRECOOK_CASES["past the declared context"]
     cooked = precook(p)
     assert cooked.lhs == Lam(Meta("X"))
     assert cooked.rhs == Lam(Lam(Closure(Meta("X"), Shift(1))))
@@ -86,9 +97,17 @@ def test_precook_counts_binders_past_the_declared_context():
 
 
 def test_precook_closed_term_unchanged():
-    p = lp((iota,), {}, Lam(Lam(Index(2))), Lam(Lam(Index(2))))
-    cooked = precook(p)
+    cooked = precook(PRECOOK_CASES["closed"])
     assert cooked.lhs == Lam(Lam(Index(2)))
+
+
+def test_precooking_changes_only_invalid_problems():
+    """The converse of a valid problem being its own precooked form: each
+    precook case whose output differs from its input fails validation."""
+    changed = [name for name, p in PRECOOK_CASES.items() if precook(p) != p]
+    assert changed == ["binder depth", "past the declared context"]
+    for name in changed:
+        assert not validate_problem(PRECOOK_CASES[name]).ok, name
 
 
 def test_precook_rejects_closures():
@@ -121,20 +140,20 @@ def test_precook_rejects_sigma_mode():
 
 def test_lifting_zero_arity():
     p = lp((iota,), {"X": Sort((iota,), iota)}, Meta("X"), Index(1))
-    lifting, stub = build_lifting_subst(p)
-    y, n = stub.var_map["X"]
+    lifting, var_map, fresh_metavars = build_lifting_subst(p)
+    y, n = var_map["X"]
     assert n == 0
     assert lifting["X"] == Meta(y)
-    assert stub.fresh_metavars[y] == Sort((iota,), iota)
+    assert fresh_metavars[y] == Sort((iota,), iota)
 
 
 def test_lifting_unary():
     p = lp((iota,), {"X": Sort((iota,), ii)}, App(Meta("X"), Index(1)), Index(1))
-    lifting, stub = build_lifting_subst(p)
-    y, n = stub.var_map["X"]
+    lifting, var_map, fresh_metavars = build_lifting_subst(p)
+    y, n = var_map["X"]
     assert n == 1
     assert lifting["X"] == Lam(Meta(y))
-    assert stub.fresh_metavars[y] == Sort((iota, iota), iota)
+    assert fresh_metavars[y] == Sort((iota, iota), iota)
 
 
 def test_lifting_binary_context_order():
@@ -152,11 +171,11 @@ def test_lifting_binary_context_order():
         EqMode.LAMBDA_SIGMA,
     )
     p.metavars["Y0"] = Sort(ctx, a)
-    lifting, stub = build_lifting_subst(p)
-    y, n = stub.var_map["X"]
+    lifting, var_map, fresh_metavars = build_lifting_subst(p)
+    y, n = var_map["X"]
     assert n == 2
     assert lifting["X"] == Lam(Lam(Meta(y)))
-    assert stub.fresh_metavars[y] == Sort((b, a, a), a)
+    assert fresh_metavars[y] == Sort((b, a, a), a)
 
 
 def test_lifting_rejects_higher_order():
@@ -169,8 +188,8 @@ def test_lifting_rejects_higher_order():
 def test_fresh_names_avoid_collisions():
     metavars = {"X": Sort((iota,), iota), "X'1": Sort((iota,), iota)}
     p = lp((iota,), metavars, Meta("X"), Meta("X'1"))
-    _, stub = build_lifting_subst(p)
-    names = {y for y, _ in stub.var_map.values()}
+    _, var_map, _ = build_lifting_subst(p)
+    names = {y for y, _ in var_map.values()}
     assert len(names) == 2
     assert not (names & metavars.keys())
 
@@ -236,6 +255,28 @@ def test_reduce_ground_problem_keeps_beta():
     assert isinstance(solve_sigma(cert.target), Solved)
 
 
+def test_every_verdict_rejects_an_invalid_problem():
+    """One problem built by hand for each verdict that validates, failing
+    the checks its message names."""
+    # X : iota -> iota against c : iota
+    arrow = lp((iota,), {"X": Sort((iota,), ii)}, Meta("X"), Index(1))
+    with pytest.raises(InvalidProblem, match="^problem fails validation: sides-sort-check, common-type-atomic$"):
+        reduce_problem(arrow)
+    # X = X at the arrow type of X
+    arrow_type = lp((iota,), {"X": Sort((iota,), ii)}, Meta("X"), Meta("X"))
+    with pytest.raises(InvalidProblem, match="^problem fails validation: common-type-atomic$"):
+        decide_small_lambda(arrow_type)
+    # c = c in a context of order 3
+    third = Arrow(ii, iota)
+    third_order = UnifProblem(BT, (iota, third), {}, Index(1), Index(1), EqMode.SIGMA_ONLY)
+    with pytest.raises(InvalidProblem, match="^problem fails validation: context-second-order$"):
+        solve_sigma(third_order)
+    # an unknown of order 3, unused
+    high = lp((iota,), {"X": Sort((iota,), third)}, Index(1), Index(1))
+    with pytest.raises(InvalidProblem, match="^problem fails validation: metavar-type-order$"):
+        check_solution(high, MetaSubst({}))
+
+
 def test_reduce_rejects_a_sigma_source():
     for metavars, lhs in [
         ({}, Closure(Index(1), Shift(0))),
@@ -252,10 +293,10 @@ CORPUS = Path(__file__).parent.parent / "src" / "lamsig" / "corpus"
 def three_pass_reduction(p):
     """The paper's reduction as three passes: precook, graft the lifting
     substitution, normalize.  The slow reference for reduce_problem."""
-    lifting, stub = build_lifting_subst(p)
+    lifting, var_map, fresh_metavars = build_lifting_subst(p)
     cooked = precook(p)
     lhs, rhs = (normalize_lambda_sigma(graft(lifting, side)) for side in (cooked.lhs, cooked.rhs))
-    return lhs, rhs, stub.var_map, stub.fresh_metavars
+    return lhs, rhs, var_map, fresh_metavars
 
 
 def test_reduce_matches_the_three_pass_reference():
@@ -273,17 +314,21 @@ def test_reduce_matches_the_three_pass_reference():
     assert checked == 519
 
 
-def test_one_precooking_per_search_and_no_graft_in_reduce(monkeypatch):
-    """decide_small_lambda precooks once however many hits it re-checks;
-    reduce_problem builds its target in the precooking walk, with no graft
-    and no MetaSubst."""
+def test_no_precooking_in_the_verdicts_and_one_walk_in_reduce(monkeypatch):
+    """decide_small_lambda, its product search and check_solution read a
+    valid problem's sides as written, with no precooking walk however many
+    hits they check; reduce_problem builds its target in one walk, with no
+    graft and no MetaSubst."""
     walks = []
     walk = transform._cook
     monkeypatch.setattr(transform, "_cook", lambda p, images: walks.append(images) or walk(p, images))
     p = parse_problem((CORPUS / "two_var_cross.sig").read_text(encoding="utf-8")).problem
-    out = decide_small_lambda(p, SearchConfig(find_all=True, max_solutions=3))
+    cfg = SearchConfig(find_all=True, max_solutions=3)
+    out = decide_small_lambda(p, cfg)
     assert isinstance(out, Solved) and len(out.solutions) == 3
-    assert walks == [{x: Meta(x) for x in p.metavars}]
+    assert solver._product_search(p, cfg, normalize_lambda_sigma) == out
+    assert all(check_solution(p, theta) for theta in out.solutions)
+    assert walks == []
 
     calls = []
 
