@@ -16,7 +16,7 @@ import io
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .rewrite import (
     DEFAULT_FUEL,
@@ -149,7 +149,7 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _file(path: str, text: Optional[str] = None) -> str:
+def _file(path: str, text: str | None = None) -> str:
     """Read the file at `path`, or write `text` to it.  A failed file
     operation is a usage error, so it keeps the exit contract."""
     try:
@@ -223,7 +223,8 @@ def _cmd_solve(args) -> int:
     match outcome:
         case Solved(solutions):
             for theta in solutions:
-                print(", ".join(f"?{name} := {render_debruijn(term)}" for name, term in theta.items()))
+                bindings = ", ".join(f"?{name} := {render_debruijn(term)}" for name, term in theta.items())
+                print(bindings or "solved by the empty substitution")
             return 0
         case ExhaustedNoSolution():
             print(outcome)
@@ -268,7 +269,7 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _corpus_files(directory: Optional[str]) -> list[tuple[str, str]]:
+def _corpus_files(directory: str | None) -> list[tuple[str, str]]:
     """Name and text of each `.sig` file in directory (the bundled corpus if
     None) by name; a directory that cannot be listed has none."""
     if directory is None:

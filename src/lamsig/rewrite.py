@@ -74,7 +74,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from enum import Enum
-from typing import Generator, Optional, Union
+from collections.abc import Generator
 
 from .records import Record
 from .terms import (
@@ -142,7 +142,7 @@ class FuelExhausted(Exception):
     counted: the stepper's rewrite steps, or the evaluator's rule
     instances."""
 
-    def __init__(self, fuel: int, trace: Optional[RewriteTrace] = None, unit: str = "rewrite steps"):
+    def __init__(self, fuel: int, trace: RewriteTrace | None = None, unit: str = "rewrite steps"):
         self.fuel = fuel
         self.trace = trace
         super().__init__(f"no normal form within {fuel} {unit}")
@@ -166,7 +166,7 @@ class RandomizedPosition:
         return self._rng.randrange(count)
 
 
-Strategy = Union[LeftmostOutermost, RandomizedPosition]
+Strategy = LeftmostOutermost | RandomizedPosition
 
 LEFTMOST_OUTERMOST = LeftmostOutermost()
 
@@ -181,7 +181,7 @@ def _comp(s: Subst, t: Subst) -> Subst:
     return Comp(s, t)
 
 
-def _closure_rule(t: Closure) -> Optional[tuple[RuleId, Term]]:
+def _closure_rule(t: Closure) -> tuple[RuleId, Term] | None:
     body, subst = t.body, t.subst
     tb, ts = type(body), type(subst)
     if ts is Shift and subst.k == 0:
@@ -203,7 +203,7 @@ def _closure_rule(t: Closure) -> Optional[tuple[RuleId, Term]]:
     return None
 
 
-def _comp_rule(s: Comp) -> Optional[tuple[RuleId, Subst]]:
+def _comp_rule(s: Comp) -> tuple[RuleId, Subst] | None:
     first, second = s.first, s.second
     tf = type(first)
     if tf is Shift and first.k == 0:
@@ -238,7 +238,7 @@ def _eta_shaped(s: Cons) -> bool:
     )
 
 
-def _cons_rule(s: Cons) -> Optional[tuple[RuleId, Subst]]:
+def _cons_rule(s: Cons) -> tuple[RuleId, Subst] | None:
     # EtaConsShift in both forms: 1[s] . (^1 o s), and n . ^n with n >= 1
     head, tail = s.head, s.tail
     if type(head) is Index:
@@ -249,7 +249,7 @@ def _cons_rule(s: Cons) -> Optional[tuple[RuleId, Subst]]:
     return None
 
 
-def _rule_at(node: Term | Subst, beta: bool) -> Optional[tuple[RuleId, Term | Subst]]:
+def _rule_at(node: Term | Subst, beta: bool) -> tuple[RuleId, Term | Subst] | None:
     """The rule that fires at node, in the fixed priority order, with its
     result; None when node is no redex.  Dispatch is on the exact type:
     only closures, Beta's applications and the two compound substitutions
@@ -331,7 +331,7 @@ def _collect_redexes(node: Term | Subst, beta: bool, path: Path, acc: list[Path]
 # Each step yields the new term (None when the scan builds no root), the
 # path (None unless asked for) and the rule; the finished scan returns the
 # normal form.
-Steps = Generator[tuple[Optional[Term], Optional[Path], RuleId], None, Term]
+Steps = Generator[tuple[Term | None, Path | None, RuleId], None, Term]
 
 
 def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
@@ -492,7 +492,7 @@ def step(
     t: Term,
     ruleset: EqMode = EqMode.SIGMA_ONLY,
     strategy: Strategy = LEFTMOST_OUTERMOST,
-) -> Optional[tuple[Term, Path, RuleId]]:
+) -> tuple[Term, Path, RuleId] | None:
     """Contract one redex of t, or None when t is a normal form.
 
     The caller is responsible for t being sort-checked; rule application
@@ -517,7 +517,7 @@ _IDENTITY = Shift(0)
 _EVAL_UNIT = "rule instances"  # what the evaluator's fuel counts
 
 
-def _env(s: Subst) -> Optional[Subst]:
+def _env(s: Subst) -> Subst | None:
     """A normal substitution as an environment: None for the identity."""
     return None if type(s) is Shift and s.k == 0 else s
 
@@ -681,7 +681,7 @@ def _normalize(
     ruleset: EqMode,
     strategy: Strategy,
     fuel: int,
-    trace: Optional[RewriteTrace],
+    trace: RewriteTrace | None,
 ) -> Term:
     current = canonicalize_shifts(t)
     if trace is not None:

@@ -33,7 +33,7 @@ transfer properties to be checked against it, not through it.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Union
+from collections.abc import Callable, Iterator
 
 from .rewrite import (
     DEFAULT_FUEL,
@@ -116,7 +116,7 @@ class Aborted(Record):
         self.reason = reason
 
 
-SearchOutcome = Union[Solved, ExhaustedNoSolution, Aborted]
+SearchOutcome = Solved | ExhaustedNoSolution | Aborted
 
 
 # --- candidate enumeration -----------------------------------------------

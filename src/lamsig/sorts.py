@@ -17,8 +17,6 @@ from it, so this module alone decides how a binder is typed.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from .records import FrozenRecord, Record
 from .terms import (
     App,
@@ -51,7 +49,7 @@ class Arrow(FrozenRecord):
         object.__setattr__(self, "cod", cod)
 
 
-SimpleType = Union[Base, Arrow]
+SimpleType = Base | Arrow
 Context = tuple[SimpleType, ...]
 
 
@@ -119,7 +117,7 @@ def sort_check_term(
     ctx: Context,
     metavars: dict[str, Sort],
     t: Term,
-    expected: Optional[SimpleType] = None,
+    expected: SimpleType | None = None,
     path: tuple[int, ...] = (),
 ) -> SimpleType:
     """Return the type of t in ctx, or raise IllTyped.
@@ -261,13 +259,29 @@ def render_type(ty: SimpleType) -> str:
 # --- unification problems ------------------------------------------------
 
 
-class UnifProblem(Record):
+class _Validated:
+    """A slot outside a record's fields, so that equality, repr, hashing,
+    copying and ``match`` never see what is kept in it."""
+
+    __slots__ = ("_valid_as",)
+
+
+class UnifProblem(_Validated, Record):
     """One equation between two sides, with its context and declarations.
 
     Invariants (validated by validate_problem, not enforced on construction
     so that deliberately broken problems can be built for reporting): both
     sides sort-check in ctx at a common type, and every metavariable that
     occurs is declared.
+
+    ``transform.require_valid`` keeps in ``_valid_as`` a snapshot of the
+    fields a problem passed with, and skips validation while the fields
+    still compare equal to it.  That is sound because validity is a
+    function of the field values, and a snapshot cannot change with them:
+    the terms, sorts and types are frozen, ``ctx`` is kept as a tuple and
+    ``metavars`` as a copy of the dict.  So reassigning a field, or adding,
+    removing or replacing a declaration, makes the next check validate
+    again.  A copy or an unpickled problem starts with no snapshot.
     """
 
     __slots__ = ("base_types", "ctx", "metavars", "lhs", "rhs", "mode")
@@ -287,6 +301,7 @@ class UnifProblem(Record):
         self.lhs = lhs
         self.rhs = rhs
         self.mode = mode
+        self._valid_as = None
 
 
 class CheckEntry(Record):
@@ -363,7 +378,7 @@ def validate_problem(p: UnifProblem) -> ValidationReport:
         "" if not undeclared else f"undeclared: {', '.join(sorted(undeclared))}",
     )
 
-    common: Optional[SimpleType] = None
+    common: SimpleType | None = None
     try:
         common = equation_type(p)
         report.add("sides-sort-check", True, f"common type {render_type(common)}")

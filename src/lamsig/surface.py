@@ -27,7 +27,7 @@ The debug renderer prints compact de Bruijn forms (``λ.1``, ``?Y[^3]``,
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .records import Record
 from .sexpr import ParseError, SAtom, SList, expect_atom, expect_list, parse_sexprs
@@ -80,7 +80,7 @@ def parse_term(
     node,
     ctx_names: tuple[str, ...],
     _binders: tuple[str, ...] = (),
-    annotations: Optional[list[tuple[SimpleType, SList]]] = None,
+    annotations: list[tuple[SimpleType, SList]] | None = None,
 ) -> Term:
     """Parse a term straight to de Bruijn form: index 1 is the innermost
     binder, context names sit behind all binders in force.
@@ -222,8 +222,8 @@ def render_debruijn_subst(s: Subst) -> str:
 def render_term(
     t: Term,
     ctx_names: tuple[str, ...],
-    sort: Optional[Sort] = None,
-    metavars: Optional[dict[str, Sort]] = None,
+    sort: Sort | None = None,
+    metavars: dict[str, Sort] | None = None,
 ) -> str:
     """Surface text of a term, which ``parse_term`` reads back.
 
@@ -305,8 +305,8 @@ class ProblemFile(Record):
         self,
         problem: UnifProblem,
         ctx_names: tuple[str, ...],
-        expect: Optional[Expectation] = None,
-        certificate: Optional[dict[str, tuple[str, int]]] = None,
+        expect: Expectation | None = None,
+        certificate: dict[str, tuple[str, int]] | None = None,
     ):
         self.problem = problem
         self.ctx_names = ctx_names
@@ -419,7 +419,7 @@ def parse_problem(text: str) -> ProblemFile:
         if undeclared:
             raise ParseError(eq.line, eq.col, f"undeclared metavariable(s): {', '.join(sorted(undeclared))}")
 
-    expect: Optional[Expectation] = None
+    expect: Expectation | None = None
     if "expect" in blocks:
         ex = blocks["expect"]
         if len(ex.items) != 4 or expect_atom(ex[2], ":bound").text != ":bound":

@@ -27,7 +27,7 @@ same object.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Union
+from collections.abc import Callable, Iterator, Mapping
 
 from .records import FrozenRecord
 
@@ -110,8 +110,8 @@ class Comp(FrozenRecord):
         object.__setattr__(self, "second", second)
 
 
-Term = Union[Index, Meta, App, Lam, Closure]
-Subst = Union[Shift, Cons, Comp]
+Term = Index | Meta | App | Lam | Closure
+Subst = Shift | Cons | Comp
 
 
 def children(node: Term | Subst) -> tuple:

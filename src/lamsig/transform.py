@@ -94,13 +94,28 @@ class InvalidProblem(Exception):
 def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> None:
     """The pre-check before every verdict on a problem: raise ValueError
     unless p is in the mode `caller` expects, and InvalidProblem unless it
-    passes validate_problem."""
+    passes validate_problem.
+
+    A problem that passed is validated again only once a field no longer
+    compares equal to its snapshot (see ``UnifProblem``), so a search
+    operation validates each problem object at most once.  A problem that
+    fails is never remembered, and is reported afresh each time."""
     if p.mode is not mode:
         kind = "substitution-only" if mode is EqMode.SIGMA_ONLY else "full-equality"
         raise ValueError(f"{caller} expects a {kind} problem")
-    report = validate_problem(p)
-    if not report.ok:
-        raise InvalidProblem(report)
+    if p._valid_as != (p.base_types, p.ctx, p.metavars, p.lhs, p.rhs, p.mode):
+        report = validate_problem(p)
+        if not report.ok:
+            raise InvalidProblem(report)
+        _remember_valid(p)
+
+
+def _remember_valid(p: UnifProblem) -> None:
+    """Snapshot p's fields as they pass validation.  The declarations are
+    copied, since callers may edit the dict in place; ``tuple`` returns a
+    tuple ctx as it is, and a ctx of another type, copied, never compares
+    equal to it again, so such a problem is always validated."""
+    p._valid_as = (p.base_types, tuple(p.ctx), dict(p.metavars), p.lhs, p.rhs, p.mode)
 
 
 class ReductionCertificate(Record):
@@ -220,6 +235,18 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
     Each side is precooked with the lifting substitution's images in place
     of the unknowns, which is grafting it into the precooked side, and fully
     normalized; the target is to be solved modulo the substitution rules.
+
+    The target is valid from birth, so it is remembered as validated:
+    - it keeps the source's ctx, so its context stays second order;
+    - its unknowns are the fresh ones, each atomic, so of order 1, with
+      context reversed(args) + ctx of the unknown it replaces; that
+      unknown's type has order at most 2, so its args are first order,
+      and its context is second order;
+    - normalization preserves sorts, so both sides keep the source's
+      common type, which is atomic;
+    - the lifting images mention only fresh unknowns, so every unknown
+      that occurs is declared.
+    Criterion 5 and ``test_reduce_outputs_validate`` check this.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "reduce_problem")
     lifting, var_map, fresh_metavars = build_lifting_subst(p)
@@ -232,6 +259,7 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
         rhs=rhs,
         mode=EqMode.SIGMA_ONLY,
     )
+    _remember_valid(target)
     return ReductionCertificate(var_map, p, target)
 
 

@@ -145,8 +145,14 @@ def test_an_unused_unknown_leaves_solve_and_verify_agreeing(tmp_path):
     path.write_text(render_problem(ProblemFile(p, ("c0", "c1", "c2"), None)))
     sub = tmp_path / "empty.subst"
     sub.write_text("(subst)\n")
-    assert run_command(["solve", str(path), "--bound", "4"]) == (0, "\n")
+    assert run_command(["solve", str(path), "--bound", "4"]) == (0, "solved by the empty substitution\n")
     assert run_command(["verify", str(path), str(sub)]) == (0, "solution verified\n")
+
+
+def test_a_solution_that_binds_nothing_names_the_verdict():
+    """ground_refl.sig has no unknowns: its one solution is the empty
+    substitution, and solve says so rather than printing an empty line."""
+    assert run_command(["solve", corpus_file("ground_refl.sig")]) == (0, "solved by the empty substitution\n")
 
 
 # --- goldens (byte-for-byte) ---

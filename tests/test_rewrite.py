@@ -545,11 +545,12 @@ def test_import_leaves_the_recursion_limit_alone():
 
 def test_import_loads_no_dataclasses_inspect_or_logging():
     """The records are plain slotted classes, the solver imports logging
-    only to warn and the CLI reads files with open, so start-up loads none
-    of these modules.  Without -S, a .pth file in site-packages may have
-    loaded one before lamsig; -S runs no site module, so nothing can."""
+    only to warn, the CLI reads files with open and the type aliases are
+    PEP 604 unions, so start-up loads none of these modules.  Without -S,
+    a .pth file in site-packages may have loaded one before lamsig; -S runs
+    no site module, so nothing can."""
     code = (
-        "import sys; heavy = ('dataclasses', 'inspect', 'logging', 'pathlib'); "
+        "import sys; heavy = ('dataclasses', 'inspect', 'logging', 'pathlib', 'typing'); "
         "before = set(sys.modules); import lamsig, lamsig.cli; "
         "print(sorted(name for name in heavy if name in sys.modules and name not in before))"
     )

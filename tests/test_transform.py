@@ -299,19 +299,22 @@ def three_pass_reduction(p):
     return lhs, rhs, var_map, fresh_metavars
 
 
-def test_reduce_matches_the_three_pass_reference():
+def lambda_sigma_sources():
+    """The 19 λσ corpus problems and gen_second_order_problem seeds 0-499,
+    each with a name."""
     sources = [(path.name, parse_problem(path.read_text(encoding="utf-8")).problem)
                for path in sorted(CORPUS.glob("*.sig"))]
     sources += [(f"seed {seed}", gen_second_order_problem(seed)) for seed in range(500)]
-    checked = 0
-    for name, p in sources:
-        if p.mode is not EqMode.LAMBDA_SIGMA:
-            continue
+    sources = [(name, p) for name, p in sources if p.mode is EqMode.LAMBDA_SIGMA]
+    assert len(sources) == 519
+    return sources
+
+
+def test_reduce_matches_the_three_pass_reference():
+    for name, p in lambda_sigma_sources():
         cert = reduce_problem(p)
         target = cert.target
         assert (target.lhs, target.rhs, cert.var_map, target.metavars) == three_pass_reduction(p), name
-        checked += 1
-    assert checked == 519
 
 
 def test_no_precooking_in_the_verdicts_and_one_walk_in_reduce(monkeypatch):
@@ -601,3 +604,69 @@ def test_precook_preserves_equation_type():
         p = gen_second_order_problem(seed)
         cooked = precook(p)
         assert equation_type(cooked) == equation_type(p)
+
+
+# --- validating each problem once ---
+
+
+def test_a_search_operation_validates_each_problem_once(monkeypatch):
+    """Reduce, validate the reduction, solve the target and run the oracle
+    on the source: the source is validated once, and the target, valid
+    from birth, never.  Another operation on the same objects validates
+    nothing."""
+    seen = []
+    validate = transform.validate_problem
+    monkeypatch.setattr(transform, "validate_problem", lambda p: seen.append(p) or validate(p))
+    source = parse_problem((CORPUS / "two_var_cross.sig").read_text(encoding="utf-8")).problem
+    cfg = SearchConfig(size_bound=4)
+    for _ in range(2):
+        cert = reduce_problem(source)
+        assert validate_reduced_problem(cert).ok
+        assert isinstance(solve_sigma(cert.target, cfg), Solved)
+        assert isinstance(decide_small_lambda(source, cfg), Solved)
+    assert len(seen) == 1 and seen[0] is source
+
+
+def _verdict_message(p, verdict):
+    with pytest.raises(InvalidProblem) as err:
+        verdict(p)
+    return str(err.value)
+
+
+def test_a_problem_changed_after_validation_is_validated_again():
+    """Each break of a validated problem, source or reduction target, gets
+    the message that a freshly built copy of the broken problem gets."""
+    third = Arrow(ii, iota)
+    breaks = [
+        ("reassigned lhs", lambda p: setattr(p, "lhs", Meta("W")),
+         "metavars-declared, sides-sort-check, common-type-atomic"),
+        ("ill-sorted declaration added", lambda p: p.metavars.__setitem__("Z", Sort(p.ctx, third)),
+         "metavar-type-order"),
+        ("declaration deleted", lambda p: p.metavars.clear(),
+         "metavars-declared, sides-sort-check, common-type-atomic"),
+    ]
+    for name, brk, failed in breaks:
+        source = lp((iota,), {"X": Sort((iota,), ii)}, App(Meta("X"), Index(1)), Index(1))
+        target = reduce_problem(source).target
+        for p, verdict in ((source, decide_small_lambda), (target, solve_sigma)):
+            verdict(p)  # passes, and is remembered
+            assert p._valid_as is not None
+            brk(p)
+            fresh = UnifProblem(p.base_types, p.ctx, dict(p.metavars), p.lhs, p.rhs, p.mode)
+            message = f"problem fails validation: {failed}"
+            assert _verdict_message(fresh, verdict) == message, name
+            assert _verdict_message(p, verdict) == message, name
+            assert _verdict_message(p, verdict) == message, name  # a failure is not remembered
+
+
+def test_reduction_targets_validate_and_remembered_verdicts_agree():
+    """On the λσ corpus and gen_second_order_problem seeds 0-499: a fresh
+    validate_problem passes every reduction target, and passes every
+    problem that a verdict took as valid without validating it."""
+    for name, p in lambda_sigma_sources():
+        target = reduce_problem(p).target
+        assert validate_problem(target).ok, name
+        for problem, mode in ((p, EqMode.LAMBDA_SIGMA), (target, EqMode.SIGMA_ONLY)):
+            assert problem._valid_as is not None, name
+            transform.require_valid(problem, mode, "test")  # a remembered verdict
+            assert validate_problem(problem).ok, name
