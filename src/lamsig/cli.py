@@ -120,7 +120,8 @@ def _build_parser() -> _ArgumentParser:
     p_solve.add_argument("--bound", type=_positive_int, default=4, help="candidate size bound")
     p_solve.add_argument("--depth", type=_positive_int, default=8, help="candidate depth bound")
     p_solve.add_argument("--all", action="store_true", help="collect several solutions")
-    p_solve.add_argument("--max-solutions", type=_positive_int, default=16)
+    p_solve.add_argument("--max-solutions", type=_positive_int, default=16,
+                         help="with --all, stop after this many solutions")
     p_solve.add_argument("--mode", choices=["sigma", "lambdasigma"], default=None,
                          help="override the problem's equality mode")
     add_fuel(p_solve)

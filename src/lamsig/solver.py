@@ -19,14 +19,13 @@ is the old product order with failing assignments taken out.  Total
 assignments are then tried one by one in product order, comparing the
 normal forms of the grafted flex pairs.  The streams are read only as far
 as the assignments tried reach, so the first hit ends the search without
-listing the rest, and each flex part is grafted along paths to its
-unknowns found on its first graft.  A part without unknowns is compared
-as it is, so a matching problem, with one ground side, needs no search of
-its own.  solve_sigma runs the search with the substitution rules,
-decide_small_lambda with Beta added; each hit gets every check of
-check_solution.  Every verdict validates the problem first and reads its
-sides as written: a valid problem is its own precooked form (see
-transform.precook).  That keeps the trusted core small enough for the
+listing the rest.  A part without unknowns comes back from graft as
+itself and is compared as it is, so a matching problem, with one ground
+side, needs no search of its own.  solve_sigma runs the search with the
+substitution rules, decide_small_lambda with Beta added; each hit gets
+every check of check_solution.  Every verdict validates the problem first
+and reads its sides as written: a valid problem is its own precooked form
+(see transform.precook).  That keeps the trusted core small enough for the
 transfer properties to be checked against it, not through it.
 """
 
@@ -56,7 +55,6 @@ from .terms import (
     App,
     Closure,
     EqMode,
-    GraftPlan,
     Index,
     Lam,
     Meta,
@@ -475,13 +473,12 @@ def _product_search(
     Each stream is drawn from once before anything is normalized, so an
     empty product normalizes nothing, and after that only as far as the
     assignments tried reach (see _assignments): the first hit ends the
-    search without listing the rest.  Each flex part gets a GraftPlan when
-    it is first grafted, so a search that ends before grafting builds none;
-    the plan grafts every assignment along the part's paths to its
-    unknowns, and a part without unknowns comes back as itself.  An
-    assignment is tried as a plain dict, and only a hit becomes a
-    MetaSubst, checked as check_solution checks it.  No assignment can fail
-    MetaSubst's idempotency check: candidates are ground.
+    search without listing the rest.  Each flex part is grafted with each
+    assignment tried and then normalized, unless graft returns the part
+    itself: a part without unknowns, already normal.  An assignment is
+    tried as a plain dict, and only a hit becomes a MetaSubst, checked as
+    check_solution checks it.  No assignment can fail MetaSubst's
+    idempotency check: candidates are ground.
     """
     names = _occurring(p)
     streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
@@ -490,18 +487,9 @@ def _product_search(
         return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
     fuel = cfg.fuel
 
-    def grafted(part: Term) -> Callable[[dict[str, Term]], Term]:
-        plan: GraftPlan | None = None
-
-        def instance(theta: dict[str, Term]) -> Term:
-            nonlocal plan
-            if plan is None:
-                plan = GraftPlan(part)
-            term = plan.apply(theta)
-            # a part without unknowns comes back as itself, already normal
-            return part if term is part else normalize(term, fuel)
-
-        return instance
+    def instance(part: Term, theta: dict[str, Term]) -> Term:
+        term = graft(theta, part)
+        return part if term is part else normalize(term, fuel)
 
     solutions: list[MetaSubst] = []
     try:
@@ -516,9 +504,8 @@ def _product_search(
                 streams[k], firsts[k] = kept, next(kept, None)
                 if firsts[k] is None:
                     return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
-        pairs = [(grafted(a), grafted(b)) for a, b in flex]
         for assignment in _assignments(names, streams, firsts):
-            if all(left(assignment) == right(assignment) for left, right in pairs):
+            if all(instance(a, assignment) == instance(b, assignment) for a, b in flex):
                 theta = MetaSubst(assignment)
                 if not _solves(p, theta, fuel):
                     raise RuntimeError(f"search hit {theta!r} fails check_solution")

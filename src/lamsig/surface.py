@@ -61,6 +61,12 @@ from .terms import (
 )
 
 
+def _is_numeral(text: str) -> bool:
+    """True iff text is a non-empty run of ASCII digits, which int reads;
+    str.isdigit alone also accepts digits such as '²' that int rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_type(node) -> SimpleType:
     if isinstance(node, SAtom):
         return Base(node.text)
@@ -94,7 +100,7 @@ def parse_term(
             if len(text) < 2:
                 raise ParseError(node.line, node.col, "metavariable name missing after ?")
             return Meta(text[1:])
-        if text.isdigit():
+        if _is_numeral(text):
             n = int(text)
             if n < 1:
                 raise ParseError(node.line, node.col, "de Bruijn index must be >= 1")
@@ -147,7 +153,7 @@ def _parse_subst(node, ctx_names: tuple[str, ...], binders: tuple[str, ...], ann
         if len(lst.items) != 2:
             raise ParseError(lst.line, lst.col, "(shift k) expected")
         k_atom = expect_atom(lst[1], "a shift amount")
-        if not k_atom.text.isdigit():
+        if not _is_numeral(k_atom.text):
             raise ParseError(k_atom.line, k_atom.col, "shift amount must be a number")
         return Shift(int(k_atom.text))
     if head.text == "cons":
@@ -344,6 +350,8 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError(lst.line, lst.col, "more than one (problem ...) form")
             problem_form = lst
         elif head.text == "certificate":
+            if cert_form is not None:
+                raise ParseError(lst.line, lst.col, "more than one (certificate ...) form")
             cert_form = lst
         else:
             raise ParseError(lst.line, lst.col, f"unknown top-level form {head.text!r}")
@@ -428,9 +436,12 @@ def parse_problem(text: str) -> ProblemFile:
         if kind not in ("solvable", "no-solution"):
             raise ParseError(ex.line, ex.col, "expectation must be solvable or no-solution")
         bound_atom = expect_atom(ex[3], "a bound")
-        if not bound_atom.text.isdigit():
+        if not _is_numeral(bound_atom.text):
             raise ParseError(bound_atom.line, bound_atom.col, "bound must be a number")
-        expect = Expectation(kind, int(bound_atom.text))
+        bound = int(bound_atom.text)
+        if bound < 1:
+            raise ParseError(bound_atom.line, bound_atom.col, "bound must be at least 1")
+        expect = Expectation(kind, bound)
 
     certificate = None
     if cert_form is not None:
@@ -445,9 +456,11 @@ def parse_problem(text: str) -> ProblemFile:
             if len(triple.items) != 3:
                 raise ParseError(triple.line, triple.col, "(X Y n) expected")
             x = expect_atom(triple[0], "a name").text
+            if x in certificate:
+                raise ParseError(triple.line, triple.col, f"duplicate unknown {x!r} in (map ...)")
             y = expect_atom(triple[1], "a name").text
             n_atom = expect_atom(triple[2], "an arity")
-            if not n_atom.text.isdigit():
+            if not _is_numeral(n_atom.text):
                 raise ParseError(n_atom.line, n_atom.col, "arity must be a number")
             certificate[x] = (y, int(n_atom.text))
 
@@ -549,6 +562,8 @@ def parse_subst_file(text: str, pf: ProblemFile) -> MetaSubst:
         name = raw[1:] if raw.startswith("?") else raw
         if name not in pf.problem.metavars:
             raise ParseError(entry.line, entry.col, f"undeclared metavariable {name!r}")
+        if name in bindings:
+            raise ParseError(entry.line, entry.col, f"duplicate binding for metavariable {name!r}")
         sort = pf.problem.metavars[name]
         # names make sense only when the unknown lives in the problem context
         ctx_names = pf.ctx_names if sort.ctx == pf.problem.ctx else ()

@@ -16,12 +16,11 @@ index adjustment.  Any renumbering a replacement needs is expressed by the
 substitution rules of the rewrite engine, never by ``graft`` itself.
 
 Only this module knows the shape of a node: ``children`` lists a node's
-children, ``subterms`` lists every node of a tree, ``rebuild`` maps a tree
-bottom-up and ``GraftPlan`` lists the paths to a tree's metavariables so
-that grafting rebuilds nothing else.  None of them recurses, each
-dispatches on the exact type of a node, and ``rebuild`` and
-``GraftPlan.apply`` return every subtree that comes back unchanged as the
-same object.
+children, ``subterms`` lists every node of a tree and ``rebuild`` maps a
+tree bottom-up.  None of them recurses, each dispatches on the exact type
+of a node, and ``rebuild`` returns every subtree that comes back unchanged
+as the same object, so ``graft``, one ``rebuild`` pass, returns a tree
+with no bound metavariable as it is.
 """
 
 from __future__ import annotations
@@ -271,89 +270,12 @@ def is_simple_subst(theta: MetaSubst) -> bool:
     return all(is_simple(term) for _, term in theta.items())
 
 
-class GraftPlan:
-    """The nodes of a term on the paths from its root to its metavariable
-    occurrences, listed once so that the term can be grafted many times.
-
-    One scan lists those nodes children first.  ``apply`` rebuilds only
-    them, bottom-up, and shares every other subtree of the term; a node
-    whose rebuilt children are the same objects is kept as it is, so a
-    graft that binds none of the occurrences returns the term itself.
-    """
-
-    __slots__ = ("_term", "_steps")
-
-    def __init__(self, t: Term):
-        self._term = t
-        # (node, children, which): for an inner node, bit 0 of which is set
-        # when its first child is rebuilt and bit 1 when its second is; a
-        # metavariable has no children
-        steps: list[tuple] = []
-        below: list[int] = []  # per node scanned: 1 iff a metavariable is under it
-        up = object()  # on the stack above a node whose children are scanned
-        todo: list = [t]
-        while todo:
-            node = todo.pop()
-            if node is up:
-                node = todo.pop()
-                if type(node) is Lam:
-                    which = below.pop()
-                else:
-                    second = below.pop()
-                    which = below.pop() | second << 1
-                if which:
-                    steps.append((node, children(node), which))
-                below.append(1 if which else 0)
-                continue
-            tp = type(node)
-            if tp is Meta:
-                steps.append((node, (), 0))
-                below.append(1)
-            elif tp is Index or tp is Shift:
-                below.append(0)
-            elif tp is App:
-                todo += (node, up, node.arg, node.fun)
-            elif tp is Closure:
-                todo += (node, up, node.subst, node.body)
-            elif tp is Lam:
-                todo += (node, up, node.body)
-            elif tp is Cons:
-                todo += (node, up, node.tail, node.head)
-            elif tp is Comp:
-                todo += (node, up, node.second, node.first)
-            else:
-                raise TypeError(f"not a term or substitution: {node!r}")
-        self._steps = steps
-
-    def __bool__(self) -> bool:
-        """True iff the term has a metavariable to graft."""
-        return bool(self._steps)
-
-    def apply(self, theta: MetaSubst | Mapping[str, Term]) -> Term:
-        """The term with every bound metavariable replaced by its image."""
-        done: list = []
-        for node, kids, which in self._steps:
-            if which == 0:
-                done.append(theta[node.name] if node.name in theta else node)
-            elif len(kids) == 1:
-                body = done.pop()
-                done.append(node if body is kids[0] else type(node)(body))
-            else:
-                second = done.pop() if which & 2 else kids[1]
-                first = done.pop() if which & 1 else kids[0]
-                if first is kids[0] and second is kids[1]:
-                    done.append(node)
-                else:
-                    done.append(type(node)(first, second))
-        return done[0] if done else self._term
-
-
 def graft(theta: MetaSubst | Mapping[str, Term], t: Term) -> Term:
     """Replace every bound metavariable of t by its image, literally.
 
     No index shifting happens here; the result may contain redexes that the
-    rewrite engine is expected to clean up.  A term grafted many times is
-    cheaper through one ``GraftPlan``; this is a single ``rebuild`` pass.
+    rewrite engine is expected to clean up.  A subtree with no bound
+    metavariable comes back as the same object, t itself included.
     """
 
     def at_leaf(node):

@@ -119,6 +119,17 @@ def test_verify_ill_typed_exits_two(tmp_path):
     assert "error" in out
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_verify_rejects_a_duplicate_binding_in_either_order(tmp_path, order):
+    """Binding ?X twice, once to a solution and once not, is an error
+    whichever binding comes last."""
+    sub = tmp_path / "twice.subst"
+    bindings = ["(?X (lam (x iota) (app f x)))", "(?X (lam (x iota) x))"][::order]
+    sub.write_text("(subst " + "\n  ".join(bindings) + ")\n")
+    status, out = run_command(["verify", corpus_file("xc_eq_fc.sig"), str(sub)])
+    assert (status, out) == (2, "error: 2:3: duplicate binding for metavariable 'X'\n")
+
+
 def test_solve_and_verify_reject_an_invalid_problem(tmp_path):
     """verify validates first, as solve does: ?X : iota -> iota against c
     is an error, not a verdict."""

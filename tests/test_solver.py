@@ -1,13 +1,13 @@
 import itertools
-import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gen import gen_checked_term, gen_second_order_problem
+from gen import gen_second_order_problem
 from oracles import brute_simple_terms
 
 from lamsig import (
@@ -45,7 +45,7 @@ from lamsig import (
 )
 from lamsig import solver
 from lamsig.surface import parse_problem
-from lamsig.terms import GraftPlan, children, contains, free_metavars, graft
+from lamsig.terms import contains, free_metavars, graft
 
 CORPUS = Path(__file__).parent.parent / "src" / "lamsig" / "corpus"
 
@@ -145,54 +145,6 @@ def test_argument_lists_keep_the_nested_order(monkeypatch):
     assert spines, "no candidate applies an index to two arguments"
     monkeypatch.setattr(solver, "_arg_combos", nested)
     assert got == streams()
-
-
-# --- grafting plans ---
-
-
-def test_graft_plan_matches_a_full_rebuild():
-    """On random bindings of generated terms the plan grafts what graft, one
-    full rebuild, grafts, keeps every subtree without a bound occurrence as the
-    same object, and returns the term itself when nothing it holds is
-    bound."""
-    images = [Index(1), Index(3), Lam(Index(1)), App(Index(2), Index(1)),
-              Closure(Meta("Z"), Shift(1)), Meta("M1")]
-    for seed in range(2000):
-        _, _, t, _ = gen_checked_term(seed)
-        rng = random.Random(seed)
-        names = sorted(free_metavars(t)) + ["Z"]
-        theta = {name: rng.choice(images) for name in names if rng.random() < 0.5}
-        plan = GraftPlan(t)
-        grafted = plan.apply(theta)
-        assert grafted == graft(theta, t), seed
-        assert bool(plan) == (len(names) > 1), seed
-        if not theta.keys() & free_metavars(t):
-            assert grafted is t, seed
-        pairs = [(t, grafted)]
-        while pairs:
-            before, after = pairs.pop()
-            if not theta.keys() & free_metavars(before):
-                assert after is before, seed
-            elif type(before) is Meta:
-                assert after is theta[before.name], seed
-            else:
-                pairs += zip(children(before), children(after))
-
-
-def test_graft_plan_recurses_nowhere():
-    """f (f ... (f X)), 5,000 deep: the plan rebuilds the spine down to X
-    and shares every head."""
-    depth = 5_000
-    assert depth > 2 * sys.getrecursionlimit()
-    f = Index(2)
-    t = Meta("X")
-    for _ in range(depth):
-        t = App(f, t)
-    for grafted in (GraftPlan(t).apply({"X": Index(1)}), graft({"X": Index(1)}, t)):
-        for _ in range(depth):
-            assert type(grafted) is App and grafted.fun is f
-            grafted = grafted.arg
-        assert grafted == Index(1)
 
 
 # --- solve_sigma ---
@@ -735,23 +687,18 @@ def test_instance_heads_match_the_normal_form():
     assert decided > 100
 
 
-def counting_grafts(monkeypatch) -> list[int]:
-    """Count the grafts of flex parts with unknowns, one entry per part
-    whose plan is built."""
-    grafts: list[int] = []
+def counting_grafts(monkeypatch) -> Counter:
+    """Count the search's grafts per grafted term: the calls of graft with
+    an assignment, a plain dict, and not those of a hit's check, which
+    grafts a MetaSubst."""
+    grafts: Counter = Counter()
 
-    class Counting(GraftPlan):
-        def __init__(self, t):
-            super().__init__(t)
-            self.call = len(grafts)
-            grafts.append(0)
+    def counting(theta, t):
+        if type(theta) is dict:
+            grafts[t] += 1
+        return graft(theta, t)
 
-        def apply(self, theta):
-            if self:
-                grafts[self.call] += 1
-            return super().apply(theta)
-
-    monkeypatch.setattr(solver, "GraftPlan", Counting)
+    monkeypatch.setattr(solver, "graft", counting)
     return grafts
 
 
@@ -774,27 +721,16 @@ def test_pruned_candidates_are_never_grafted(monkeypatch):
         assert (rank + 1, len(survivors)) == (drawn, kept), search.__name__
         grafts = counting_grafts(monkeypatch)
         search(problem, cfg)
-        assert sorted(grafts) == [0, kept], search.__name__
+        assert [n for t, n in grafts.items() if free_metavars(t)] == [kept], search.__name__
 
 
 def test_sigma_applied_binder_against_a_rigid_spine_is_a_clash(monkeypatch):
     """Without Beta the applied binder survives every graft, so the search
     ends at decomposition and grafts nothing."""
     p = dict(decomposition_problems())["sigma, applied binder against a rigid spine"]
-    grafts = []
-
-    def counting(theta, t):
-        grafts.append(t)
-        return graft(theta, t)
-
-    def counting_plan(t):
-        grafts.append(t)
-        return GraftPlan(t)
-
-    monkeypatch.setattr(solver, "graft", counting)
-    monkeypatch.setattr(solver, "GraftPlan", counting_plan)
+    grafts = counting_grafts(monkeypatch)
     assert isinstance(solve_sigma(p, SearchConfig(size_bound=3)), ExhaustedNoSolution)
-    assert grafts == []
+    assert not grafts
 
 
 def test_evaluator_fuel_abort_names_rule_instances():

@@ -121,6 +121,38 @@ def test_parse_missing_block():
     assert "missing" in str(err.value)
 
 
+CERTIFIED = MINIMAL.rstrip() + "\n(certificate (map (X Y 1)))\n"
+
+# Each file, the text whose last occurrence is where its error is reported,
+# and the message.
+POSITIONED = {
+    "index": (MINIMAL.replace("(app ?X c) c", "(app ?X ²) c"), "²", "unbound name '²'"),
+    "shift": (MINIMAL.replace("(app ?X c) c", "(app ?X (clo c (shift ²))) c"), "²",
+              "shift amount must be a number"),
+    "bound": (MINIMAL.replace("c) c))", "c) c)\n  (expect solvable :bound ²))"), "²",
+              "bound must be a number"),
+    "arity": (CERTIFIED.replace("(X Y 1)", "(X Y ²)"), "²", "arity must be a number"),
+    "zero bound": (MINIMAL.replace("c) c))", "c) c)\n  (expect solvable :bound 0))"), "0",
+                   "bound must be at least 1"),
+    "second certificate": (CERTIFIED + "(certificate (map (X Z 1)))\n", "(certificate",
+                           "more than one (certificate ...) form"),
+    "repeated map entry": (CERTIFIED.replace("(X Y 1)", "(X Y 1) (X Z 1)"), "(X Z",
+                           "duplicate unknown 'X' in (map ...)"),
+}
+
+
+@pytest.mark.parametrize("name", POSITIONED)
+def test_numerals_bounds_and_certificates_fail_at_their_position(name):
+    """A digit that is not ASCII, such as '²', is no numeral; a bound is at
+    least 1; a certificate and an unknown in its map are given once."""
+    text, marker, message = POSITIONED[name]
+    at = text.rindex(marker)
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == f"{line}:{col}: {message}"
+
+
 def test_parse_shadowed_binder_rejected():
     bad = MINIMAL.replace("(app ?X c) c", "(lam (x iota) (lam (x iota) x)) c")
     with pytest.raises(ParseError) as err:

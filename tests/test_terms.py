@@ -1,5 +1,13 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from gen import gen_checked_term
 
 from lamsig import (
     App,
@@ -23,7 +31,7 @@ from lamsig import (
     term_size,
 )
 from lamsig.sorts import render_type
-from lamsig.terms import subterms
+from lamsig.terms import children, subterms
 
 
 # --- hypothesis strategies for raw (untyped) syntax ---
@@ -186,6 +194,49 @@ def test_graft_free_metavars_bound(bindings, t):
         *(free_metavars(theta[x]) for x in theta.keys() & free_metavars(t)), set()
     )
     assert free_metavars(graft(theta, t)) <= expected_cap
+
+
+def test_graft_shares_what_it_does_not_bind():
+    """On random bindings of generated terms graft agrees with the recursive
+    walk, keeps every subtree without a bound occurrence as the same object,
+    and returns the term itself when nothing it holds is bound: the search
+    compares such a part as it is, without normalizing it."""
+    images = [Index(1), Index(3), Lam(Index(1)), App(Index(2), Index(1)),
+              Closure(Meta("Z"), Shift(1)), Meta("M1")]
+    for seed in range(2000):
+        _, _, t, _ = gen_checked_term(seed)
+        rng = random.Random(seed)
+        names = sorted(free_metavars(t)) + ["Z"]
+        theta = {name: rng.choice(images) for name in names if rng.random() < 0.5}
+        grafted = graft(theta, t)
+        assert grafted == naive_graft(theta, t), seed
+        if not theta.keys() & free_metavars(t):
+            assert grafted is t, seed
+        pairs = [(t, grafted)]
+        while pairs:
+            before, after = pairs.pop()
+            if not theta.keys() & free_metavars(before):
+                assert after is before, seed
+            elif type(before) is Meta:
+                assert after is theta[before.name], seed
+            else:
+                pairs += zip(children(before), children(after))
+
+
+def test_graft_recurses_nowhere():
+    """f (f ... (f X)), 5,000 deep: graft rebuilds the spine down to X and
+    shares every head."""
+    depth = 5_000
+    assert depth > 2 * sys.getrecursionlimit()
+    f = Index(2)
+    t = Meta("X")
+    for _ in range(depth):
+        t = App(f, t)
+    grafted = graft({"X": Index(1)}, t)
+    for _ in range(depth):
+        assert type(grafted) is App and grafted.fun is f
+        grafted = grafted.arg
+    assert grafted == Index(1)
 
 
 def test_metasubst_rejects_non_idempotent():
