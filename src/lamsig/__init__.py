@@ -52,6 +52,7 @@ from .rewrite import (
     RewriteTrace,
     RuleId,
     lambda_sigma_equal,
+    normalize_graft,
     normalize_lambda_sigma,
     normalize_sigma,
     normalize_traced,

@@ -270,6 +270,15 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+# What a malformed, ill-sorted or too costly input raises: exit status 2
+# with the message, never a traceback.
+_INPUT_ERRORS = (ParseError, IllTyped, InvalidProblem, FuelExhausted, ValueError, RecursionError)
+
+
+def _describe(err: Exception) -> str:
+    return "input nested too deeply" if isinstance(err, RecursionError) else str(err)
+
+
 def _corpus_files(directory: str | None) -> list[tuple[str, str]]:
     """Name and text of each `.sig` file in directory (the bundled corpus if
     None) by name; a directory that cannot be listed has none."""
@@ -283,20 +292,29 @@ def _corpus_files(directory: str | None) -> list[tuple[str, str]]:
 
 
 def _cmd_corpus(args) -> int:
+    """Check each file's annotation.  A file that fails with an input error
+    is named with the error and the run goes on; the exit status is then
+    2."""
     fuel = _fuel(args)
     files = _corpus_files(args.dir)
     if not files:
         raise UsageError("no corpus files found")
     all_ok = True
     checked = 0
+    failed = 0
     for name, text in files:
-        pf = parse_problem(text)
-        if pf.expect is None:
-            print(f"{name}: no annotation, skipped")
+        try:
+            pf = parse_problem(text)
+            if pf.expect is None:
+                print(f"{name}: no annotation, skipped")
+                continue
+            cfg = SearchConfig(size_bound=pf.expect.bound, fuel=fuel, find_all=False)
+            solved = isinstance(_search(pf.problem, cfg), Solved)
+        except _INPUT_ERRORS as err:
+            print(f"{name}: error: {_describe(err)}")
+            failed += 1
             continue
         checked += 1
-        cfg = SearchConfig(size_bound=pf.expect.bound, fuel=fuel, find_all=False)
-        solved = isinstance(_search(pf.problem, cfg), Solved)
         expected_solved = pf.expect.kind == "solvable"
         ok = solved == expected_solved
         all_ok = all_ok and ok
@@ -304,8 +322,9 @@ def _cmd_corpus(args) -> int:
         mark = "ok" if ok else "MISMATCH"
         print(f"{name}: expect {pf.expect.kind} :bound {pf.expect.bound} -> {verdict} [{mark}]")
     print(f"corpus: {len(files)} files, {checked} annotated, "
-          f"{'all as annotated' if all_ok else 'MISMATCHES FOUND'}")
-    return 0 if all_ok else 1
+          f"{'all as annotated' if all_ok else 'MISMATCHES FOUND'}"
+          f"{f'; {failed} failed with an error' if failed else ''}")
+    return 2 if failed else 0 if all_ok else 1
 
 
 def _dispatch(argv: Sequence[str]) -> int:
@@ -324,11 +343,8 @@ def run_command(argv: Sequence[str]) -> tuple[int, str]:
     except UsageError as err:
         print(f"usage error: {err}", file=buf)
         status = 2
-    except (ParseError, IllTyped, InvalidProblem, FuelExhausted, ValueError) as err:
-        print(f"error: {err}", file=buf)
-        status = 2
-    except RecursionError:
-        print("error: input nested too deeply", file=buf)
+    except _INPUT_ERRORS as err:
+        print(f"error: {_describe(err)}", file=buf)
         status = 2
     return status, buf.getvalue()
 

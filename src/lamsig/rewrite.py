@@ -31,10 +31,19 @@ Two engines compute normal forms:
   picks, and its fuel counts steps.  It stays where the product is a
   step-by-step trace: ``step``, ``contract_at``, ``normalize_traced``,
   ``replay_trace`` and ``lamsig normalize --trace``.  It also computes
-  ``normalize_lambda_sigma``: typed lambda-sigma is not strongly
+  ``normalize_lambda_sigma``, and so ``lambda_sigma_equal`` and the
+  solution checks that rest on it: typed lambda-sigma is not strongly
   normalizing (Melliès, TLCA 1995), so Beta needs a termination argument of
   its own before it moves to an evaluator.  The stepper runs its input
   through shift canonicalization once, up front.
+
+``normalize_graft`` serves the grafts of the reduction and of the
+lambda-side search.  It contracts Beta only where grafting puts a binder
+in front of arguments, hands the rest to ``normalize_sigma``, and runs the
+stepper only on a normal form that still holds an applied binder, which
+takes a higher-order redex of the input's own.  Lambda-sigma with
+EtaConsShift is confluent on terms whose unknowns stand for terms (Curien,
+Hardin and Lévy, JACM 1996), so it reaches the stepper's normal form.
 
 Stepping rests on one invariant: a contraction at path p changes only the
 subtree at p and the ancestors of p, and every other node keeps its path.
@@ -74,7 +83,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from enum import Enum
-from collections.abc import Generator
+from collections.abc import Generator, Mapping
 
 from .records import Record
 from .terms import (
@@ -92,6 +101,7 @@ from .terms import (
     canonicalize_shifts,
     children,
     rebuild,
+    subterms,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -707,6 +717,49 @@ def normalize_lambda_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     only the fuel bound stops the run.
     """
     return _normalize(t, EqMode.LAMBDA_SIGMA, LEFTMOST_OUTERMOST, fuel, None)
+
+
+def normalize_graft(theta: Mapping[str, Term], t: Term, fuel: int = DEFAULT_FUEL) -> Term:
+    """The normal form of graft(theta, t) under Beta plus the substitution
+    rules, with Beta contracted where the grafted binders meet their
+    arguments.
+
+    One rebuild pass grafts theta and, on the way up, contracts each
+    application whose function comes back as a binder or a closure over
+    one: (lam b) a becomes b[a . ^0] and (lam b)[s] a becomes b[a . s], a
+    Beta step followed by substitution steps.  A lifting image lam...lam Y
+    applied to the arguments of the unknown it replaces thus becomes the
+    closure Y[a_m ... a_1 . ^0], and normalize_sigma finishes.  Only when
+    that normal form still holds an applied binder, which takes a
+    higher-order redex of t's own such as (lam f. f c) X, does the stepper
+    run on it.  Each phase is a lambda-sigma strategy on any input, so by
+    confluence the result is normalize_lambda_sigma(graft(theta, t)); fuel
+    bounds the evaluator's rule instances and, apart, the stepper's steps.
+    The result is normalized even when nothing is grafted.
+    """
+
+    def at_leaf(node: Term | Subst) -> Term | Subst:
+        if type(node) is Meta and node.name in theta:
+            return theta[node.name]
+        return node
+
+    normal = normalize_sigma(rebuild(t, at_leaf, _contract_applied_binder), fuel)
+    for node in subterms(normal):
+        if type(node) is App and type(node.fun) is Lam:
+            return normalize_lambda_sigma(normal, fuel)
+    return normal
+
+
+def _contract_applied_binder(node: Term | Subst) -> Term | Subst:
+    """normalize_graft's node map: (lam b) a to b[a . ^0], (lam b)[s] a to
+    b[a . s], any other node as it is."""
+    if type(node) is App:
+        fun = node.fun
+        if type(fun) is Lam:
+            return Closure(fun.body, Cons(node.arg, _IDENTITY))
+        if type(fun) is Closure and type(fun.body) is Lam:
+            return Closure(fun.body.body, Cons(node.arg, fun.subst))
+    return node
 
 
 def normalize_traced(

@@ -19,11 +19,12 @@ is the old product order with failing assignments taken out.  Total
 assignments are then tried one by one in product order, comparing the
 normal forms of the grafted flex pairs.  The streams are read only as far
 as the assignments tried reach, so the first hit ends the search without
-listing the rest.  A part without unknowns comes back from graft as
-itself and is compared as it is, so a matching problem, with one ground
-side, needs no search of its own.  solve_sigma runs the search with the
-substitution rules, decide_small_lambda with Beta added; each hit gets
-every check of check_solution.  Every verdict validates the problem first
+listing the rest.  A part without unknowns is normal already and is
+compared as it is, so a matching problem, with one ground side, needs no
+search of its own.  solve_sigma runs the search with the
+substitution rules, decide_small_lambda with Beta added, its instances
+built by rewrite.normalize_graft; each hit gets every check of
+check_solution, on the stepper.  Every verdict validates the problem first
 and reads its sides as written: a valid problem is its own precooked form
 (see transform.precook).  That keeps the trusted core small enough for the
 transfer properties to be checked against it, not through it.
@@ -38,6 +39,7 @@ from .rewrite import (
     DEFAULT_FUEL,
     FuelExhausted,
     lambda_sigma_equal,
+    normalize_graft,
     normalize_lambda_sigma,
     normalize_sigma,
     sigma_equal,
@@ -438,10 +440,16 @@ def _assignments(
             return
 
 
+def _sigma_instance(theta: dict[str, Term], t: Term, fuel: int) -> Term:
+    """solve_sigma's instances: the substitution-only normal form of theta
+    grafted into t."""
+    return normalize_sigma(graft(theta, t) if theta else t, fuel)
+
+
 def _product_search(
     p: UnifProblem,
     cfg: SearchConfig,
-    normalize: Callable[[Term, int], Term],
+    instantiate: Callable[[dict[str, Term], Term, int], Term],
 ) -> SearchOutcome:
     """Try every assignment of the candidate streams in product order on
     the flex pairs left by decomposing the normal forms of p's sides.  The
@@ -470,15 +478,19 @@ def _product_search(
     normalized: with too little fuel to normalize one of its assignments,
     the search no longer aborts there.
 
-    Each stream is drawn from once before anything is normalized, so an
-    empty product normalizes nothing, and after that only as far as the
-    assignments tried reach (see _assignments): the first hit ends the
-    search without listing the rest.  Each flex part is grafted with each
-    assignment tried and then normalized, unless graft returns the part
-    itself: a part without unknowns, already normal.  An assignment is
-    tried as a plain dict, and only a hit becomes a MetaSubst, checked as
-    check_solution checks it.  No assignment can fail MetaSubst's
-    idempotency check: candidates are ground.
+    instantiate(theta, t, fuel) is the mode's normal form of theta grafted
+    into t: normalize_sigma after graft for solve_sigma, normalize_graft
+    for decide_small_lambda.  The two sides are instantiated with nothing
+    bound, which normalizes them.  Each stream is drawn from once before
+    anything is normalized, so an empty product normalizes nothing, and
+    after that only as far as the assignments tried reach (see
+    _assignments): the first hit ends the search without listing the
+    rest.  Each flex part with an unknown is instantiated with each
+    assignment tried; a part without one is normal already, and is its own
+    instance.  An assignment is tried as a plain dict, and only a hit
+    becomes a MetaSubst, checked as check_solution checks it.  No
+    assignment can fail MetaSubst's idempotency check: candidates are
+    ground.
     """
     names = _occurring(p)
     streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
@@ -487,15 +499,17 @@ def _product_search(
         return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
     fuel = cfg.fuel
 
-    def instance(part: Term, theta: dict[str, Term]) -> Term:
-        term = graft(theta, part)
-        return part if term is part else normalize(term, fuel)
+    def instance(part: Term) -> Callable[[dict[str, Term]], Term]:
+        if free_metavars(part):
+            return lambda theta: instantiate(theta, part, fuel)
+        return lambda theta: part
 
     solutions: list[MetaSubst] = []
     try:
-        flex = _decompose(normalize(p.lhs, fuel), normalize(p.rhs, fuel), p.mode)
+        flex = _decompose(instantiate({}, p.lhs, fuel), instantiate({}, p.rhs, fuel), p.mode)
         if flex is None:
             return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
+        instances = [(instance(a), instance(b)) for a, b in flex]
         beta = p.mode is EqMode.LAMBDA_SIGMA
         demands = _head_demands(flex, not beta)
         for k, name in enumerate(names):
@@ -505,7 +519,7 @@ def _product_search(
                 if firsts[k] is None:
                     return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
         for assignment in _assignments(names, streams, firsts):
-            if all(instance(a, assignment) == instance(b, assignment) for a, b in flex):
+            if all(a(assignment) == b(assignment) for a, b in instances):
                 theta = MetaSubst(assignment)
                 if not _solves(p, theta, fuel):
                     raise RuntimeError(f"search hit {theta!r} fails check_solution")
@@ -527,7 +541,7 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
     negative outcome only rules out the searched bounds.
     """
     require_valid(p, EqMode.SIGMA_ONLY, "solve_sigma")
-    return _product_search(p, cfg, normalize_sigma)
+    return _product_search(p, cfg, _sigma_instance)
 
 
 def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -536,10 +550,14 @@ def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> S
     Beta plus the substitution rules.
 
     A valid problem is its own precooked form, so the sides are searched,
-    and every hit checked, as written.  The candidates need no
-    per-assignment checks: enumeration yields only well-sorted, simple,
-    normal terms.  Nothing here goes through the reduction machinery, so
-    transfer results can be checked against it.
+    and every hit checked, as written.  The sides and each flex part's
+    instances are normalized by normalize_graft, which contracts Beta where
+    a candidate's binders meet the unknown's arguments and falls back to
+    the stepper only on a higher-order redex of a side's own; each hit is
+    checked again on the stepper.  The candidates need no per-assignment
+    checks: enumeration yields only well-sorted, simple, normal terms.
+    Nothing here goes through the reduction machinery, so transfer results
+    can be checked against it.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda")
-    return _product_search(p, cfg, normalize_lambda_sigma)
+    return _product_search(p, cfg, normalize_graft)

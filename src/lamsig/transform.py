@@ -8,7 +8,10 @@ The pipeline has three legs:
   as written;
 * the lifting substitution, which trades every unknown of arrow type for a
   fresh unknown of atomic type living in an extended context, together with
-  a certificate recording the correspondence;
+  a certificate recording the correspondence; ``reduce_problem`` grafts it
+  into the closure-free sides of a valid problem and normalizes with
+  ``rewrite.normalize_graft``, contracting Beta only where a lifting image
+  meets its arguments;
 * transport of solutions across the certificate, in both directions.
 
 ``validate_reduced_problem`` checks the paper's Remark on the shape of the
@@ -28,6 +31,7 @@ from __future__ import annotations
 from .records import Record
 from .rewrite import (
     DEFAULT_FUEL,
+    normalize_graft,
     normalize_lambda_sigma,
     normalize_sigma,
 )
@@ -133,9 +137,9 @@ class ReductionCertificate(Record):
         self.target = target
 
 
-def _cook(p: UnifProblem, images: dict[str, Term]) -> tuple[Term, Term]:
-    """precook's walk over both sides, putting images[X] in place of each
-    unknown X; a closure is the error reported whatever else fails."""
+def _cook(p: UnifProblem) -> tuple[Term, Term]:
+    """precook's walk over both sides; a closure is the error reported
+    whatever else fails."""
 
     def go(t: Term, depth: int) -> Term:
         tp = type(t)
@@ -150,7 +154,7 @@ def _cook(p: UnifProblem, images: dict[str, Term]) -> tuple[Term, Term]:
             k = depth - (len(p.metavars[name].ctx) - len(p.ctx))
             if k < 0:
                 raise ValueError(f"metavariable {name} occurs outside its declared context")
-            return images[name] if k == 0 else Closure(images[name], Shift(k))
+            return t if k == 0 else Closure(t, Shift(k))
         if tp is Lam:
             return Lam(go(t.body, depth + 1))
         if tp is Closure:
@@ -160,9 +164,13 @@ def _cook(p: UnifProblem, images: dict[str, Term]) -> tuple[Term, Term]:
     try:
         return go(p.lhs, 0), go(p.rhs, 0)
     except ValueError:
-        if contains(p.lhs, Closure) or contains(p.rhs, Closure):
-            raise ValueError("precooking requires closure-free sides") from None
+        _require_closure_free(p)
         raise
+
+
+def _require_closure_free(p: UnifProblem) -> None:
+    if contains(p.lhs, Closure) or contains(p.rhs, Closure):
+        raise ValueError("precooking requires closure-free sides") from None
 
 
 def precook(p: UnifProblem) -> UnifProblem:
@@ -181,7 +189,7 @@ def precook(p: UnifProblem) -> UnifProblem:
     """
     if p.mode is not EqMode.LAMBDA_SIGMA:
         raise ValueError("precooking applies to full-equality problems only")
-    lhs, rhs = _cook(p, {x: Meta(x) for x in p.metavars})
+    lhs, rhs = _cook(p)
     return UnifProblem(p.base_types, p.ctx, dict(p.metavars), lhs, rhs, p.mode)
 
 
@@ -232,9 +240,16 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
     """Produce the substitution-only image of a valid second-order problem
     in full equality.
 
-    Each side is precooked with the lifting substitution's images in place
-    of the unknowns, which is grafting it into the precooked side, and fully
-    normalized; the target is to be solved modulo the substitution rules.
+    The sides must be closure-free, as for precook.  A valid problem is
+    then its own precooked form, so the lifting substitution is grafted
+    into each side as written and the result fully normalized by
+    normalize_graft: each image lam...lam Y' meets the arguments of the
+    unknown it replaces and leaves the closure Y'[a_m ... a_1 . ^0], with
+    Beta contracted only there and the substitution rules doing the rest.
+    The target is to be solved modulo the substitution rules.  fuel bounds
+    the substitution rule instances of each side's normalization, and the
+    stepper's steps too when a side has a higher-order redex of its own,
+    such as (lam f. f c) X.
 
     The target is valid from birth, so it is remembered as validated:
     - it keeps the source's ctx, so its context stays second order;
@@ -250,13 +265,13 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "reduce_problem")
     lifting, var_map, fresh_metavars = build_lifting_subst(p)
-    lhs, rhs = (normalize_lambda_sigma(side, fuel) for side in _cook(p, lifting))
+    _require_closure_free(p)
     target = UnifProblem(
         base_types=p.base_types,
         ctx=p.ctx,
         metavars=fresh_metavars,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=normalize_graft(lifting, p.lhs, fuel),
+        rhs=normalize_graft(lifting, p.rhs, fuel),
         mode=EqMode.SIGMA_ONLY,
     )
     _remember_valid(target)

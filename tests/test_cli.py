@@ -94,6 +94,40 @@ def test_unreadable_corpus_entry_exits_two(tmp_path):
     assert out == f"usage error: cannot read {tmp_path / 'x.sig'}: Is a directory\n"
 
 
+CLOSURE_SIDE = (
+    "(problem (base-types iota) (context (c iota)) (metavars (?X iota))\n"
+    "  (mode lambdasigma) (equation ?X (clo 1 (cons c (shift 0)))))\n"
+)
+
+HIGHER_ORDER_REDEX = (
+    "(problem (base-types iota) (context (c iota)) (metavars (?X (-> iota iota)))\n"
+    "  (mode lambdasigma) (equation (app (lam (f (-> iota iota)) (app f c)) ?X) c))\n"
+)
+
+
+def test_reduce_rejects_a_closure_in_a_side(tmp_path):
+    """The problem validates, but reduction takes closure-free sides."""
+    path = tmp_path / "closure.sig"
+    path.write_text(CLOSURE_SIDE)
+    assert run_command(["check", str(path)])[0] == 0
+    assert run_command(["reduce", str(path)]) == (2, "error: precooking requires closure-free sides\n")
+
+
+def test_reduce_a_side_with_its_own_higher_order_redex(tmp_path):
+    path = tmp_path / "redex.sig"
+    path.write_text(HIGHER_ORDER_REDEX)
+    assert run_command(["reduce", str(path)]) == (0, (
+        "(problem\n"
+        "  (base-types iota)\n"
+        "  (context (c iota))\n"
+        "  (metavars (?X'1 iota :ctx (iota iota)))\n"
+        "  (mode sigma)\n"
+        "  (equation (clo ?X'1 (cons c (shift 0))) c)\n"
+        ")\n"
+        "(certificate (map (X X'1 1)))\n"
+    ))
+
+
 def test_solve_no_solution_exits_one(tmp_path):
     status, out = run_command(
         ["solve", corpus_file("ground_mismatch.sig"), "--bound", "2"]
@@ -261,6 +295,21 @@ def test_corpus_run_external_directory(tmp_path):
     status, out = run_command(["corpus", "run", "--dir", str(tmp_path)])
     assert status == 0
     assert "one.sig" in out
+
+
+def test_corpus_run_names_a_failing_file_and_checks_the_rest(tmp_path):
+    """A file that fails to parse is named with its error, the files after
+    it are still checked, and the run exits 2."""
+    good = (CORPUS / "xc_eq_c.sig").read_text(encoding="utf-8")
+    (tmp_path / "a.sig").write_text(good)
+    (tmp_path / "b.sig").write_text(re.sub(r":bound \d+", ":bound 0", good))
+    (tmp_path / "c.sig").write_text(good)
+    status, out = run_command(["corpus", "run", "--dir", str(tmp_path)])
+    assert status == 2
+    lines = out.splitlines()
+    assert lines[0] == lines[2].replace("c.sig", "a.sig") == "a.sig: expect solvable :bound 4 -> solved [ok]"
+    assert re.fullmatch(r"b\.sig: error: \d+:\d+: bound must be at least 1", lines[1])
+    assert lines[3] == "corpus: 3 files, 2 annotated, all as annotated; 1 failed with an error"
 
 
 # --- fuel environment variable ---

@@ -34,6 +34,7 @@ from lamsig import (
     decide_small_lambda,
     enumerate_simple_terms,
     is_simple_subst,
+    normalize_graft,
     normalize_lambda_sigma,
     normalize_sigma,
     precook,
@@ -485,8 +486,8 @@ def head_filter_problems():
 def unvalidated_search(p, cfg):
     """The search loop of solve_sigma or decide_small_lambda, without
     their validation."""
-    normalize = normalize_sigma if p.mode is EqMode.SIGMA_ONLY else normalize_lambda_sigma
-    return solver._product_search(p, cfg, normalize)
+    instantiate = solver._sigma_instance if p.mode is EqMode.SIGMA_ONLY else normalize_graft
+    return solver._product_search(p, cfg, instantiate)
 
 
 def differential_cases():
@@ -688,24 +689,32 @@ def test_instance_heads_match_the_normal_form():
 
 
 def counting_grafts(monkeypatch) -> Counter:
-    """Count the search's grafts per grafted term: the calls of graft with
-    an assignment, a plain dict, and not those of a hit's check, which
-    grafts a MetaSubst."""
+    """Count the search's grafts per grafted term: the calls of graft, and
+    of normalize_graft, the lambda-side search's instances, with a
+    non-empty assignment, a plain dict.  The two sides, normalized with
+    nothing bound, and a hit's check, which grafts a MetaSubst, are not
+    counted."""
     grafts: Counter = Counter()
 
-    def counting(theta, t):
-        if type(theta) is dict:
-            grafts[t] += 1
-        return graft(theta, t)
+    def counting(original):
+        def count(theta, t, *args):
+            if type(theta) is dict and theta:
+                grafts[t] += 1
+            return original(theta, t, *args)
 
-    monkeypatch.setattr(solver, "graft", counting)
+        return count
+
+    monkeypatch.setattr(solver, "graft", counting(graft))
+    monkeypatch.setattr(solver, "normalize_graft", counting(normalize_graft))
     return grafts
 
 
 def test_pruned_candidates_are_never_grafted(monkeypatch):
     """X c = f (f c) at bound 6: the flex part is grafted once for each
     candidate up to the first hit whose instance has f's head and one
-    argument, and never for the candidates the filter drops."""
+    argument, and never for the candidates the filter drops.  The
+    lambda-side search grafts through normalize_graft, the
+    substitution-only one through graft."""
     ctx = (iota, ii)
     c, f = Index(1), Index(2)
     p = lp(ctx, {"X": Sort(ctx, ii)}, App(Meta("X"), c), App(f, App(f, c)))

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from lamsig import (
     build_lifting_subst,
     check_graft_agreement,
     check_solution,
+    enumerate_simple_terms,
     lift_solution,
     precook,
     project_solution,
@@ -40,12 +42,12 @@ from lamsig import (
     validate_problem,
     validate_reduced_problem,
 )
-from lamsig import solver, transform
-from lamsig.rewrite import normalize_lambda_sigma
+from lamsig import rewrite, solver, transform
+from lamsig.rewrite import normalize_graft, normalize_lambda_sigma
 from lamsig.sorts import equation_type, render_type
 from lamsig.solver import SearchConfig, decide_small_lambda
 from lamsig.surface import parse_problem
-from lamsig.terms import graft
+from lamsig.terms import free_metavars, graft
 
 iota = Base("iota")
 ii = Arrow(iota, iota)
@@ -317,19 +319,102 @@ def test_reduce_matches_the_three_pass_reference():
         assert (target.lhs, target.rhs, cert.var_map, target.metavars) == three_pass_reduction(p), name
 
 
+def higher_order_redex_problem():
+    """(lam f. f c) X = c: a valid side with a higher-order redex of its
+    own, which no graft site contracts."""
+    ctx = (iota,)
+    return lp(ctx, {"X": Sort(ctx, ii)}, App(Lam(App(Index(1), Index(2))), Meta("X")), Index(1))
+
+
+def closure_side_problem():
+    """X = c[c . ^0]: valid, with a side that closes over a substitution
+    and holds no unknown, so no graft changes it."""
+    ctx = (iota,)
+    return lp(ctx, {"X": Sort(ctx, iota)}, Meta("X"), Closure(Index(1), Cons(Index(1), Shift(0))))
+
+
+def graft_cases(p):
+    """(theta, t) pairs for normalize_graft on p: each side with nothing
+    bound and with the lifting substitution, and each flex part of the
+    sides' normal forms under every assignment of its unknowns' candidates
+    up to bound 4."""
+    lifting = build_lifting_subst(p)[0]
+    for theta in ({}, lifting):
+        yield theta, p.lhs
+        yield theta, p.rhs
+    cfg = SearchConfig(size_bound=4)
+    flex = solver._decompose(normalize_lambda_sigma(p.lhs), normalize_lambda_sigma(p.rhs), p.mode)
+    for part in itertools.chain.from_iterable(flex or ()):
+        names = [x for x in p.metavars if x in free_metavars(part)]
+        streams = [enumerate_simple_terms(p.metavars[x], {}, cfg) for x in names]
+        for combo in itertools.product(*streams):
+            yield dict(zip(names, combo)), part
+
+
+def test_normalize_graft_matches_the_stepper(monkeypatch):
+    """normalize_graft(theta, t) is normalize_lambda_sigma(graft(theta, t))
+    on the 519 sources, on a side with a higher-order redex of its own and
+    on a side with a closure.  Only the redex leaves an applied binder
+    after the graft site's Beta and the substitution rules, so the stepper
+    runs there and on none of the others."""
+    stepper = rewrite.normalize_lambda_sigma
+    stepped = []
+    monkeypatch.setattr(rewrite, "normalize_lambda_sigma",
+                        lambda t, fuel: stepped.append(t) or stepper(t, fuel))
+    ho = higher_order_redex_problem()
+    assert validate_problem(ho).ok
+    fallbacks = []
+    compared = 0
+    extra = [("higher-order redex", ho), ("closure side", closure_side_problem())]
+    for name, p in lambda_sigma_sources() + extra:
+        stepped.clear()
+        for theta, t in graft_cases(p):
+            assert normalize_graft(theta, t) == stepper(graft(theta, t)), (name, theta, t)
+            compared += 1
+        if stepped:
+            fallbacks.append(name)
+    assert compared > 2500
+    assert fallbacks == ["higher-order redex"]
+    stepped.clear()
+    normalize_graft(build_lifting_subst(ho)[0], ho.lhs)
+    assert len(stepped) == 1
+    cert = reduce_problem(ho)
+    assert (cert.target.lhs, cert.target.rhs, cert.var_map, cert.target.metavars) == three_pass_reduction(ho)
+
+
+def test_reduce_rejects_a_closure_in_a_side():
+    """A valid problem may close a side over a substitution, but reduction
+    takes closure-free sides, as precooking does, whether or not the side
+    holds an unknown."""
+    ctx = (iota,)
+    closure = closure_side_problem().rhs
+    X = Meta("X")
+    cases = [
+        (X, closure, ctx),
+        (closure, X, ctx),
+        (App(Lam(X), closure), Index(1), (iota,) + ctx),  # X declared under the binder
+    ]
+    for lhs, rhs, x_ctx in cases:
+        p = lp(ctx, {"X": Sort(x_ctx, iota)}, lhs, rhs)
+        assert validate_problem(p).ok, (lhs, rhs)
+        with pytest.raises(ValueError, match="^precooking requires closure-free sides$"):
+            reduce_problem(p)
+
+
 def test_no_precooking_in_the_verdicts_and_one_walk_in_reduce(monkeypatch):
     """decide_small_lambda, its product search and check_solution read a
     valid problem's sides as written, with no precooking walk however many
-    hits they check; reduce_problem builds its target in one walk, with no
-    graft and no MetaSubst."""
+    hits they check; reduce_problem builds its target with one
+    normalize_graft per side, grafting the lifting images, with no
+    precooking walk, no graft and no MetaSubst."""
     walks = []
     walk = transform._cook
-    monkeypatch.setattr(transform, "_cook", lambda p, images: walks.append(images) or walk(p, images))
+    monkeypatch.setattr(transform, "_cook", lambda p: walks.append(p) or walk(p))
     p = parse_problem((CORPUS / "two_var_cross.sig").read_text(encoding="utf-8")).problem
     cfg = SearchConfig(find_all=True, max_solutions=3)
     out = decide_small_lambda(p, cfg)
     assert isinstance(out, Solved) and len(out.solutions) == 3
-    assert solver._product_search(p, cfg, normalize_lambda_sigma) == out
+    assert solver._product_search(p, cfg, normalize_graft) == out
     assert all(check_solution(p, theta) for theta in out.solutions)
     assert walks == []
 
@@ -342,9 +427,13 @@ def test_no_precooking_in_the_verdicts_and_one_walk_in_reduce(monkeypatch):
         for name in ("graft", "MetaSubst"):
             if module_name.split(".")[0] == "lamsig" and hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden(name))
-    walks.clear()
+    grafted = []
+    monkeypatch.setattr(transform, "normalize_graft",
+                        lambda theta, t, fuel: grafted.append((theta, t)) or normalize_graft(theta, t, fuel))
     cert = reduce_problem(p)
-    assert calls == [] and walks == [build_lifting_subst(p)[0]]
+    assert calls == [] and walks == []
+    lifting = build_lifting_subst(p)[0]
+    assert grafted == [(lifting, p.lhs), (lifting, p.rhs)]
     assert cert.target.lhs == three_pass_reduction(p)[0]
 
 
