@@ -280,21 +280,21 @@ def _describe(err: Exception) -> str:
 
 
 def _corpus_files(directory: str | None) -> list[tuple[str, str]]:
-    """Name and text of each `.sig` file in directory (the bundled corpus if
-    None) by name; a directory that cannot be listed has none."""
+    """Name and path of each `.sig` entry in directory (the bundled corpus
+    if None) by name; a directory that cannot be listed has none."""
     if directory is None:
         directory = os.path.join(os.path.dirname(__file__), "corpus")
     try:
         names = sorted(name for name in os.listdir(directory) if name.endswith(".sig"))
     except OSError:
         names = []
-    return [(name, _file(os.path.join(directory, name))) for name in names]
+    return [(name, os.path.join(directory, name)) for name in names]
 
 
 def _cmd_corpus(args) -> int:
-    """Check each file's annotation.  A file that fails with an input error
-    is named with the error and the run goes on; the exit status is then
-    2."""
+    """Check each file's annotation.  A file that cannot be read or fails
+    with an input error is named with the error and the run goes on; the
+    exit status is then 2."""
     fuel = _fuel(args)
     files = _corpus_files(args.dir)
     if not files:
@@ -302,15 +302,15 @@ def _cmd_corpus(args) -> int:
     all_ok = True
     checked = 0
     failed = 0
-    for name, text in files:
+    for name, path in files:
         try:
-            pf = parse_problem(text)
+            pf = _load(path)
             if pf.expect is None:
                 print(f"{name}: no annotation, skipped")
                 continue
             cfg = SearchConfig(size_bound=pf.expect.bound, fuel=fuel, find_all=False)
             solved = isinstance(_search(pf.problem, cfg), Solved)
-        except _INPUT_ERRORS as err:
+        except (UsageError, *_INPUT_ERRORS) as err:
             print(f"{name}: error: {_describe(err)}")
             failed += 1
             continue

@@ -30,20 +30,23 @@ Two engines compute normal forms:
 * The stepper contracts one redex at a time, at the position a strategy
   picks, and its fuel counts steps.  It stays where the product is a
   step-by-step trace: ``step``, ``contract_at``, ``normalize_traced``,
-  ``replay_trace`` and ``lamsig normalize --trace``.  It also computes
-  ``normalize_lambda_sigma``, and so ``lambda_sigma_equal`` and the
-  solution checks that rest on it: typed lambda-sigma is not strongly
-  normalizing (Melliès, TLCA 1995), so Beta needs a termination argument of
-  its own before it moves to an evaluator.  The stepper runs its input
-  through shift canonicalization once, up front.
+  ``replay_trace`` and ``lamsig normalize --trace``.  A trace runs its
+  input through shift canonicalization once, up front, and starts from
+  the canonical term.  The stepper also contracts the Beta redexes of
+  ``normalize_lambda_sigma``: typed lambda-sigma is not strongly
+  normalizing (Melliès, TLCA 1995), so Beta needs a termination argument
+  of its own before it moves to an evaluator.
 
+Lambda-sigma with EtaConsShift is confluent on terms whose unknowns stand
+for terms (Curien, Hardin and Lévy, JACM 1996), so any order of
+substitution and Beta steps reaches the same normal form.  Two entry
+points rest on that.  ``normalize_lambda_sigma`` runs ``normalize_sigma``
+first and the stepper on its result, which is already shift-canonical.
 ``normalize_graft`` serves the grafts of the reduction and of the
-lambda-side search.  It contracts Beta only where grafting puts a binder
-in front of arguments, hands the rest to ``normalize_sigma``, and runs the
-stepper only on a normal form that still holds an applied binder, which
-takes a higher-order redex of the input's own.  Lambda-sigma with
-EtaConsShift is confluent on terms whose unknowns stand for terms (Curien,
-Hardin and Lévy, JACM 1996), so it reaches the stepper's normal form.
+lambda-side search: it contracts Beta only where grafting puts a binder in
+front of arguments, hands the rest to ``normalize_sigma``, and runs
+``normalize_lambda_sigma`` only on a normal form that still holds an
+applied binder, which takes a higher-order redex of the input's own.
 
 Stepping rests on one invariant: a contraction at path p changes only the
 subtree at p and the ancestors of p, and every other node keeps its path.
@@ -59,23 +62,6 @@ one exception is the literal EtaConsShift form 1[s] . (^1 o s), which
 compares whole subtrees and so can appear or vanish at a cons through a
 change any depth below it.  Both strategies produce the steps a fresh scan
 of each intermediate term would.
-
-Only a trace reads the intermediate terms, so the leftmost scan without
-one rebuilds an ancestor only when its next decision reads it: the parent,
-which is tested again, the compositions that merge into a shift, which
-move the scan, and a cons ancestor that could have become a redex.  Every
-other ancestor is rebuilt once, when the scan climbs out of it, and the
-root at the end.  A cons above the parent can have become a redex only if
-it already has the literal shape 1[_] . (^1 o _) before its rebuild, for
-two reasons.  First, the ancestors on the scan's path are never redexes:
-anything above the focus would have been contracted first, and the retest
-keeps that true.  So a closure ancestor's body and a composition
-ancestor's first half are leaves (a compound one makes a redex), and the
-path goes through the other child.  Second, rebuilding an ancestor above
-the parent keeps its constructor.  The parts of the shape, a closure head
-over index 1 and a composition tail after ^1, are therefore the same
-before and after the rebuild, and so is the absence of the second form,
-which needs two leaf children on a node the path goes through.
 """
 
 from __future__ import annotations
@@ -338,16 +324,15 @@ def _collect_redexes(node: Term | Subst, beta: bool, path: Path, acc: list[Path]
             stack.append((kids[i], path + (i,)))
 
 
-# Each step yields the new term (None when the scan builds no root), the
-# path (None unless asked for) and the rule; the finished scan returns the
-# normal form.
-Steps = Generator[tuple[Term | None, Path | None, RuleId], None, Term]
+# Each step yields the new term, the path and the rule; the finished scan
+# returns the normal form.
+Steps = Generator[tuple[Term, Path, RuleId], None, Term]
 
 
-def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
+def _leftmost(t: Term, beta: bool) -> Steps:
     """Contract the redexes of t in leftmost-outermost order, yielding the
-    new term and the path (both None unless paths is set) and the rule of
-    each step, and returning the normal form.
+    new term, the path and the rule of each step, and returning the normal
+    form.
 
     One pre-order scan serves every step.  After a contraction at p,
     everything left of p is unchanged and still redex-free, so the next
@@ -357,21 +342,9 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
     one (see the module docstring).  When p sat under compositions that
     merged into a shift, the changed subtree is the highest of them and the
     scan resumes there, because the nodes below it are gone.
-
-    A contraction rebuilds only the parent of the changed subtree, which
-    the retest reads, and the compositions that merge into a shift on the
-    way to it.  The ancestors above the parent are stale: each still holds
-    its child on the path as it was.  A stale ancestor is rebuilt when the
-    scan climbs out of its child; or, with everything below it, when it is
-    a cons that already has the literal EtaConsShift shape and so is to be
-    tested; or at every step when paths is set, because the trace records
-    each intermediate term.  A stale cons without that shape is skipped: it
-    cannot have become a redex, since the rebuild keeps its children's
-    constructors and the leaves the shape reads (see the module docstring).
     """
     parents: list = []  # ancestors of node, root first
     idx: list[int] = []  # the child of each ancestor that the path takes
-    stale = 0  # parents[:stale] are stale
     node = t
     hit = _rule_at(node, beta)
     while True:
@@ -386,12 +359,8 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
                     if not parents:
                         return node
                     k = len(parents) - 1
-                    parent = parents[k]
-                    if k < stale:  # node is the child it still lacks
-                        parent = parents[k] = _rebuild(parent, idx[k], node)
-                        stale = k
                     i = idx[k] + 1
-                    kids = children(parent)
+                    kids = children(parents[k])
                     if i < len(kids):
                         idx[k] = i
                         node = kids[i]
@@ -399,33 +368,16 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
                     node = parents.pop()
                     idx.pop()
             hit = _rule_at(node, beta)
-        rule, node = hit
-        path = tuple(idx) if paths else None
-        # Rebuild the parent, climbing while it is a composition that _comp
-        # merges into a shift: the merged node is the changed subtree.
-        k = len(parents) - 1
-        while k >= 0:
-            rebuilt = _rebuild(parents[k], idx[k], node)
-            if type(rebuilt) is not Shift:  # only a Comp can rebuild to one
-                parents[k] = rebuilt
-                break
-            node = rebuilt
-            k -= 1
-        del parents[k + 1 :], idx[k + 1 :]
-        stale = max(k, 0)
-        if paths:
-            _refresh(parents, idx, stale, 0)
-            stale = 0
-        yield (parents[0] if parents else node) if paths else None, path, rule
+        rule, new = hit
+        path = tuple(idx)
+        root, depth = _replace(parents, idx, new)
+        node = parents[depth] if depth < len(parents) else new
+        del parents[depth:], idx[depth:]
+        yield root, path, rule
         last = len(parents) - 1
         for k, ancestor in enumerate(parents):
-            if k < last:
-                if type(ancestor) is not Cons or not _eta_shaped(ancestor):
-                    continue
-                if k < stale:
-                    _refresh(parents, idx, stale, k)
-                    stale = k
-                    ancestor = parents[k]
+            if k < last and type(ancestor) is not Cons:
+                continue
             hit = _rule_at(ancestor, beta)
             if hit is not None:
                 node = ancestor
@@ -435,16 +387,9 @@ def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
             hit = _rule_at(node, beta)
 
 
-def _refresh(parents: list, idx: list[int], stale: int, k: int) -> None:
-    """Rebuild the stale ancestors parents[k:stale] bottom-up, each around
-    the one below it; parents[stale] is up to date."""
-    for j in range(stale - 1, k - 1, -1):
-        parents[j] = _rebuild(parents[j], idx[j], parents[j + 1])
-
-
 def _randomized(t: Term, beta: bool, strategy: RandomizedPosition) -> Steps:
     """Contract a redex drawn by strategy until none is left, yielding and
-    returning as _leftmost does with paths set.
+    returning as _leftmost does.
 
     The redex paths are kept sorted, which for tuples is pre-order.  After a
     contraction only the changed subtree's slice of paths is collected
@@ -481,10 +426,10 @@ def _randomized(t: Term, beta: bool, strategy: RandomizedPosition) -> Steps:
     return root
 
 
-def _steps(t: Term, ruleset: EqMode, strategy: Strategy, paths: bool) -> Steps:
+def _steps(t: Term, ruleset: EqMode, strategy: Strategy) -> Steps:
     beta = ruleset is EqMode.LAMBDA_SIGMA
     if isinstance(strategy, LeftmostOutermost):
-        return _leftmost(t, beta, paths)
+        return _leftmost(t, beta)
     return _randomized(t, beta, strategy)
 
 
@@ -508,7 +453,7 @@ def step(
     The caller is responsible for t being sort-checked; rule application
     itself is purely syntactic.
     """
-    return next(_steps(t, ruleset, strategy, True), None)
+    return next(_steps(t, ruleset, strategy), None)
 
 
 # --- the substitution-only evaluator ------------------------------------------
@@ -693,10 +638,9 @@ def _normalize(
     fuel: int,
     trace: RewriteTrace | None,
 ) -> Term:
-    current = canonicalize_shifts(t)
-    if trace is not None:
-        trace.initial = current
-    steps = _steps(current, ruleset, strategy, trace is not None)
+    """Run the stepper on t to a normal form, spending at most fuel steps
+    and recording each in trace when one is given."""
+    steps = _steps(t, ruleset, strategy)
     spent = 0
     while True:
         try:
@@ -713,10 +657,15 @@ def _normalize(
 def normalize_lambda_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     """Normal form of t under Beta plus the substitution rules.
 
-    The term should sort-check: untyped terms need not terminate, and then
-    only the fuel bound stops the run.
+    normalize_sigma runs first, and the stepper contracts what is left of
+    Beta on its normal form, which is shift-canonical; by confluence this
+    is the normal form of any lambda-sigma strategy.  Fuel bounds the
+    evaluator's rule instances and, counted apart, the stepper's steps, and
+    FuelExhausted names the count that ran out.  The term should
+    sort-check: untyped terms need not terminate, and then only the fuel
+    bound stops the run.
     """
-    return _normalize(t, EqMode.LAMBDA_SIGMA, LEFTMOST_OUTERMOST, fuel, None)
+    return _normalize(normalize_sigma(t, fuel), EqMode.LAMBDA_SIGMA, LEFTMOST_OUTERMOST, fuel, None)
 
 
 def normalize_graft(theta: Mapping[str, Term], t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -731,10 +680,11 @@ def normalize_graft(theta: Mapping[str, Term], t: Term, fuel: int = DEFAULT_FUEL
     applied to the arguments of the unknown it replaces thus becomes the
     closure Y[a_m ... a_1 . ^0], and normalize_sigma finishes.  Only when
     that normal form still holds an applied binder, which takes a
-    higher-order redex of t's own such as (lam f. f c) X, does the stepper
-    run on it.  Each phase is a lambda-sigma strategy on any input, so by
-    confluence the result is normalize_lambda_sigma(graft(theta, t)); fuel
-    bounds the evaluator's rule instances and, apart, the stepper's steps.
+    higher-order redex of t's own such as (lam f. f c) X, does
+    normalize_lambda_sigma run on it.  Each phase is a lambda-sigma
+    strategy on any input, so by confluence the result is
+    normalize_lambda_sigma(graft(theta, t)); fuel bounds the evaluator's
+    rule instances and, apart, the stepper's steps.
     The result is normalized even when nothing is grafted.
     """
 
@@ -768,8 +718,8 @@ def normalize_traced(
     strategy: Strategy = LEFTMOST_OUTERMOST,
     fuel: int = DEFAULT_FUEL,
 ) -> tuple[Term, RewriteTrace]:
-    trace = RewriteTrace(initial=t)
-    normal = _normalize(t, ruleset, strategy, fuel, trace)
+    trace = RewriteTrace(initial=canonicalize_shifts(t))
+    normal = _normalize(trace.initial, ruleset, strategy, fuel, trace)
     return normal, trace
 
 

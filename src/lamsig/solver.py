@@ -24,10 +24,11 @@ compared as it is, so a matching problem, with one ground side, needs no
 search of its own.  solve_sigma runs the search with the
 substitution rules, decide_small_lambda with Beta added, its instances
 built by rewrite.normalize_graft; each hit gets every check of
-check_solution, on the stepper.  Every verdict validates the problem first
-and reads its sides as written: a valid problem is its own precooked form
-(see transform.precook).  That keeps the trusted core small enough for the
-transfer properties to be checked against it, not through it.
+check_solution, through normalize_lambda_sigma.  Every verdict validates
+the problem first and reads its sides as written: a valid problem is its
+own precooked form (see transform.precook).  That keeps the trusted core
+small enough for the transfer properties to be checked against it, not
+through it.
 """
 
 from __future__ import annotations
@@ -554,8 +555,9 @@ def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> S
     instances are normalized by normalize_graft, which contracts Beta where
     a candidate's binders meet the unknown's arguments and falls back to
     the stepper only on a higher-order redex of a side's own; each hit is
-    checked again on the stepper.  The candidates need no per-assignment
-    checks: enumeration yields only well-sorted, simple, normal terms.
+    checked again through normalize_lambda_sigma.  The candidates need no
+    per-assignment checks: enumeration yields only well-sorted, simple,
+    normal terms.
     Nothing here goes through the reduction machinery, so transfer results
     can be checked against it.
     """

@@ -88,10 +88,17 @@ def test_unwritable_output_exits_two(tmp_path):
 
 
 def test_unreadable_corpus_entry_exits_two(tmp_path):
+    """An entry that cannot be read is named with the error, the other
+    files are still checked, and the run exits 2."""
+    (tmp_path / "a.sig").write_text((CORPUS / "xc_eq_c.sig").read_text(encoding="utf-8"))
     (tmp_path / "x.sig").mkdir()
     status, out = run_command(["corpus", "run", "--dir", str(tmp_path)])
     assert status == 2
-    assert out == f"usage error: cannot read {tmp_path / 'x.sig'}: Is a directory\n"
+    assert out == (
+        "a.sig: expect solvable :bound 4 -> solved [ok]\n"
+        f"x.sig: error: cannot read {tmp_path / 'x.sig'}: Is a directory\n"
+        "corpus: 2 files, 1 annotated, all as annotated; 1 failed with an error\n"
+    )
 
 
 CLOSURE_SIDE = (

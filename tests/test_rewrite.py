@@ -165,8 +165,9 @@ def test_sigma_equal_shift_chains():
 def test_fuel_exhausted_raises():
     # needs two steps; the message names what each engine's fuel counts
     t = Closure(Lam(Index(1)), Shift(1))
-    with pytest.raises(FuelExhausted, match="^no normal form within 1 rule instances$"):
-        normalize_sigma(t, fuel=1)
+    for engine in (normalize_sigma, normalize_lambda_sigma):
+        with pytest.raises(FuelExhausted, match="^no normal form within 1 rule instances$"):
+            engine(t, fuel=1)
     for ruleset in EqMode:
         with pytest.raises(FuelExhausted, match="^no normal form within 1 rewrite steps$"):
             normalize_traced(t, ruleset, fuel=1)
@@ -357,14 +358,10 @@ def rescanning_steps(t, beta, strategy):
 
 
 def untraced_agrees(t):
-    """normalize_lambda_sigma reaches the traced normal form in exactly as
-    many steps; returns that normal form."""
-    nf, trace = normalize_traced(t, EqMode.LAMBDA_SIGMA)
-    n = len(trace.steps)
-    assert normalize_lambda_sigma(t, n) == nf
-    if n:
-        with pytest.raises(FuelExhausted, match="rewrite steps"):
-            normalize_lambda_sigma(t, n - 1)
+    """normalize_lambda_sigma reaches the traced normal form; returns that
+    normal form."""
+    nf = normalize_traced(t, EqMode.LAMBDA_SIGMA)[0]
+    assert normalize_lambda_sigma(t) == nf
     return nf
 
 
@@ -387,16 +384,11 @@ def test_resumed_scan_matches_rescanning_reference(mode):
             got = [(s.path, s.rule, s.result) for s in trace.steps]
             assert got == expected, seed
             assert nf == (expected[-1][2] if expected else start), seed
-            untraced = beta and make() is LEFTMOST_OUTERMOST
-            if untraced:
+            if beta and make() is LEFTMOST_OUTERMOST:
                 assert normalize_lambda_sigma(t) == nf, seed
             if seed >= 300 or not expected:
                 continue
             n = len(expected)
-            if untraced:
-                with pytest.raises(FuelExhausted, match="rewrite steps"):
-                    normalize_lambda_sigma(t, n - 1)
-                assert normalize_lambda_sigma(t, n) == nf, seed
             for fuel in (n - 1, n, n + 1):
                 if fuel < n:
                     with pytest.raises(FuelExhausted) as exc:
@@ -580,20 +572,22 @@ def test_evaluator_matches_stepper_and_denotation():
 
 def test_evaluator_fuel_is_monotone():
     """Once a fuel budget suffices, every larger one gives the same normal
-    form; below it, every budget raises."""
-    for seed in range(300):
-        ctx, m, t, ty = gen_checked_term(seed)
-        nf = normalize_sigma(t)
-        enough = False
-        for fuel in range(1, 100):
-            try:
-                got = normalize_sigma(t, fuel)
-            except FuelExhausted as exc:
-                assert not enough and exc.fuel == fuel, (seed, fuel)
-                continue
-            assert got == nf, (seed, fuel)
-            enough = True
-        assert enough, seed
+    form; below it, every budget raises.  normalize_lambda_sigma bounds its
+    evaluator's rule instances and its stepper's steps by the same fuel."""
+    for engine, most in ((normalize_sigma, 100), (normalize_lambda_sigma, 600)):
+        for seed in range(300):
+            ctx, m, t, ty = gen_checked_term(seed)
+            nf = engine(t)
+            enough = False
+            for fuel in range(1, most):
+                try:
+                    got = engine(t, fuel)
+                except FuelExhausted as exc:
+                    assert not enough and exc.fuel == fuel, (engine, seed, fuel)
+                    continue
+                assert got == nf, (engine, seed, fuel)
+                enough = True
+            assert enough, (engine, seed)
 
 
 def peel(t, layers):
