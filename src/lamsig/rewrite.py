@@ -32,21 +32,22 @@ Two engines compute normal forms:
   step-by-step trace: ``step``, ``contract_at``, ``normalize_traced``,
   ``replay_trace`` and ``lamsig normalize --trace``.  A trace runs its
   input through shift canonicalization once, up front, and starts from
-  the canonical term.  The stepper also contracts the Beta redexes of
-  ``normalize_lambda_sigma``: typed lambda-sigma is not strongly
-  normalizing (Melliès, TLCA 1995), so Beta needs a termination argument
-  of its own before it moves to an evaluator.
+  the canonical term.  The stepper also contracts the Beta redexes the
+  evaluator leaves: typed lambda-sigma is not strongly normalizing
+  (Melliès, TLCA 1995), so Beta needs a termination argument of its own
+  before it moves to an evaluator.
 
 Lambda-sigma with EtaConsShift is confluent on terms whose unknowns stand
 for terms (Curien, Hardin and Lévy, JACM 1996), so any order of
 substitution and Beta steps reaches the same normal form.  Two entry
-points rest on that.  ``normalize_lambda_sigma`` runs ``normalize_sigma``
-first and the stepper on its result, which is already shift-canonical.
-``normalize_graft`` serves the grafts of the reduction and of the
-lambda-side search: it contracts Beta only where grafting puts a binder in
-front of arguments, hands the rest to ``normalize_sigma``, and runs
-``normalize_lambda_sigma`` only on a normal form that still holds an
-applied binder, which takes a higher-order redex of the input's own.
+points rest on that, and both run the stepper only when the evaluator
+reports that it built an application of a binder: a substitution-normal
+term without one is normal under Beta too.  ``normalize_lambda_sigma``
+runs the evaluator on its input.  ``normalize_graft`` serves the grafts of
+both searches and of the reduction, and grafts inside the evaluator's
+pass: a bound unknown's binding is read where the unknown sits, and with
+Beta a spine headed by a grafted binder is contracted where the binder
+meets its arguments, so no separate walk grafts, contracts or scans.
 
 Stepping rests on one invariant: a contraction at path p changes only the
 subtree at p and the ancestors of p, and every other node keeps its path.
@@ -87,7 +88,6 @@ from .terms import (
     canonicalize_shifts,
     children,
     rebuild,
-    subterms,
 )
 
 DEFAULT_FUEL = 1_000_000
@@ -326,13 +326,14 @@ def _collect_redexes(node: Term | Subst, beta: bool, path: Path, acc: list[Path]
 
 # Each step yields the new term, the path and the rule; the finished scan
 # returns the normal form.
-Steps = Generator[tuple[Term, Path, RuleId], None, Term]
+Steps = Generator[tuple[Term, Path | None, RuleId], None, Term]
 
 
-def _leftmost(t: Term, beta: bool) -> Steps:
+def _leftmost(t: Term, beta: bool, paths: bool) -> Steps:
     """Contract the redexes of t in leftmost-outermost order, yielding the
     new term, the path and the rule of each step, and returning the normal
-    form.
+    form.  Without paths every step yields None for its path, which only
+    step and traces keep.
 
     One pre-order scan serves every step.  After a contraction at p,
     everything left of p is unchanged and still redex-free, so the next
@@ -369,7 +370,7 @@ def _leftmost(t: Term, beta: bool) -> Steps:
                     idx.pop()
             hit = _rule_at(node, beta)
         rule, new = hit
-        path = tuple(idx)
+        path = tuple(idx) if paths else None
         root, depth = _replace(parents, idx, new)
         node = parents[depth] if depth < len(parents) else new
         del parents[depth:], idx[depth:]
@@ -426,10 +427,10 @@ def _randomized(t: Term, beta: bool, strategy: RandomizedPosition) -> Steps:
     return root
 
 
-def _steps(t: Term, ruleset: EqMode, strategy: Strategy) -> Steps:
+def _steps(t: Term, ruleset: EqMode, strategy: Strategy, paths: bool = True) -> Steps:
     beta = ruleset is EqMode.LAMBDA_SIGMA
     if isinstance(strategy, LeftmostOutermost):
-        return _leftmost(t, beta)
+        return _leftmost(t, beta, paths)
     return _randomized(t, beta, strategy)
 
 
@@ -458,23 +459,9 @@ def step(
 
 # --- the substitution-only evaluator ------------------------------------------
 
-# The evaluator's instructions.  Each sits on its work stack as a tuple
-# (op, node, s, m); every finished normal form goes on its value stack.
-# _EVAL and _SUBST read (s, m) as the environment ⇑^m(s): m binders lifted
-# over s, a normal substitution other than the identity, or s = None for
-# the identity.  _CLOSE and _THEN take the value on top as the environment
-# of their node, a closure's body or a composition's first half; the other
-# instructions combine values, and _LIFTS keeps its lowest index in the
-# node slot.
-_EVAL, _SUBST, _APP, _LAM, _CLOSE, _META, _CONS, _THEN, _LIFTS = range(9)
-
 _IDENTITY = Shift(0)
+_NO_BINDINGS: dict[str, Term] = {}  # the plain passes graft nothing
 _EVAL_UNIT = "rule instances"  # what the evaluator's fuel counts
-
-
-def _env(s: Subst) -> Subst | None:
-    """A normal substitution as an environment: None for the identity."""
-    return None if type(s) is Shift and s.k == 0 else s
 
 
 def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -496,32 +483,86 @@ def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     lookup and each cons cell a lookup or a shift skips.  Nothing is
     charged under the identity, where no rule applies.
     """
+    return _evaluate(t, fuel, _NO_BINDINGS, False, False)[0]
+
+
+def _evaluate(
+    t: Term, fuel: int, theta: Mapping[str, Term], beta: bool, flag: bool = True
+) -> tuple[Term, bool]:
+    """normalize_sigma's pass over graft(theta, t), and whether it built an
+    application of a binder.
+
+    A bound unknown, bare or under a closure, is read from theta where it
+    sits, and its binding is evaluated in the environment there.  That is
+    what the pass does to the binding after a literal graft, so the rule
+    instances, and the fuel, are the same.  With beta, an application
+    spine whose head, read through theta, is a binder or a closure over
+    one is first contracted as the graft would contract it (see
+    _graft_site).  A normal value that the pass evaluates again under a
+    shift, an environment entry, is no graft site, as the literal graft
+    contracts nothing the pass builds: contraction is off until that
+    value is done.  The lookup sits in the branches that reach an
+    unknown, and the contraction in the App branches, behind beta.  The
+    bindings are taken as grafted: none mentions an unknown theta binds,
+    and with beta none holds a spine headed by a binder or a closure over
+    one, as no candidate and no lifting image does.
+
+    With flag, the flag is set whenever an application of a binder is
+    built, so the normal form is normal under Beta too unless it is set;
+    without, it stays False and costs nothing.  It can be set without one
+    left: an application built inside a cons entry that no lookup reaches
+    is dropped with the entry.  Only a cons in t or in a binding, or a
+    graft site's arguments, make such entries, since the entries the pass
+    itself lifts are indices.
+    """
+    # The instructions, local because the loop reads one or more on every
+    # turn.  Each sits on the work stack as a tuple (op, node, s, m);
+    # every finished normal form goes on the value stack.  EVAL and SUBST
+    # read (s, m) as the environment ⇑^m(s): m binders lifted over s, a
+    # normal substitution other than the identity, or s = None for the
+    # identity.  CLOSE and THEN take the value on top as the environment of
+    # their node, a closure's body or a composition's first half; the other
+    # instructions combine values, and LIFTS keeps its lowest index in the
+    # node slot.  BETA turns graft-site contraction back on once a normal
+    # value, which the pass evaluates again under a shift, is done.
+    EVAL, SUBST, APP, LAM, CLOSE, META, CONS, THEN, LIFTS, BETA = range(10)
     spent = 0
-    todo: list = [(_EVAL, t, None, 0)]
+    applied = False
+    todo: list = [(EVAL, t, None, 0)]
     done: list = []
     push = todo.append
     out = done.append
     while todo:
         op, x, s, m = todo.pop()
-        if op == _EVAL:
+        if op == EVAL:
             tp = type(x)
             if s is None:
                 if tp is App:
-                    push((_APP, x, None, 0))
-                    push((_EVAL, x.arg, None, 0))
-                    push((_EVAL, x.fun, None, 0))
+                    if beta:
+                        contracted = _graft_site(x, theta)
+                        if contracted is not None:
+                            push((EVAL, contracted, None, 0))
+                            continue
+                    push((APP, x, None, 0))
+                    push((EVAL, x.arg, None, 0))
+                    push((EVAL, x.fun, None, 0))
                 elif tp is Lam:
-                    push((_LAM, x, None, 0))
-                    push((_EVAL, x.body, None, 0))
+                    push((LAM, x, None, 0))
+                    push((EVAL, x.body, None, 0))
                 elif tp is Closure:
-                    push((_CLOSE, x.body, None, 0))
-                    push((_SUBST, x.subst, None, 0))
+                    push((CLOSE, x.body, None, 0))
+                    push((SUBST, x.subst, None, 0))
+                elif tp is Meta and x.name in theta:
+                    push((EVAL, theta[x.name], None, 0))
                 else:
                     out(x)
                 continue
-            if tp is Meta:  # inert; its closure is ⇑^m(s) written out
-                push((_META, x, None, 0))
-                push((_SUBST, _IDENTITY, s, m))
+            if tp is Meta:
+                if x.name in theta:
+                    push((EVAL, theta[x.name], s, m))
+                else:  # inert; its closure is ⇑^m(s) written out
+                    push((META, x, None, 0))
+                    push((SUBST, _IDENTITY, s, m))
                 continue
             spent += 1
             if spent > fuel:
@@ -538,41 +579,50 @@ def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
                 if type(s) is Shift:
                     out(Index(n + s.k + m))
                 elif m:
-                    push((_EVAL, s.head, Shift(m), 0))
+                    if beta:  # a value is no graft site
+                        beta = False
+                        push((BETA, None, None, 0))
+                    push((EVAL, s.head, Shift(m), 0))
                 else:
                     out(s.head)
             elif tp is App:
-                push((_APP, x, None, 0))
-                push((_EVAL, x.arg, s, m))
-                push((_EVAL, x.fun, s, m))
+                if beta:
+                    contracted = _graft_site(x, theta)
+                    if contracted is not None:
+                        spent -= 1  # the contracted term pays for its own root
+                        push((EVAL, contracted, s, m))
+                        continue
+                push((APP, x, None, 0))
+                push((EVAL, x.arg, s, m))
+                push((EVAL, x.fun, s, m))
             elif tp is Lam:
-                push((_LAM, x, None, 0))
-                push((_EVAL, x.body, s, m + 1))
+                push((LAM, x, None, 0))
+                push((EVAL, x.body, s, m + 1))
             else:
-                push((_CLOSE, x.body, None, 0))
-                push((_SUBST, x.subst, s, m))
-        elif op == _SUBST:  # the normal form of x o ⇑^m(s)
+                push((CLOSE, x.body, None, 0))
+                push((SUBST, x.subst, s, m))
+        elif op == SUBST:  # the normal form of x o ⇑^m(s)
             tp = type(x)
             if s is None:
                 if tp is Shift:
                     out(x)
                 elif tp is Cons:
-                    push((_CONS, x, None, 0))
-                    push((_SUBST, x.tail, None, 0))
-                    push((_EVAL, x.head, None, 0))
+                    push((CONS, x, None, 0))
+                    push((SUBST, x.tail, None, 0))
+                    push((EVAL, x.head, None, 0))
                 else:
-                    push((_THEN, x.first, None, 0))
-                    push((_SUBST, x.second, None, 0))
+                    push((THEN, x.first, None, 0))
+                    push((SUBST, x.second, None, 0))
                 continue
             if tp is Cons:  # MapCons
                 spent += 1
-                push((_CONS, x, None, 0))
-                push((_SUBST, x.tail, s, m))
-                push((_EVAL, x.head, s, m))
+                push((CONS, x, None, 0))
+                push((SUBST, x.tail, s, m))
+                push((EVAL, x.head, s, m))
             elif tp is Comp:  # AssocComp
                 spent += 1
-                push((_THEN, x.first, None, 0))
-                push((_SUBST, x.second, s, m))
+                push((THEN, x.first, None, 0))
+                push((SUBST, x.second, s, m))
             else:
                 # ^k o ⇑^m(s) is (k+1) . ... . m . (s o ^m) when k <= m, and
                 # drops k - m cells of s before the shift otherwise
@@ -589,46 +639,97 @@ def normalize_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
                     if k:
                         s = Shift(s.k + k)
                 if lo < m:
-                    push((_LIFTS, lo, None, m))
+                    push((LIFTS, lo, None, m))
                 if m == 0:
                     out(s)
                 elif type(s) is Shift:
                     out(Shift(s.k + m))
                 else:
-                    push((_SUBST, s, Shift(m), 0))
+                    if beta:
+                        beta = False
+                        push((BETA, None, None, 0))
+                    push((SUBST, s, Shift(m), 0))
             if spent > fuel:
                 raise FuelExhausted(fuel, unit=_EVAL_UNIT)
-        elif op == _APP:
+        elif op == APP:
             arg = done.pop()
             fun = done.pop()
+            if flag and type(fun) is Lam:
+                applied = True
             out(x if fun is x.fun and arg is x.arg else App(fun, arg))
-        elif op == _LAM:
+        elif op == LAM:
             body = done.pop()
             out(x if body is x.body else Lam(body))
-        elif op == _CONS:
+        elif op == CONS:
             tail = done.pop()
             head = done.pop()
             if type(tail) is Shift and type(head) is Index and head.n == tail.k:
                 out(Shift(tail.k - 1))  # EtaConsShift
             else:
                 out(x if head is x.head and tail is x.tail else Cons(head, tail))
-        elif op == _CLOSE:
-            push((_EVAL, x, _env(done.pop()), 0))
-        elif op == _THEN:
-            push((_SUBST, x, _env(done.pop()), 0))
-        elif op == _META:
+        elif op == CLOSE:
+            v = done.pop()  # the identity is no environment
+            push((EVAL, x, None if type(v) is Shift and v.k == 0 else v, 0))
+        elif op == THEN:
             v = done.pop()
-            out(x if _env(v) is None else Closure(x, v))
-        else:  # _LIFTS: cons the indices m down to x+1 onto the value
+            push((SUBST, x, None if type(v) is Shift and v.k == 0 else v, 0))
+        elif op == META:
+            v = done.pop()
+            out(x if type(v) is Shift and v.k == 0 else Closure(x, v))
+        elif op == LIFTS:  # cons the indices m down to x+1 onto the value
             # the environment is not the identity, so s o ^m is no shift ^m
             # and no cell collapses
             v = done.pop()
             for n in range(m, x, -1):
                 v = Cons(Index(n), v)
             out(v)
+        else:  # BETA
+            beta = True
     if spent > fuel:
         raise FuelExhausted(fuel, unit=_EVAL_UNIT)
-    return done[0]
+    return done[0], applied
+
+
+def _graft_site(x: App, theta: Mapping[str, Term]) -> Term | None:
+    """The term the graft site x contracts to, or None when x is none.
+
+    x is a graft site when its spine's head, read through theta, is a
+    binder, or a closure over a binder or over an unknown bound to one.
+    Grafting theta and then contracting (lam b) a to b[a . ^0] and
+    (lam b)[s] a to b[a . s] from the innermost application out lets each
+    binder take the next argument, j = min(binders, arguments) in all.
+    The result is the body left after j binders, closed over
+    a_j ... a_1 . s (s is ^0 for a bare binder), applied to the arguments
+    no binder took; its parts are x's own, ungrafted, for the pass to
+    graft as it reaches them.  When that body is an unknown bound to more
+    binders, the rest of the spine is a graft site again, headed by a
+    closure over it, and the pass contracts it next.  A spine headed by a
+    lifting image lam...lam Y thus becomes Y[a_m ... a_1 . ^0].
+    """
+    head = x.fun
+    while type(head) is App:
+        head = head.fun
+    if type(head) is Meta:
+        head = theta.get(head.name, head)
+    subst: Subst = _IDENTITY
+    if type(head) is Closure:
+        subst = head.subst
+        head = head.body
+        if type(head) is Meta:
+            head = theta.get(head.name, head)
+    if type(head) is not Lam:
+        return None
+    args = []
+    while type(x) is App:
+        args.append(x.arg)
+        x = x.fun
+    while args and type(head) is Lam:
+        head = head.body
+        subst = Cons(args.pop(), subst)
+    result: Term = Closure(head, subst)
+    for arg in reversed(args):
+        result = App(result, arg)
+    return result
 
 
 def _normalize(
@@ -640,7 +741,7 @@ def _normalize(
 ) -> Term:
     """Run the stepper on t to a normal form, spending at most fuel steps
     and recording each in trace when one is given."""
-    steps = _steps(t, ruleset, strategy)
+    steps = _steps(t, ruleset, strategy, trace is not None)
     spent = 0
     while True:
         try:
@@ -657,59 +758,52 @@ def _normalize(
 def normalize_lambda_sigma(t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     """Normal form of t under Beta plus the substitution rules.
 
-    normalize_sigma runs first, and the stepper contracts what is left of
-    Beta on its normal form, which is shift-canonical; by confluence this
-    is the normal form of any lambda-sigma strategy.  Fuel bounds the
-    evaluator's rule instances and, counted apart, the stepper's steps, and
-    FuelExhausted names the count that ran out.  The term should
-    sort-check: untyped terms need not terminate, and then only the fuel
-    bound stops the run.
+    The substitution-only pass runs first.  Its normal form is normal
+    under Beta too unless it holds an application of a binder, and only
+    then does the stepper contract what is left of Beta on it; by
+    confluence this is the normal form of any lambda-sigma strategy.  Fuel
+    bounds the evaluator's rule instances and, counted apart, the
+    stepper's steps, and FuelExhausted names the count that ran out.  The
+    term should sort-check: untyped terms need not terminate, and then
+    only the fuel bound stops the run.
     """
-    return _normalize(normalize_sigma(t, fuel), EqMode.LAMBDA_SIGMA, LEFTMOST_OUTERMOST, fuel, None)
+    return _finish_beta(*_evaluate(t, fuel, _NO_BINDINGS, False), fuel)
 
 
-def normalize_graft(theta: Mapping[str, Term], t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """The normal form of graft(theta, t) under Beta plus the substitution
-    rules, with Beta contracted where the grafted binders meet their
-    arguments.
-
-    One rebuild pass grafts theta and, on the way up, contracts each
-    application whose function comes back as a binder or a closure over
-    one: (lam b) a becomes b[a . ^0] and (lam b)[s] a becomes b[a . s], a
-    Beta step followed by substitution steps.  A lifting image lam...lam Y
-    applied to the arguments of the unknown it replaces thus becomes the
-    closure Y[a_m ... a_1 . ^0], and normalize_sigma finishes.  Only when
-    that normal form still holds an applied binder, which takes a
-    higher-order redex of t's own such as (lam f. f c) X, does
-    normalize_lambda_sigma run on it.  Each phase is a lambda-sigma
-    strategy on any input, so by confluence the result is
-    normalize_lambda_sigma(graft(theta, t)); fuel bounds the evaluator's
-    rule instances and, apart, the stepper's steps.
-    The result is normalized even when nothing is grafted.
-    """
-
-    def at_leaf(node: Term | Subst) -> Term | Subst:
-        if type(node) is Meta and node.name in theta:
-            return theta[node.name]
-        return node
-
-    normal = normalize_sigma(rebuild(t, at_leaf, _contract_applied_binder), fuel)
-    for node in subterms(normal):
-        if type(node) is App and type(node.fun) is Lam:
-            return normalize_lambda_sigma(normal, fuel)
+def _finish_beta(normal: Term, applied: bool, fuel: int) -> Term:
+    """The lambda-sigma normal form of a substitution-normal term, given
+    whether it may hold an application of a binder: the stepper runs only
+    when it may."""
+    if applied:
+        return _normalize(normal, EqMode.LAMBDA_SIGMA, LEFTMOST_OUTERMOST, fuel, None)
     return normal
 
 
-def _contract_applied_binder(node: Term | Subst) -> Term | Subst:
-    """normalize_graft's node map: (lam b) a to b[a . ^0], (lam b)[s] a to
-    b[a . s], any other node as it is."""
-    if type(node) is App:
-        fun = node.fun
-        if type(fun) is Lam:
-            return Closure(fun.body, Cons(node.arg, _IDENTITY))
-        if type(fun) is Closure and type(fun.body) is Lam:
-            return Closure(fun.body.body, Cons(node.arg, fun.subst))
-    return node
+def normalize_graft(theta: Mapping[str, Term], t: Term, mode: EqMode, fuel: int = DEFAULT_FUEL) -> Term:
+    """The normal form of graft(theta, t) in mode's equality, grafted and
+    normalized in one pass of the evaluator (see _evaluate), which reads
+    each bound unknown's binding where the unknown sits.
+
+    Without Beta that is the whole of it: the result and the fuel spent
+    are those of normalize_sigma(graft(theta, t)).  With Beta the pass also
+    contracts each application spine headed by a grafted binder, where the
+    binders meet their arguments, as contracting after a literal graft
+    would (see _graft_site): a lifting image lam...lam Y applied to the
+    arguments of the unknown it replaces becomes the closure
+    Y[a_m ... a_1 . ^0] before it is evaluated.  Only when the pass builds
+    an application of a binder, which takes a higher-order redex of t's
+    own such as (lam f. f c) X, does the stepper run on its result.  Each
+    phase is a lambda-sigma strategy, so by confluence the result is
+    normalize_lambda_sigma(graft(theta, t)); fuel bounds the evaluator's
+    rule instances and, apart, the stepper's steps.
+
+    The bindings must be as the searches and the lifting make them: none
+    mentions an unknown theta binds, and none holds a spine headed by a
+    binder.  The result is normalized even when nothing is grafted.
+    """
+    if mode is EqMode.SIGMA_ONLY:
+        return _evaluate(t, fuel, theta, False, False)[0]
+    return _finish_beta(*_evaluate(t, fuel, theta, True), fuel)
 
 
 def normalize_traced(

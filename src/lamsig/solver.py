@@ -22,13 +22,14 @@ as the assignments tried reach, so the first hit ends the search without
 listing the rest.  A part without unknowns is normal already and is
 compared as it is, so a matching problem, with one ground side, needs no
 search of its own.  solve_sigma runs the search with the
-substitution rules, decide_small_lambda with Beta added, its instances
-built by rewrite.normalize_graft; each hit gets every check of
-check_solution, through normalize_lambda_sigma.  Every verdict validates
-the problem first and reads its sides as written: a valid problem is its
-own precooked form (see transform.precook).  That keeps the trusted core
-small enough for the transfer properties to be checked against it, not
-through it.
+substitution rules, decide_small_lambda with Beta added; both build their
+instances with rewrite.normalize_graft, which grafts inside the
+evaluator's one pass.  Each hit gets every check of check_solution, on
+another path: a literal graft, then sigma_equal or lambda_sigma_equal.
+Every verdict validates the problem first and reads its sides as
+written: a valid problem is its own precooked form (see
+transform.precook).  That keeps the trusted core small enough for the
+transfer properties to be checked against it, not through it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .rewrite import (
     lambda_sigma_equal,
     normalize_graft,
     normalize_lambda_sigma,
-    normalize_sigma,
     sigma_equal,
 )
 from .records import FrozenRecord, Record
@@ -441,17 +441,7 @@ def _assignments(
             return
 
 
-def _sigma_instance(theta: dict[str, Term], t: Term, fuel: int) -> Term:
-    """solve_sigma's instances: the substitution-only normal form of theta
-    grafted into t."""
-    return normalize_sigma(graft(theta, t) if theta else t, fuel)
-
-
-def _product_search(
-    p: UnifProblem,
-    cfg: SearchConfig,
-    instantiate: Callable[[dict[str, Term], Term, int], Term],
-) -> SearchOutcome:
+def _product_search(p: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
     """Try every assignment of the candidate streams in product order on
     the flex pairs left by decomposing the normal forms of p's sides.  The
     streams are those of the unknowns that occur in the sides, the ones a
@@ -479,16 +469,17 @@ def _product_search(
     normalized: with too little fuel to normalize one of its assignments,
     the search no longer aborts there.
 
-    instantiate(theta, t, fuel) is the mode's normal form of theta grafted
-    into t: normalize_sigma after graft for solve_sigma, normalize_graft
-    for decide_small_lambda.  The two sides are instantiated with nothing
-    bound, which normalizes them.  Each stream is drawn from once before
-    anything is normalized, so an empty product normalizes nothing, and
-    after that only as far as the assignments tried reach (see
-    _assignments): the first hit ends the search without listing the
+    An instance of a part t under an assignment theta is
+    normalize_graft(theta, t) in p's equality, which grafts in the same
+    pass as it normalizes; the candidates are ground, simple and normal,
+    as it requires of its bindings.  The two sides are instantiated with
+    nothing bound, which normalizes them.  Each stream is drawn from once
+    before anything is normalized, so an empty product normalizes
+    nothing, and after that only as far as the assignments tried reach
+    (see _assignments): the first hit ends the search without listing the
     rest.  Each flex part with an unknown is instantiated with each
-    assignment tried; a part without one is normal already, and is its own
-    instance.  An assignment is tried as a plain dict, and only a hit
+    assignment tried; a part without one is normal already, and is its
+    own instance.  An assignment is tried as a plain dict, and only a hit
     becomes a MetaSubst, checked as check_solution checks it.  No
     assignment can fail MetaSubst's idempotency check: candidates are
     ground.
@@ -499,19 +490,21 @@ def _product_search(
     if any(first is None for first in firsts):
         return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
     fuel = cfg.fuel
+    mode = p.mode
 
     def instance(part: Term) -> Callable[[dict[str, Term]], Term]:
         if free_metavars(part):
-            return lambda theta: instantiate(theta, part, fuel)
+            return lambda theta: normalize_graft(theta, part, mode, fuel)
         return lambda theta: part
 
     solutions: list[MetaSubst] = []
     try:
-        flex = _decompose(instantiate({}, p.lhs, fuel), instantiate({}, p.rhs, fuel), p.mode)
+        lhs, rhs = (normalize_graft({}, side, mode, fuel) for side in (p.lhs, p.rhs))
+        flex = _decompose(lhs, rhs, mode)
         if flex is None:
             return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
         instances = [(instance(a), instance(b)) for a, b in flex]
-        beta = p.mode is EqMode.LAMBDA_SIGMA
+        beta = mode is EqMode.LAMBDA_SIGMA
         demands = _head_demands(flex, not beta)
         for k, name in enumerate(names):
             if name in demands:
@@ -542,7 +535,7 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
     negative outcome only rules out the searched bounds.
     """
     require_valid(p, EqMode.SIGMA_ONLY, "solve_sigma")
-    return _product_search(p, cfg, _sigma_instance)
+    return _product_search(p, cfg)
 
 
 def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -555,11 +548,11 @@ def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> S
     instances are normalized by normalize_graft, which contracts Beta where
     a candidate's binders meet the unknown's arguments and falls back to
     the stepper only on a higher-order redex of a side's own; each hit is
-    checked again through normalize_lambda_sigma.  The candidates need no
-    per-assignment checks: enumeration yields only well-sorted, simple,
-    normal terms.
+    checked again on a literal graft through lambda_sigma_equal.  The
+    candidates need no per-assignment checks: enumeration yields only
+    well-sorted, simple, normal terms.
     Nothing here goes through the reduction machinery, so transfer results
     can be checked against it.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda")
-    return _product_search(p, cfg, normalize_graft)
+    return _product_search(p, cfg)

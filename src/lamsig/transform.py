@@ -270,8 +270,8 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
         base_types=p.base_types,
         ctx=p.ctx,
         metavars=fresh_metavars,
-        lhs=normalize_graft(lifting, p.lhs, fuel),
-        rhs=normalize_graft(lifting, p.rhs, fuel),
+        lhs=normalize_graft(lifting, p.lhs, EqMode.LAMBDA_SIGMA, fuel),
+        rhs=normalize_graft(lifting, p.rhs, EqMode.LAMBDA_SIGMA, fuel),
         mode=EqMode.SIGMA_ONLY,
     )
     _remember_valid(target)

@@ -483,13 +483,6 @@ def head_filter_problems():
     ]
 
 
-def unvalidated_search(p, cfg):
-    """The search loop of solve_sigma or decide_small_lambda, without
-    their validation."""
-    instantiate = solver._sigma_instance if p.mode is EqMode.SIGMA_ONLY else normalize_graft
-    return solver._product_search(p, cfg, instantiate)
-
-
 def differential_cases():
     """(name, problem, search, bounds): each full-equality source under the
     oracle and its reduction under solve_sigma."""
@@ -508,8 +501,8 @@ def differential_cases():
     p = unknown_under_binder_problem()
     yield "unknown under a binder", p, decide_small_lambda, (2, 3)
     yield "unknown under a binder, reduced", reduce_problem(p).target, solve_sigma, (2, 3)
-    for name, p in unvalidated_problems():
-        yield name, p, unvalidated_search, (1, 2, 3)
+    for name, p in unvalidated_problems():  # the search loop, without validation
+        yield name, p, solver._product_search, (1, 2, 3)
 
 
 def test_search_matches_brute_force_filter():
@@ -689,32 +682,27 @@ def test_instance_heads_match_the_normal_form():
 
 
 def counting_grafts(monkeypatch) -> Counter:
-    """Count the search's grafts per grafted term: the calls of graft, and
-    of normalize_graft, the lambda-side search's instances, with a
-    non-empty assignment, a plain dict.  The two sides, normalized with
-    nothing bound, and a hit's check, which grafts a MetaSubst, are not
+    """Count the search's grafts per grafted term: the calls of
+    normalize_graft, which builds both searches' instances, with a
+    non-empty assignment.  The two sides, normalized with nothing bound,
+    and a hit's check, which grafts a MetaSubst through graft, are not
     counted."""
     grafts: Counter = Counter()
 
-    def counting(original):
-        def count(theta, t, *args):
-            if type(theta) is dict and theta:
-                grafts[t] += 1
-            return original(theta, t, *args)
+    def count(theta, t, *args):
+        if theta:
+            grafts[t] += 1
+        return normalize_graft(theta, t, *args)
 
-        return count
-
-    monkeypatch.setattr(solver, "graft", counting(graft))
-    monkeypatch.setattr(solver, "normalize_graft", counting(normalize_graft))
+    monkeypatch.setattr(solver, "normalize_graft", count)
     return grafts
 
 
 def test_pruned_candidates_are_never_grafted(monkeypatch):
     """X c = f (f c) at bound 6: the flex part is grafted once for each
     candidate up to the first hit whose instance has f's head and one
-    argument, and never for the candidates the filter drops.  The
-    lambda-side search grafts through normalize_graft, the
-    substitution-only one through graft."""
+    argument, and never for the candidates the filter drops.  Both
+    searches graft through normalize_graft."""
     ctx = (iota, ii)
     c, f = Index(1), Index(2)
     p = lp(ctx, {"X": Sort(ctx, ii)}, App(Meta("X"), c), App(f, App(f, c)))

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gen import gen_agreement_pair, gen_second_order_problem
+from gen import GenEnv, gen_agreement_pair, gen_checked_term, gen_second_order_problem, gen_term
 
 from lamsig import (
     App,
@@ -43,11 +44,11 @@ from lamsig import (
     validate_reduced_problem,
 )
 from lamsig import rewrite, solver, transform
-from lamsig.rewrite import normalize_graft, normalize_lambda_sigma
+from lamsig.rewrite import FuelExhausted, normalize_graft, normalize_lambda_sigma, normalize_sigma
 from lamsig.sorts import equation_type, render_type
 from lamsig.solver import SearchConfig, decide_small_lambda
 from lamsig.surface import parse_problem
-from lamsig.terms import free_metavars, graft
+from lamsig.terms import free_metavars, graft, rebuild, subterms
 
 iota = Base("iota")
 ii = Arrow(iota, iota)
@@ -352,34 +353,202 @@ def graft_cases(p):
 
 
 def test_normalize_graft_matches_the_stepper(monkeypatch):
-    """normalize_graft(theta, t) is normalize_lambda_sigma(graft(theta, t))
-    on the 519 sources, on a side with a higher-order redex of its own and
-    on a side with a closure.  Only the redex leaves an applied binder
-    after the graft site's Beta and the substitution rules, so the stepper
-    runs there and on none of the others."""
+    """normalize_graft(theta, t, lambda-sigma) is
+    normalize_lambda_sigma(graft(theta, t)) on the 519 sources, on a side
+    with a higher-order redex of its own and on a side with a closure.
+    Only the redex leaves an applied binder after the graft site's Beta
+    and the substitution rules, so the stepper runs there and on none of
+    the others."""
     stepper = rewrite.normalize_lambda_sigma
+    run_stepper = rewrite._normalize
     stepped = []
-    monkeypatch.setattr(rewrite, "normalize_lambda_sigma",
-                        lambda t, fuel: stepped.append(t) or stepper(t, fuel))
+    monkeypatch.setattr(rewrite, "_normalize",
+                        lambda t, *args: stepped.append(t) or run_stepper(t, *args))
     ho = higher_order_redex_problem()
     assert validate_problem(ho).ok
     fallbacks = []
     compared = 0
     extra = [("higher-order redex", ho), ("closure side", closure_side_problem())]
     for name, p in lambda_sigma_sources() + extra:
-        stepped.clear()
+        fell_back = False
         for theta, t in graft_cases(p):
-            assert normalize_graft(theta, t) == stepper(graft(theta, t)), (name, theta, t)
+            stepped.clear()
+            got = normalize_graft(theta, t, EqMode.LAMBDA_SIGMA)
+            fell_back = fell_back or bool(stepped)
+            assert got == stepper(graft(theta, t)), (name, theta, t)
             compared += 1
-        if stepped:
+        if fell_back:
             fallbacks.append(name)
     assert compared > 2500
     assert fallbacks == ["higher-order redex"]
     stepped.clear()
-    normalize_graft(build_lifting_subst(ho)[0], ho.lhs)
+    normalize_graft(build_lifting_subst(ho)[0], ho.lhs, EqMode.LAMBDA_SIGMA)
     assert len(stepped) == 1
     cert = reduce_problem(ho)
     assert (cert.target.lhs, cert.target.rhs, cert.var_map, cert.target.metavars) == three_pass_reduction(ho)
+
+
+def literal_graft_site_beta(theta, t):
+    """graft(theta, t) with each application of a binder, or of a closure
+    over one, contracted bottom-up as the graft rebuilds it: (lam b) a to
+    b[a . ^0], (lam b)[s] a to b[a . s].  The reference for the fuel the
+    lambda-sigma graft spends."""
+
+    def at_leaf(node):
+        return theta[node.name] if type(node) is Meta and node.name in theta else node
+
+    def contract(node):
+        if type(node) is App:
+            fun = node.fun
+            if type(fun) is Lam:
+                return Closure(fun.body, Cons(node.arg, Shift(0)))
+            if type(fun) is Closure and type(fun.body) is Lam:
+                return Closure(fun.body.body, Cons(node.arg, fun.subst))
+        return node
+
+    return rebuild(t, at_leaf, contract)
+
+
+def least_fuel(normalize) -> int:
+    """The least fuel at which normalize(fuel) raises no FuelExhausted."""
+    hi = 1
+    while True:
+        try:
+            normalize(hi)
+            break
+        except FuelExhausted:
+            hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            normalize(mid)
+            hi = mid
+        except FuelExhausted:
+            lo = mid
+    return hi
+
+
+def runs_out_below(normalize, fuel: int) -> bool:
+    """normalize succeeds at fuel and, unless fuel is 1, raises
+    FuelExhausted one below it."""
+    normalize(fuel)
+    if fuel == 1:
+        return True
+    try:
+        normalize(fuel - 1)
+    except FuelExhausted:
+        return True
+    return False
+
+
+def holds_applied_binder(t) -> bool:
+    return any(type(node) is App and type(node.fun) is Lam for node in subterms(t))
+
+
+def evaluator_agrees(theta, t, beta_fuel=False) -> bool:
+    """The evaluator's one pass over theta and t against grafting first.
+
+    Without Beta it gives normalize_sigma(graft(theta, t)) and runs out at
+    the same fuel.  With Beta, normalize_graft gives
+    normalize_lambda_sigma(graft(theta, t)); with beta_fuel the pass gives
+    what normalize_sigma gives on the literal graft with the graft sites
+    contracted, and runs out at the same fuel.  In both modes the flag is
+    set whenever the pass's result holds an application of a binder.
+    Returns whether the flag, without Beta, is set only then; a pass can
+    build one inside a cons entry that no lookup reaches, so that is
+    asserted by the callers only where neither t nor a binding holds a
+    cons."""
+    grafted = graft(theta, t)
+    normal, applied = rewrite._evaluate(t, 10**6, theta, False)
+    assert normal == normalize_sigma(grafted), (theta, t)
+    assert normalize_graft(theta, t, EqMode.SIGMA_ONLY) == normal
+    fuel = least_fuel(lambda f: normalize_sigma(grafted, f))
+    assert runs_out_below(lambda f: rewrite._evaluate(t, f, theta, False), fuel), (theta, t)
+    assert applied or not holds_applied_binder(normal), (theta, t)
+    assert normalize_graft(theta, t, EqMode.LAMBDA_SIGMA) == normalize_lambda_sigma(grafted), (theta, t)
+    partial, beta_applied = rewrite._evaluate(t, 10**6, theta, True)
+    assert beta_applied or not holds_applied_binder(partial), (theta, t)
+    if beta_fuel:
+        literal = literal_graft_site_beta(theta, t)
+        assert partial == normalize_sigma(literal), (theta, t)
+        fuel = least_fuel(lambda f: normalize_sigma(literal, f))
+        assert runs_out_below(lambda f: rewrite._evaluate(t, f, theta, True), fuel), (theta, t)
+    return applied == holds_applied_binder(normal)
+
+
+def without_cons(*terms) -> bool:
+    return not any(type(node) is Cons for t in terms for node in subterms(t))
+
+
+def without_graft_sites(*terms) -> bool:
+    """No application of a binder or of a closure over one, so no spine
+    the lambda-sigma graft would contract."""
+    return not any(
+        type(node) is App
+        and (type(node.fun) is Lam or type(node.fun) is Closure and type(node.fun.body) is Lam)
+        for t in terms
+        for node in subterms(t)
+    )
+
+
+def test_the_evaluator_grafts_as_grafting_first_does_on_generated_terms():
+    """On gen_checked_term seeds 0-1999, with nothing bound and with every
+    unknown bound to a generated term of its sort (whose own unknowns are
+    fresh), in both modes.  The lambda-sigma fuel is compared where no
+    binding holds a graft site of its own, which the pass would contract
+    and the literal graft would not; the flag is exact on every case
+    without a cons."""
+    exact_checked = beta_fuel_checked = 0
+    for seed in range(2000):
+        ctx, metas, t, ty = gen_checked_term(seed)
+        rng = random.Random(seed)
+        env = GenEnv(rng, counter=10_000)  # fresh names: no image mentions a bound unknown
+        bound = {x: gen_term(env, sort.ctx, sort.ty, rng.randint(1, 8)) for x, sort in metas.items()}
+        for theta in ({}, bound):
+            beta_fuel = without_graft_sites(*theta.values())
+            exact = evaluator_agrees(theta, t, beta_fuel=beta_fuel)
+            beta_fuel_checked += beta_fuel
+            if without_cons(t, *theta.values()):
+                assert exact, (seed, theta)
+                exact_checked += 1
+    assert exact_checked > 1000 and beta_fuel_checked > 3000
+
+
+def test_graft_sites_contract_as_the_literal_graft_does():
+    """Hand-made graft sites the generated cases seldom reach, each with
+    the lambda-sigma fuel of the literal graft: a side's own binder whose
+    body is an unknown bound to a binder takes two arguments; a binding
+    that is a closure over a binder; and an application of a binder that
+    the pass has built, inside a value it evaluates again under a shift,
+    once through an index lookup and once through an unknown's closure,
+    which the literal graft leaves to the stepper."""
+    X, Y, Z = Meta("X"), Meta("Y"), Meta("Z")
+    a, b = Index(1), Index(2)
+    built = Closure(App(Index(1), Index(2)), Cons(Lam(Index(1)), Shift(0)))  # (lam 1) 1
+    cases = [
+        ({"X": Lam(Y)}, App(App(Lam(X), a), b)),
+        ({"X": Lam(Lam(Y))}, App(App(Closure(X, Shift(1)), a), b)),
+        ({"X": Closure(Lam(Y), Cons(b, Shift(0)))}, App(X, a)),
+        ({}, Closure(Lam(Index(2)), Cons(built, Shift(0)))),
+        ({}, Closure(Lam(Z), Cons(built, Shift(0)))),
+    ]
+    for theta, t in cases:
+        evaluator_agrees(theta, t, beta_fuel=True)
+
+
+def test_the_evaluator_grafts_as_grafting_first_does_on_graft_cases():
+    """On every (theta, t) of graft_cases over the 519 sources, the side
+    with a higher-order redex and the side with a closure, in both modes,
+    with the lambda-sigma fuel of the literal graft; the flag is exact on
+    every case."""
+    extra = [("higher-order redex", higher_order_redex_problem()), ("closure side", closure_side_problem())]
+    cases = 0
+    for name, p in lambda_sigma_sources() + extra:
+        for theta, t in graft_cases(p):
+            assert evaluator_agrees(theta, t, beta_fuel=True), (name, theta, t)
+            cases += 1
+    assert cases > 2500
 
 
 def test_reduce_rejects_a_closure_in_a_side():
@@ -414,7 +583,7 @@ def test_no_precooking_in_the_verdicts_and_one_walk_in_reduce(monkeypatch):
     cfg = SearchConfig(find_all=True, max_solutions=3)
     out = decide_small_lambda(p, cfg)
     assert isinstance(out, Solved) and len(out.solutions) == 3
-    assert solver._product_search(p, cfg, normalize_graft) == out
+    assert solver._product_search(p, cfg) == out
     assert all(check_solution(p, theta) for theta in out.solutions)
     assert walks == []
 
@@ -429,11 +598,12 @@ def test_no_precooking_in_the_verdicts_and_one_walk_in_reduce(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden(name))
     grafted = []
     monkeypatch.setattr(transform, "normalize_graft",
-                        lambda theta, t, fuel: grafted.append((theta, t)) or normalize_graft(theta, t, fuel))
+                        lambda theta, t, mode, fuel: grafted.append((theta, t, mode))
+                        or normalize_graft(theta, t, mode, fuel))
     cert = reduce_problem(p)
     assert calls == [] and walks == []
     lifting = build_lifting_subst(p)[0]
-    assert grafted == [(lifting, p.lhs), (lifting, p.rhs)]
+    assert grafted == [(lifting, p.lhs, EqMode.LAMBDA_SIGMA), (lifting, p.rhs, EqMode.LAMBDA_SIGMA)]
     assert cert.target.lhs == three_pass_reduction(p)[0]
 
 
