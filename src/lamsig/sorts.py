@@ -36,17 +36,32 @@ from .terms import (
 
 class Base(FrozenRecord):
     __slots__ = ("name",)
+    _order = 1  # every base type's order, read by order_of_type; not a field
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
 
 
-class Arrow(FrozenRecord):
+class _Ordered:
+    """A slot outside an arrow's fields for its order, computed once when
+    the arrow is built; None for an arrow over a non-type."""
+
+    __slots__ = ("_order",)
+
+
+class Arrow(_Ordered, FrozenRecord):
     __slots__ = ("dom", "cod")
 
     def __init__(self, dom: SimpleType, cod: SimpleType):
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
+        try:
+            order = dom._order + 1
+            if order < cod._order:
+                order = cod._order
+        except (AttributeError, TypeError):  # a non-type, or an arrow over one
+            order = None
+        object.__setattr__(self, "_order", order)
 
 
 SimpleType = Base | Arrow
@@ -80,14 +95,10 @@ class UnannotatedBinder(IllTyped):
 
 
 def order_of_type(ty: SimpleType) -> int:
-    """Order 1 for base types, max(order(dom)+1, order(cod)) for arrows."""
-    order = 1
-    while type(ty) is Arrow:
-        dom = order_of_type(ty.dom) + 1
-        if dom > order:
-            order = dom
-        ty = ty.cod
-    if type(ty) is not Base:
+    """Order 1 for base types, max(order(dom)+1, order(cod)) for arrows, as
+    the type computed it when it was built."""
+    order = ty._order if type(ty) in (Base, Arrow) else None
+    if order is None:
         raise TypeError(f"not a type: {ty!r}")
     return order
 
@@ -260,10 +271,10 @@ def render_type(ty: SimpleType) -> str:
 
 
 class _Validated:
-    """A slot outside a record's fields, so that equality, repr, hashing,
-    copying and ``match`` never see what is kept in it."""
+    """Slots outside a record's fields, so that equality, repr, hashing,
+    copying and ``match`` never see what is kept in them."""
 
-    __slots__ = ("_valid_as",)
+    __slots__ = ("_valid_as", "_normal_as")
 
 
 class UnifProblem(_Validated, Record):
@@ -282,6 +293,11 @@ class UnifProblem(_Validated, Record):
     ``metavars`` as a copy of the dict.  So reassigning a field, or adding,
     removing or replacing a declaration, makes the next check validate
     again.  A copy or an unpickled problem starts with no snapshot.
+
+    ``transform.reduce_problem`` keeps in ``_normal_as`` the sides it built
+    in normal form, and the search takes them as their own normal forms
+    while ``lhs`` and ``rhs`` are still those objects.  A copy or an
+    unpickled problem starts without the mark.
     """
 
     __slots__ = ("base_types", "ctx", "metavars", "lhs", "rhs", "mode")
@@ -302,6 +318,7 @@ class UnifProblem(_Validated, Record):
         self.rhs = rhs
         self.mode = mode
         self._valid_as = None
+        self._normal_as = None
 
 
 class CheckEntry(Record):

@@ -261,7 +261,8 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
       common type, which is atomic;
     - the lifting images mention only fresh unknowns, so every unknown
       that occurs is declared.
-    Criterion 5 and ``test_reduce_outputs_validate`` check this.
+    Criterion 5 and ``test_reduce_outputs_validate`` check this.  Its
+    sides are marked normal too, so the search takes them as they are.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "reduce_problem")
     lifting, var_map, fresh_metavars = build_lifting_subst(p)
@@ -275,6 +276,7 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
         mode=EqMode.SIGMA_ONLY,
     )
     _remember_valid(target)
+    target._normal_as = (target.lhs, target.rhs)
     return ReductionCertificate(var_map, p, target)
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +59,29 @@ def test_order_arrow_bounds(a, b):
     assert arrow >= order_of_type(b)
     assert arrow > order_of_type(a) - 1
     assert arrow == max(order_of_type(a) + 1, order_of_type(b))
+
+
+def recursive_order(ty) -> int:
+    if type(ty) is Base:
+        return 1
+    return max(recursive_order(ty.dom) + 1, recursive_order(ty.cod))
+
+
+@given(types)
+def test_stored_order_is_the_recursive_order(ty):
+    """An arrow computes its order once, when it is built, into a slot
+    that is not a field, and a base type's is its class's: equality,
+    hashing, repr, copy and pickle see the fields alone, and a copy or an
+    unpickled type has the same order."""
+    order = recursive_order(ty)
+    assert order_of_type(ty) == order
+    fields = (ty.name,) if type(ty) is Base else (ty.dom, ty.cod)
+    assert type(ty).__match_args__ == (("name",) if type(ty) is Base else ("dom", "cod"))
+    assert hash(ty) == hash(fields)
+    for twin in (copy.copy(ty), copy.deepcopy(ty), pickle.loads(pickle.dumps(ty)), type(ty)(*fields)):
+        assert twin == ty and hash(twin) == hash(ty) and repr(twin) == repr(ty)
+        assert order_of_type(twin) == order
+    assert repr(ty).startswith(("Base(name=", "Arrow(dom=")) and "_order" not in repr(ty)
 
 
 # --- check_second_order_context ---

@@ -265,7 +265,8 @@ def test_structural_maps_reject_non_nodes():
             with pytest.raises(TypeError):
                 walk(bad)
     for read in (order_of_type, render_type):
-        for bad in ("iota", None, Arrow(Base("iota"), 3), Arrow(None, Base("iota"))):
+        for bad in ("iota", None, Arrow(Base("iota"), 3), Arrow(None, Base("iota")),
+                    Arrow(Arrow(Base("iota"), 3), Base("iota"))):
             with pytest.raises(TypeError):
                 read(bad)
 

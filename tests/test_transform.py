@@ -1,6 +1,8 @@
+import copy
 import itertools
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,7 +46,7 @@ from lamsig import (
     validate_reduced_problem,
 )
 from lamsig import rewrite, solver, transform
-from lamsig.rewrite import FuelExhausted, normalize_graft, normalize_lambda_sigma, normalize_sigma
+from lamsig.rewrite import DEFAULT_FUEL, FuelExhausted, normalize_graft, normalize_lambda_sigma, normalize_sigma
 from lamsig.sorts import equation_type, render_type
 from lamsig.solver import SearchConfig, decide_small_lambda
 from lamsig.surface import parse_problem
@@ -929,3 +931,48 @@ def test_reduction_targets_validate_and_remembered_verdicts_agree():
             assert problem._valid_as is not None, name
             transform.require_valid(problem, mode, "test")  # a remembered verdict
             assert validate_problem(problem).ok, name
+
+
+def test_a_marked_target_searches_as_an_unmarked_copy():
+    """On the λσ corpus, gen_second_order_problem seeds 0-499 and a side
+    with a higher-order redex of its own, at bounds 1-4, with find_all off
+    and on, at fuel 1, 2 and the default: solve_sigma gives a reduction's
+    target, whose sides are marked normal, the outcome, solutions and
+    find_all list it gives a copy, which starts without the mark and so
+    normalizes its sides.  Some of the searches abort on fuel."""
+    outcomes = Counter()
+    for name, p in lambda_sigma_sources() + [("higher-order redex", higher_order_redex_problem())]:
+        target = reduce_problem(p).target
+        unmarked = copy.copy(target)
+        assert target._normal_as == (target.lhs, target.rhs) and unmarked._normal_as is None, name
+        for bound, find_all, fuel in itertools.product((1, 2, 3, 4), (False, True), (1, 2, DEFAULT_FUEL)):
+            cfg = SearchConfig(size_bound=bound, find_all=find_all, fuel=fuel)
+            got = solve_sigma(target, cfg)
+            assert repr(got) == repr(solve_sigma(unmarked, cfg)), (name, cfg)
+            outcomes[type(got).__name__] += 1
+    assert outcomes["Aborted"] > 100 and outcomes["Solved"] > 1000, outcomes
+
+
+def test_the_mark_holds_while_the_sides_are_the_objects_built(monkeypatch):
+    """A reduction's target normalizes no side with an empty assignment.
+    Once its lhs is reassigned, even to an equal term, both sides are
+    normalized again, and so are a copy's."""
+    normalized = []
+
+    def count(theta, t, *args):
+        if not theta:
+            normalized.append(t)
+        return normalize_graft(theta, t, *args)
+
+    monkeypatch.setattr(solver, "normalize_graft", count)
+    source = parse_problem((CORPUS / "xc_eq_fc.sig").read_text(encoding="utf-8")).problem
+    target = reduce_problem(source).target
+    solved = solve_sigma(target)
+    assert isinstance(solved, Solved) and normalized == []
+    assert solve_sigma(copy.copy(target)) == solved
+    assert normalized == [target.lhs, target.rhs]
+    normalized.clear()
+    target.lhs = copy.copy(target.lhs)
+    assert target.lhs == target._normal_as[0] and target.lhs is not target._normal_as[0]
+    assert solve_sigma(target) == solved
+    assert normalized == [target.lhs, target.rhs]
