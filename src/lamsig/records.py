@@ -1,8 +1,11 @@
 """Plain slotted records: the value classes of the package.
 
-A record's fields are its ``__slots__``, in order, and its class writes its
-own ``__init__``, so keyword arguments, defaults and argument checks read
-as plain Python.  ``Record`` derives the rest from the slots, as
+A record's fields are its ``__slots__`` whose names do not start with an
+underscore, in order, and its class writes its own ``__init__``, so
+keyword arguments, defaults and argument checks read as plain Python.  A
+slot named with a leading underscore holds what the class keeps beside its
+fields, such as an arrow's order or a problem's validation snapshot, and
+nothing below sees it.  ``Record`` derives the rest from the fields, as
 ``@dataclass`` would:
 
 - ``__eq__`` holds only between instances of the same class, and compares
@@ -10,7 +13,7 @@ as plain Python.  ``Record`` derives the rest from the slots, as
 - ``__repr__`` reads ``App(fun=Index(n=1), arg=Meta(name='X'))``;
 - ``__match_args__`` lists the fields, for positional ``match`` patterns;
 - ``__reduce__`` rebuilds a record from its fields, for ``copy`` and
-  ``pickle``.
+  ``pickle``, so a copy's hidden slots are what its ``__init__`` sets.
 
 A ``Record`` is mutable and unhashable.  A ``FrozenRecord`` refuses
 assignment and deletion, so its ``__init__`` sets the fields through
@@ -32,7 +35,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
+        names = tuple(name for name in cls.__slots__ if name[0] != "_")
         if not names:
             return
         # attrgetter returns a bare value for one name and a tuple for more
@@ -49,7 +52,7 @@ class Record:
         cls._values = staticmethod(get if len(names) > 1 else lambda record: (get(record),))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

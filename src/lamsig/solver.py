@@ -4,8 +4,7 @@ Unification modulo the substitution rules is undecidable, so every negative
 answer here means "no solution within the stated bounds" and nothing more.
 There is one search, _product_search.  It streams well-sorted candidate
 terms for every unknown that occurs in the sides, in a deterministic
-order, normalizes the two sides once with the unknowns left inert (a
-reduction's target is searched as built, its sides marked normal), and
+order, normalizes the two sides once with the unknowns left inert, and
 decomposes their rigid structure (Huet's simplification: Decompose and
 Fail).  A rigid clash ends the search before any assignment is tried or
 any stream is read past its first candidate.  Otherwise each flex-rigid pair prunes the stream of the unknown
@@ -69,7 +68,7 @@ from .terms import (
     graft,
     is_simple,
 )
-from .transform import decompose_cons_shift, require_valid
+from .transform import decompose_cons_shift, normal_sides, require_valid
 
 
 class SearchConfig(FrozenRecord):
@@ -473,20 +472,16 @@ def _product_search(p: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
     An instance of a part t under an assignment theta is
     normalize_graft(theta, t) in p's equality, which grafts in the same
     pass as it normalizes; the candidates are ground, simple and normal,
-    as it requires of its bindings.  The two sides are instantiated with
-    nothing bound, which normalizes them, unless p is a reduction's target
-    whose sides are still the ones marked normal (see UnifProblem): a
-    lambda-sigma normal form is its own normal form in either equality,
-    and normalizing it would charge no rule instance.  Each stream is
-    drawn from once before anything is normalized, so an empty product
-    normalizes nothing, and after that only as far as the assignments
-    tried reach (see _assignments): the first hit ends the search without
-    listing the rest.  Each flex part with an unknown is instantiated with
-    each assignment tried; a part without one is normal already, and is
-    its own instance.  An assignment is tried as a plain dict, and only a hit
-    becomes a MetaSubst, checked as check_solution checks it.  No
-    assignment can fail MetaSubst's idempotency check: candidates are
-    ground.
+    as it requires of its bindings.  The sides are decomposed as
+    transform.normal_sides gives them.  Each stream is drawn from once
+    before anything is normalized, so an empty product normalizes nothing,
+    and after that only as far as the assignments tried reach (see
+    _assignments): the first hit ends the search without listing the rest.
+    Each flex part with an unknown is instantiated with each assignment
+    tried; a part without one is normal already, and is its own instance.
+    An assignment is tried as a plain dict, and only a hit becomes a
+    MetaSubst, checked as check_solution checks it.  No assignment can
+    fail MetaSubst's idempotency check: candidates are ground.
     """
     names = _occurring(p)
     streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
@@ -503,11 +498,7 @@ def _product_search(p: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
 
     solutions: list[MetaSubst] = []
     try:
-        lhs, rhs = p.lhs, p.rhs
-        marked = p._normal_as
-        if marked is None or marked[0] is not lhs or marked[1] is not rhs:
-            lhs, rhs = (normalize_graft({}, side, mode, fuel) for side in (lhs, rhs))
-        flex = _decompose(lhs, rhs, mode)
+        flex = _decompose(*normal_sides(p, fuel), mode)
         if flex is None:
             return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
         instances = [(instance(a), instance(b)) for a, b in flex]

@@ -42,15 +42,8 @@ class Base(FrozenRecord):
         object.__setattr__(self, "name", name)
 
 
-class _Ordered:
-    """A slot outside an arrow's fields for its order, computed once when
-    the arrow is built; None for an arrow over a non-type."""
-
-    __slots__ = ("_order",)
-
-
-class Arrow(_Ordered, FrozenRecord):
-    __slots__ = ("dom", "cod")
+class Arrow(FrozenRecord):
+    __slots__ = ("dom", "cod", "_order")  # _order, not a field: None for an arrow over a non-type
 
     def __init__(self, dom: SimpleType, cod: SimpleType):
         object.__setattr__(self, "dom", dom)
@@ -270,14 +263,7 @@ def render_type(ty: SimpleType) -> str:
 # --- unification problems ------------------------------------------------
 
 
-class _Validated:
-    """Slots outside a record's fields, so that equality, repr, hashing,
-    copying and ``match`` never see what is kept in them."""
-
-    __slots__ = ("_valid_as", "_normal_as")
-
-
-class UnifProblem(_Validated, Record):
+class UnifProblem(Record):
     """One equation between two sides, with its context and declarations.
 
     Invariants (validated by validate_problem, not enforced on construction
@@ -285,22 +271,14 @@ class UnifProblem(_Validated, Record):
     sides sort-check in ctx at a common type, and every metavariable that
     occurs is declared.
 
-    ``transform.require_valid`` keeps in ``_valid_as`` a snapshot of the
-    fields a problem passed with, and skips validation while the fields
-    still compare equal to it.  That is sound because validity is a
-    function of the field values, and a snapshot cannot change with them:
-    the terms, sorts and types are frozen, ``ctx`` is kept as a tuple and
-    ``metavars`` as a copy of the dict.  So reassigning a field, or adding,
-    removing or replacing a declaration, makes the next check validate
-    again.  A copy or an unpickled problem starts with no snapshot.
-
-    ``transform.reduce_problem`` keeps in ``_normal_as`` the sides it built
-    in normal form, and the search takes them as their own normal forms
-    while ``lhs`` and ``rhs`` are still those objects.  A copy or an
-    unpickled problem starts without the mark.
+    ``_valid_as``, a slot outside the fields, is the one record of what is
+    known about the problem: a snapshot of the fields it passed validation
+    with, and whether its sides are their own normal forms.  Only
+    ``transform`` reads or writes it (see ``transform._known``).  A copy or
+    an unpickled problem starts with no snapshot.
     """
 
-    __slots__ = ("base_types", "ctx", "metavars", "lhs", "rhs", "mode")
+    __slots__ = ("base_types", "ctx", "metavars", "lhs", "rhs", "mode", "_valid_as")
 
     def __init__(
         self,
@@ -318,7 +296,6 @@ class UnifProblem(_Validated, Record):
         self.rhs = rhs
         self.mode = mode
         self._valid_as = None
-        self._normal_as = None
 
 
 class CheckEntry(Record):

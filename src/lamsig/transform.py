@@ -9,9 +9,9 @@ The pipeline has three legs:
 * the lifting substitution, which trades every unknown of arrow type for a
   fresh unknown of atomic type living in an extended context, together with
   a certificate recording the correspondence; ``reduce_problem`` grafts it
-  into the closure-free sides of a valid problem and normalizes with
-  ``rewrite.normalize_graft``, contracting Beta only where a lifting image
-  meets its arguments;
+  into the closure-free or precooked sides of a valid problem and
+  normalizes with ``rewrite.normalize_graft``, contracting Beta only where
+  a lifting image meets its arguments;
 * transport of solutions across the certificate, in both directions.
 
 ``validate_reduced_problem`` checks the paper's Remark on the shape of the
@@ -62,7 +62,6 @@ from .terms import (
     Shift,
     Subst,
     Term,
-    contains,
     free_metavars,
     graft,
     is_simple_subst,
@@ -100,26 +99,54 @@ def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> None:
     unless p is in the mode `caller` expects, and InvalidProblem unless it
     passes validate_problem.
 
-    A problem that passed is validated again only once a field no longer
-    compares equal to its snapshot (see ``UnifProblem``), so a search
-    operation validates each problem object at most once.  A problem that
-    fails is never remembered, and is reported afresh each time."""
+    A problem that passed is validated again only once its fields no
+    longer compare equal to its snapshot, so a search operation validates
+    each problem object at most once.  A problem that fails is never
+    remembered, and is reported afresh each time."""
     if p.mode is not mode:
         kind = "substitution-only" if mode is EqMode.SIGMA_ONLY else "full-equality"
         raise ValueError(f"{caller} expects a {kind} problem")
-    if p._valid_as != (p.base_types, p.ctx, p.metavars, p.lhs, p.rhs, p.mode):
+    if _known(p) is None:
         report = validate_problem(p)
         if not report.ok:
             raise InvalidProblem(report)
-        _remember_valid(p)
+        _remember(p, False)
 
 
-def _remember_valid(p: UnifProblem) -> None:
-    """Snapshot p's fields as they pass validation.  The declarations are
-    copied, since callers may edit the dict in place; ``tuple`` returns a
-    tuple ctx as it is, and a ctx of another type, copied, never compares
-    equal to it again, so such a problem is always validated."""
-    p._valid_as = (p.base_types, tuple(p.ctx), dict(p.metavars), p.lhs, p.rhs, p.mode)
+def _known(p: UnifProblem) -> bool | None:
+    """None unless p has a snapshot its fields still compare equal to;
+    then whether the snapshot records the sides as their own normal forms
+    in p's equality.
+
+    Validity and normal forms are functions of the field values, and a
+    snapshot cannot change with them: the terms, sorts and types are
+    frozen, ``ctx`` is kept as a tuple and ``metavars`` as a copy of the
+    dict (a ctx of another type, copied, never compares equal again).  So
+    reassigning a field to a different value, or editing a declaration,
+    drops what was known, and the next check validates again."""
+    known = p._valid_as
+    if known is None or known[0] != (p.base_types, p.ctx, p.metavars, p.lhs, p.rhs, p.mode):
+        return None
+    return known[1]
+
+
+def _remember(p: UnifProblem, normal: bool) -> None:
+    p._valid_as = (p.base_types, tuple(p.ctx), dict(p.metavars), p.lhs, p.rhs, p.mode), normal
+
+
+def normal_sides(p: UnifProblem, fuel: int) -> tuple[Term, Term]:
+    """The normal forms of p's sides in p's equality: the sides, if p's
+    snapshot records them so, else normalize_graft's, recorded in a
+    current snapshot if they equal the sides.  Only that is ever recorded,
+    so no result depends on earlier calls: normalizing a normal form
+    charges no rule instance, and other sides are normalized every time."""
+    known = _known(p)
+    if known:
+        return p.lhs, p.rhs
+    sides = normalize_graft({}, p.lhs, p.mode, fuel), normalize_graft({}, p.rhs, p.mode, fuel)
+    if known is False and sides == (p.lhs, p.rhs):
+        p._valid_as = p._valid_as[0], True
+    return sides
 
 
 class ReductionCertificate(Record):
@@ -138,8 +165,9 @@ class ReductionCertificate(Record):
 
 
 def _cook(p: UnifProblem) -> tuple[Term, Term]:
-    """precook's walk over both sides; a closure is the error reported
-    whatever else fails."""
+    """precook's walk over both sides, after the closure check, so that a
+    closure is the error reported whatever else fails."""
+    _require_closure_free(p, False)
 
     def go(t: Term, depth: int) -> Term:
         tp = type(t)
@@ -157,20 +185,18 @@ def _cook(p: UnifProblem) -> tuple[Term, Term]:
             return t if k == 0 else Closure(t, Shift(k))
         if tp is Lam:
             return Lam(go(t.body, depth + 1))
-        if tp is Closure:
-            raise ValueError  # named by the except clause below
         raise TypeError(f"not a lambda-syntax term: {t!r}")
 
-    try:
-        return go(p.lhs, 0), go(p.rhs, 0)
-    except ValueError:
-        _require_closure_free(p)
-        raise
+    return go(p.lhs, 0), go(p.rhs, 0)
 
 
-def _require_closure_free(p: UnifProblem) -> None:
-    if contains(p.lhs, Closure) or contains(p.rhs, Closure):
-        raise ValueError("precooking requires closure-free sides") from None
+def _require_closure_free(p: UnifProblem, precooked: bool) -> None:
+    """Raise ValueError if a side holds a closure; with `precooked`, one
+    other than precook's own, an unknown under a shift."""
+    for side in (p.lhs, p.rhs):
+        for node in subterms(side):
+            if type(node) is Closure and not (precooked and type(node.body) is Meta and type(node.subst) is Shift):
+                raise ValueError("precooking requires closure-free sides")
 
 
 def precook(p: UnifProblem) -> UnifProblem:
@@ -240,12 +266,14 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
     """Produce the substitution-only image of a valid second-order problem
     in full equality.
 
-    The sides must be closure-free, as for precook.  A valid problem is
-    then its own precooked form, so the lifting substitution is grafted
-    into each side as written and the result fully normalized by
+    The sides must be closure-free, or precooked: the only closures they
+    may hold are unknowns under a shift, as precook writes them.  A valid
+    problem is its own precooked form, so the lifting substitution is
+    grafted into each side as written and the result fully normalized by
     normalize_graft: each image lam...lam Y' meets the arguments of the
-    unknown it replaces and leaves the closure Y'[a_m ... a_1 . ^0], with
-    Beta contracted only there and the substitution rules doing the rest.
+    unknown it replaces (X, or X[^n]) and leaves Y'[a_m ... a_1 . ^n],
+    with Beta contracted only there and the substitution rules doing the
+    rest.
     The target is to be solved modulo the substitution rules.  fuel bounds
     the substitution rule instances of each side's normalization, and the
     stepper's steps too when a side has a higher-order redex of its own,
@@ -256,17 +284,17 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
     - its unknowns are the fresh ones, each atomic, so of order 1, with
       context reversed(args) + ctx of the unknown it replaces; that
       unknown's type has order at most 2, so its args are first order,
-      and its context is second order;
+      and its context is second order; under ^n, Y' keeps that context;
     - normalization preserves sorts, so both sides keep the source's
       common type, which is atomic;
     - the lifting images mention only fresh unknowns, so every unknown
       that occurs is declared.
-    Criterion 5 and ``test_reduce_outputs_validate`` check this.  Its
-    sides are marked normal too, so the search takes them as they are.
+    Criterion 5 and ``test_reduce_outputs_validate`` check this.  The
+    snapshot records its sides as normal forms too.
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "reduce_problem")
     lifting, var_map, fresh_metavars = build_lifting_subst(p)
-    _require_closure_free(p)
+    _require_closure_free(p, True)
     target = UnifProblem(
         base_types=p.base_types,
         ctx=p.ctx,
@@ -275,8 +303,7 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
         rhs=normalize_graft(lifting, p.rhs, EqMode.LAMBDA_SIGMA, fuel),
         mode=EqMode.SIGMA_ONLY,
     )
-    _remember_valid(target)
-    target._normal_as = (target.lhs, target.rhs)
+    _remember(target, True)
     return ReductionCertificate(var_map, p, target)
 
 

@@ -135,6 +135,27 @@ def test_reduce_a_side_with_its_own_higher_order_redex(tmp_path):
     ))
 
 
+UNDER_A_BINDER = (
+    "(problem (base-types iota) (context (g (-> iota iota)) (d iota)) (metavars (?X (-> iota iota)))\n"
+    "  (mode lambdasigma) (equation (app (lam (x iota) (app ?X x)) d) (app g d)))\n"
+)
+
+
+def test_precook_then_reduce_then_check(tmp_path):
+    """An unknown under a binder it is not declared under: precook closes
+    it over a shift, reduce takes that form, and check passes the target.
+    Precooking the precooked file again names the closure."""
+    path, cooked, reduced = (tmp_path / name for name in ("binder.sig", "cooked.sig", "reduced.sig"))
+    path.write_text(UNDER_A_BINDER)
+    status, out = run_command(["precook", str(path)])
+    assert status == 0 and "(clo ?X (shift 1))" in out
+    cooked.write_text(out)
+    assert run_command(["reduce", str(cooked), "-o", str(reduced)])[0] == 0
+    assert "(equation (clo ?X'1 (cons d (shift 0))) (app g d))" in reduced.read_text()
+    assert run_command(["check", str(reduced)])[0] == 0
+    assert run_command(["precook", str(cooked)]) == (2, "error: precooking requires closure-free sides\n")
+
+
 def test_solve_no_solution_exits_one(tmp_path):
     status, out = run_command(
         ["solve", corpus_file("ground_mismatch.sig"), "--bound", "2"]

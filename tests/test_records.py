@@ -2,7 +2,8 @@
 replaced: equality only within one class, ``hash(tuple(fields))`` for the
 frozen ones and none for the others, the dataclass ``repr`` text, positional
 ``match`` patterns, keyword construction, and round trips through ``copy``
-and ``pickle``."""
+and ``pickle``.  A slot named with a leading underscore is not a field, and
+none of these see it."""
 
 import copy
 import pickle
@@ -34,7 +35,7 @@ from lamsig.sexpr import SAtom, SList
 from lamsig.solver import Aborted, ExhaustedNoSolution, Solved
 from lamsig.sorts import CheckEntry, ValidationReport
 from lamsig.surface import Expectation, ProblemFile
-from lamsig.transform import ReductionCertificate
+from lamsig.transform import ReductionCertificate, normal_sides, reduce_problem
 
 IOTA = Base("iota")
 SORT = Sort((IOTA,), IOTA)
@@ -92,11 +93,32 @@ CASES = [
 
 FROZEN = {Index, Meta, App, Lam, Closure, Shift, Cons, Comp, Base, Arrow, Sort, SearchConfig}
 
-records = pytest.mark.parametrize("record", [x for x, _ in CASES], ids=lambda x: type(x).__name__)
+
+def snapshotted_problems() -> list[UnifProblem]:
+    """A source whose snapshot records its sides as normal, and a
+    reduction's target, recorded so from birth."""
+    source = UnifProblem(
+        frozenset({"iota"}), (IOTA,), {"X": Sort((IOTA,), Arrow(IOTA, IOTA))},
+        App(Meta("X"), Index(1)), Index(1), EqMode.LAMBDA_SIGMA,
+    )
+    target = reduce_problem(source).target
+    normal_sides(source, 10)
+    return [source, target]
+
+
+# records with hidden slots set: an arrow's order, and problems' snapshots
+HIDDEN = [
+    pytest.param(Arrow(Arrow(IOTA, IOTA), IOTA), id="Arrow of order 3"),
+    *(pytest.param(p, id=f"UnifProblem with a snapshot {i}") for i, p in enumerate(snapshotted_problems())),
+]
+
+records = pytest.mark.parametrize(
+    "record", [pytest.param(x, id=type(x).__name__) for x, _ in CASES] + HIDDEN
+)
 
 
 def fields(record) -> tuple:
-    return tuple(getattr(record, name) for name in type(record).__slots__)
+    return tuple(getattr(record, name) for name in type(record).__match_args__)
 
 
 def test_the_cases_cover_every_record_class():
@@ -137,7 +159,7 @@ def test_repr_is_the_dataclass_text(record, text):
 @records
 def test_frozen_records_refuse_assignment(record):
     before = fields(record)
-    for name in type(record).__slots__:
+    for name in type(record).__match_args__:
         if type(record) in FROZEN:
             with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                 setattr(record, name, None)
@@ -153,15 +175,15 @@ def test_frozen_records_refuse_assignment(record):
 @records
 def test_positional_and_keyword_patterns_read_every_field(record):
     cls = type(record)
-    assert cls.__match_args__ == cls.__slots__
-    names = [f"v{i}" for i in range(len(cls.__slots__))]
+    assert cls.__match_args__ == tuple(name for name in cls.__slots__ if not name.startswith("_"))
+    names = [f"v{i}" for i in range(len(cls.__match_args__))]
     scope = {"cls": cls, "record": record}
     exec(
         f"match record:\n    case cls({', '.join(names)}):\n        out = ({', '.join(names)},)\n",
         scope,
     )
     assert all(a is b for a, b in zip(scope["out"], fields(record), strict=True))
-    assert cls(**dict(zip(cls.__slots__, fields(record)))) == record
+    assert cls(**dict(zip(cls.__match_args__, fields(record)))) == record
 
 
 @records
@@ -169,8 +191,24 @@ def test_copy_deepcopy_and_pickle_round_trip(record):
     shallow = copy.copy(record)
     assert type(shallow) is type(record) and shallow == record
     assert all(a is b for a, b in zip(fields(shallow), fields(record)))
-    for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
-        assert type(twin) is type(record) and twin == record
+    for twin in (shallow, copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+        if type(record) is UnifProblem:
+            assert twin._valid_as is None  # a copy starts with no snapshot
+        elif type(record) is Arrow:
+            assert twin._order == record._order
+
+
+def test_hidden_slots_are_set_and_not_fields():
+    """The hidden slots of the inputs above hold something, and equality,
+    hashing and repr read past them."""
+    arrow, source, target = (param.values[0] for param in HIDDEN)
+    assert arrow._order == 3 and hash(arrow) == hash((arrow.dom, arrow.cod))
+    for p in (source, target):
+        assert p._valid_as is not None and p._valid_as[1] is True
+        fresh = UnifProblem(*fields(p))
+        assert fresh == p and fresh._valid_as is None
+        assert "_valid_as" not in repr(p) and repr(fresh) == repr(p)
 
 
 @pytest.mark.parametrize(

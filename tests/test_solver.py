@@ -44,7 +44,7 @@ from lamsig import (
     validate_problem,
     validate_reduced_problem,
 )
-from lamsig import solver
+from lamsig import solver, transform
 from lamsig.surface import parse_problem
 from lamsig.terms import contains, free_metavars, graft
 
@@ -683,10 +683,10 @@ def test_instance_heads_match_the_normal_form():
 
 def counting_grafts(monkeypatch) -> Counter:
     """Count the search's grafts per grafted term: the calls of
-    normalize_graft, which builds both searches' instances, with a
-    non-empty assignment.  The two sides, normalized with nothing bound,
-    and a hit's check, which grafts a MetaSubst through graft, are not
-    counted."""
+    normalize_graft, which builds both searches' instances in solver and
+    normalizes their sides in transform, with a non-empty assignment.  The
+    two sides, normalized with nothing bound, and a hit's check, which
+    grafts a MetaSubst through graft, are not counted."""
     grafts: Counter = Counter()
 
     def count(theta, t, *args):
@@ -694,7 +694,8 @@ def counting_grafts(monkeypatch) -> Counter:
             grafts[t] += 1
         return normalize_graft(theta, t, *args)
 
-    monkeypatch.setattr(solver, "normalize_graft", count)
+    for module in (solver, transform):
+        monkeypatch.setattr(module, "normalize_graft", count)
     return grafts
 
 

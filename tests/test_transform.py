@@ -555,7 +555,7 @@ def test_the_evaluator_grafts_as_grafting_first_does_on_graft_cases():
 
 def test_reduce_rejects_a_closure_in_a_side():
     """A valid problem may close a side over a substitution, but reduction
-    takes closure-free sides, as precooking does, whether or not the side
+    takes closure-free sides, or precooked ones, whether or not the side
     holds an unknown."""
     ctx = (iota,)
     closure = closure_side_problem().rhs
@@ -570,6 +570,57 @@ def test_reduce_rejects_a_closure_in_a_side():
         assert validate_problem(p).ok, (lhs, rhs)
         with pytest.raises(ValueError, match="^precooking requires closure-free sides$"):
             reduce_problem(p)
+
+
+def lambda_sigma_file(context, metavars, equation):
+    return (f"(problem (base-types iota) (context {context}) (metavars {metavars})\n"
+            f"  (mode lambdasigma) (equation {equation}))\n")
+
+
+# files whose unknown sits under a binder it is not declared under, so that
+# precook closes it over a shift, and one that writes X[^1] itself
+UNDER_A_BINDER = {
+    "applied unknown": lambda_sigma_file(
+        "(g (-> iota iota)) (d iota)", "(?X (-> iota iota))",
+        "(app (lam (x iota) (app ?X x)) d) (app g d)"),
+    "bare unknown": lambda_sigma_file("(c iota)", "(?X iota)", "(app (lam (x iota) ?X) c) c"),
+    "unknown inside a spine": lambda_sigma_file(
+        "(f (-> iota (-> iota iota))) (c iota)", "(?X (-> iota iota))",
+        "(app (lam (y iota) (app (app f (app ?X y)) y)) c) (app (app f c) c)"),
+}
+SHORTER_CONTEXT = lambda_sigma_file(
+    "(c iota) (d iota)", "(?X (-> iota iota) :ctx (iota))", "(app (clo ?X (shift 1)) c) c")
+
+
+def contains_closure(p):
+    return any(type(node) is Closure for side in (p.lhs, p.rhs) for node in subterms(side))
+
+
+def test_reduce_takes_the_precooked_form():
+    """precook, then reduce_problem: the target validates, on a copy, and
+    passes the Remark checks, and every solution solve_sigma finds for it
+    at bounds 1-5, lifted, solves the precooked source.  A file that
+    writes X[^1] for an unknown declared in a shorter context reduces as
+    it is, to a closure whose shift is not 0.  precook itself still takes
+    closure-free sides only."""
+    sources = [(name, precook(parse_problem(text).problem)) for name, text in UNDER_A_BINDER.items()]
+    assert all(contains_closure(p) for _, p in sources)
+    sources.append(("shorter context", parse_problem(SHORTER_CONTEXT).problem))
+    solved = 0
+    for name, p in sources:
+        cert = reduce_problem(p)
+        assert validate_problem(copy.copy(cert.target)).ok, name
+        assert validate_reduced_problem(cert).ok, name
+        for bound in range(1, 6):
+            out = solve_sigma(cert.target, SearchConfig(size_bound=bound, find_all=True))
+            for theta in out.solutions if isinstance(out, Solved) else []:
+                assert check_solution(p, lift_solution(cert, theta)), (name, theta)
+                solved += 1
+        with pytest.raises(ValueError, match="^precooking requires closure-free sides$"):
+            precook(p)
+    assert solved == 31
+    shorter = reduce_problem(sources[-1][1]).target
+    assert [node.subst for node in subterms(shorter.lhs) if type(node) is Closure] == [Cons(Index(2), Shift(1))]
 
 
 def test_no_precooking_in_the_verdicts_and_one_walk_in_reduce(monkeypatch):
@@ -937,14 +988,15 @@ def test_a_marked_target_searches_as_an_unmarked_copy():
     """On the λσ corpus, gen_second_order_problem seeds 0-499 and a side
     with a higher-order redex of its own, at bounds 1-4, with find_all off
     and on, at fuel 1, 2 and the default: solve_sigma gives a reduction's
-    target, whose sides are marked normal, the outcome, solutions and
-    find_all list it gives a copy, which starts without the mark and so
-    normalizes its sides.  Some of the searches abort on fuel."""
+    target, whose snapshot records its sides as normal, the outcome,
+    solutions and find_all list it gives a copy, which starts with no
+    snapshot and so normalizes its sides.  Some of the searches abort on
+    fuel."""
     outcomes = Counter()
     for name, p in lambda_sigma_sources() + [("higher-order redex", higher_order_redex_problem())]:
         target = reduce_problem(p).target
         unmarked = copy.copy(target)
-        assert target._normal_as == (target.lhs, target.rhs) and unmarked._normal_as is None, name
+        assert transform._known(target) is True and transform._known(unmarked) is None, name
         for bound, find_all, fuel in itertools.product((1, 2, 3, 4), (False, True), (1, 2, DEFAULT_FUEL)):
             cfg = SearchConfig(size_bound=bound, find_all=find_all, fuel=fuel)
             got = solve_sigma(target, cfg)
@@ -953,10 +1005,9 @@ def test_a_marked_target_searches_as_an_unmarked_copy():
     assert outcomes["Aborted"] > 100 and outcomes["Solved"] > 1000, outcomes
 
 
-def test_the_mark_holds_while_the_sides_are_the_objects_built(monkeypatch):
-    """A reduction's target normalizes no side with an empty assignment.
-    Once its lhs is reassigned, even to an equal term, both sides are
-    normalized again, and so are a copy's."""
+def counting_side_normalizations(monkeypatch) -> list:
+    """The sides the search normalizes: the calls of normalize_graft with
+    nothing bound, which transform.normal_sides makes."""
     normalized = []
 
     def count(theta, t, *args):
@@ -964,15 +1015,73 @@ def test_the_mark_holds_while_the_sides_are_the_objects_built(monkeypatch):
             normalized.append(t)
         return normalize_graft(theta, t, *args)
 
-    monkeypatch.setattr(solver, "normalize_graft", count)
+    monkeypatch.setattr(transform, "normalize_graft", count)
+    return normalized
+
+
+def test_the_normal_fact_holds_while_the_sides_keep_their_value(monkeypatch):
+    """A reduction's target normalizes no side with an empty assignment.
+    Once its lhs is reassigned to an equal copy, the fact still holds, and
+    no side is normalized; once it is reassigned to a different term, the
+    problem is validated again and both sides are normalized.  A copy
+    normalizes both sides on its first search."""
+    normalized = counting_side_normalizations(monkeypatch)
+    validated = []
+    validate = transform.validate_problem
+    monkeypatch.setattr(transform, "validate_problem", lambda p: validated.append(p) or validate(p))
     source = parse_problem((CORPUS / "xc_eq_fc.sig").read_text(encoding="utf-8")).problem
     target = reduce_problem(source).target
     solved = solve_sigma(target)
-    assert isinstance(solved, Solved) and normalized == []
-    assert solve_sigma(copy.copy(target)) == solved
+    assert isinstance(solved, Solved) and normalized == [] and validated == [source]
+    twin = copy.copy(target)
+    assert solve_sigma(twin) == solved
     assert normalized == [target.lhs, target.rhs]
     normalized.clear()
     target.lhs = copy.copy(target.lhs)
-    assert target.lhs == target._normal_as[0] and target.lhs is not target._normal_as[0]
+    assert target.lhs == target._valid_as[0][3] and target.lhs is not target._valid_as[0][3]
     assert solve_sigma(target) == solved
-    assert normalized == [target.lhs, target.rhs]
+    assert normalized == [] and transform._known(target) is True
+    validated.clear()
+    target.lhs = Closure(target.lhs, Shift(0))
+    assert transform._known(target) is None
+    assert solve_sigma(target) == solved
+    assert validated == [target] and normalized == [target.lhs, target.rhs]
+
+
+def test_a_source_with_normal_sides_normalizes_them_once(monkeypatch):
+    """decide_small_lambda on a source whose sides are normal normalizes
+    both on its first search and none on the second; on a source with a
+    higher-order redex of its own it normalizes both on every search."""
+    normalized = counting_side_normalizations(monkeypatch)
+    cfg = SearchConfig(size_bound=3)
+    normal = parse_problem((CORPUS / "xc_eq_fc.sig").read_text(encoding="utf-8")).problem
+    redex = higher_order_redex_problem()
+    for p, second in ((normal, []), (redex, [redex.lhs, redex.rhs])):
+        first = decide_small_lambda(p, cfg)
+        assert normalized == [p.lhs, p.rhs]
+        normalized.clear()
+        assert decide_small_lambda(p, cfg) == first
+        assert normalized == second
+        normalized.clear()
+    assert transform._known(normal) is True and transform._known(redex) is False
+
+
+def test_search_history_does_not_matter():
+    """On the λσ and σ corpus files and gen_second_order_problem seeds
+    0-499, once a problem has been searched: at bounds 1-4 and fuel 1, 2,
+    3, 5 and the default, searching it again gives what searching a copy
+    of it, with no snapshot, gives.  Some of the searches abort on fuel."""
+    sigma = [(path.name, parse_problem(path.read_text(encoding="utf-8")).problem)
+             for path in sorted(CORPUS.glob("sigma_*.sig"))]
+    assert len(sigma) == 2 and all(p.mode is EqMode.SIGMA_ONLY for _, p in sigma)
+    outcomes = Counter()
+    for name, p in lambda_sigma_sources() + sigma:
+        search = solve_sigma if p.mode is EqMode.SIGMA_ONLY else decide_small_lambda
+        search(p)
+        for bound, fuel in itertools.product((1, 2, 3, 4), (1, 2, 3, 5, DEFAULT_FUEL)):
+            cfg = SearchConfig(size_bound=bound, fuel=fuel)
+            got = search(p, cfg)
+            assert repr(got) == repr(search(copy.copy(p), cfg)), (name, cfg)
+            outcomes[type(got).__name__] += 1
+    assert sum(outcomes.values()) == 10_420
+    assert outcomes["Aborted"] > 100 and outcomes["Solved"] > 1000, outcomes
