@@ -45,7 +45,7 @@ from .rewrite import (
     normalize_lambda_sigma,
     sigma_equal,
 )
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, slot_setters
 from .sorts import (
     Arrow,
     Context,
@@ -82,14 +82,23 @@ class SearchConfig(FrozenRecord):
         find_all: bool = False,
         max_solutions: int = 16,
     ):
-        object.__setattr__(self, "size_bound", size_bound)
-        object.__setattr__(self, "depth_bound", depth_bound)
-        object.__setattr__(self, "fuel", fuel)
-        object.__setattr__(self, "find_all", find_all)
-        object.__setattr__(self, "max_solutions", max_solutions)
+        _set_config_size_bound(self, size_bound)
+        _set_config_depth_bound(self, depth_bound)
+        _set_config_fuel(self, fuel)
+        _set_config_find_all(self, find_all)
+        _set_config_max_solutions(self, max_solutions)
         for name in ("size_bound", "depth_bound", "fuel", "max_solutions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+
+
+(
+    _set_config_size_bound,
+    _set_config_depth_bound,
+    _set_config_fuel,
+    _set_config_find_all,
+    _set_config_max_solutions,
+) = slot_setters(SearchConfig)
 
 
 class Solved(Record):

@@ -17,7 +17,7 @@ from it, so this module alone decides how a binder is typed.
 
 from __future__ import annotations
 
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, slot_setters
 from .terms import (
     App,
     Closure,
@@ -39,22 +39,28 @@ class Base(FrozenRecord):
     _order = 1  # every base type's order, read by order_of_type; not a field
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        _set_base_name(self, name)
+
+
+(_set_base_name,) = slot_setters(Base)
 
 
 class Arrow(FrozenRecord):
     __slots__ = ("dom", "cod", "_order")  # _order, not a field: None for an arrow over a non-type
 
     def __init__(self, dom: SimpleType, cod: SimpleType):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
+        _set_arrow_dom(self, dom)
+        _set_arrow_cod(self, cod)
         try:
             order = dom._order + 1
             if order < cod._order:
                 order = cod._order
         except (AttributeError, TypeError):  # a non-type, or an arrow over one
             order = None
-        object.__setattr__(self, "_order", order)
+        _set_arrow_order(self, order)
+
+
+_set_arrow_dom, _set_arrow_cod, _set_arrow_order = slot_setters(Arrow)
 
 
 SimpleType = Base | Arrow
@@ -65,8 +71,11 @@ class Sort(FrozenRecord):
     __slots__ = ("ctx", "ty")
 
     def __init__(self, ctx: Context, ty: SimpleType):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "ty", ty)
+        _set_sort_ctx(self, ctx)
+        _set_sort_ty(self, ty)
+
+
+_set_sort_ctx, _set_sort_ty = slot_setters(Sort)
 
 
 class IllTyped(Exception):

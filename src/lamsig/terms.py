@@ -28,7 +28,7 @@ from __future__ import annotations
 from enum import Enum
 from collections.abc import Callable, Iterator, Mapping
 
-from .records import FrozenRecord
+from .records import FrozenRecord, slot_setters
 
 
 class EqMode(Enum):
@@ -48,37 +48,52 @@ class Index(FrozenRecord):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"de Bruijn index must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
+        _set_index_n(self, n)
+
+
+(_set_index_n,) = slot_setters(Index)
 
 
 class Meta(FrozenRecord):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        _set_meta_name(self, name)
+
+
+(_set_meta_name,) = slot_setters(Meta)
 
 
 class App(FrozenRecord):
     __slots__ = ("fun", "arg")
 
     def __init__(self, fun: Term, arg: Term):
-        object.__setattr__(self, "fun", fun)
-        object.__setattr__(self, "arg", arg)
+        _set_app_fun(self, fun)
+        _set_app_arg(self, arg)
+
+
+_set_app_fun, _set_app_arg = slot_setters(App)
 
 
 class Lam(FrozenRecord):
     __slots__ = ("body",)
 
     def __init__(self, body: Term):
-        object.__setattr__(self, "body", body)
+        _set_lam_body(self, body)
+
+
+(_set_lam_body,) = slot_setters(Lam)
 
 
 class Closure(FrozenRecord):
     __slots__ = ("body", "subst")
 
     def __init__(self, body: Term, subst: Subst):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "subst", subst)
+        _set_closure_body(self, body)
+        _set_closure_subst(self, subst)
+
+
+_set_closure_body, _set_closure_subst = slot_setters(Closure)
 
 
 # --- substitutions -------------------------------------------------------
@@ -90,23 +105,32 @@ class Shift(FrozenRecord):
     def __init__(self, k: int):
         if k < 0:
             raise ValueError(f"shift must be >= 0, got {k}")
-        object.__setattr__(self, "k", k)
+        _set_shift_k(self, k)
+
+
+(_set_shift_k,) = slot_setters(Shift)
 
 
 class Cons(FrozenRecord):
     __slots__ = ("head", "tail")
 
     def __init__(self, head: Term, tail: Subst):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
+        _set_cons_head(self, head)
+        _set_cons_tail(self, tail)
+
+
+_set_cons_head, _set_cons_tail = slot_setters(Cons)
 
 
 class Comp(FrozenRecord):
     __slots__ = ("first", "second")
 
     def __init__(self, first: Subst, second: Subst):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+        _set_comp_first(self, first)
+        _set_comp_second(self, second)
+
+
+_set_comp_first, _set_comp_second = slot_setters(Comp)
 
 
 Term = Index | Meta | App | Lam | Closure

@@ -165,9 +165,24 @@ class ReductionCertificate(Record):
 
 
 def _cook(p: UnifProblem) -> tuple[Term, Term]:
-    """precook's walk over both sides, after the closure check, so that a
-    closure is the error reported whatever else fails."""
-    _require_closure_free(p, False)
+    """precook's walk over both sides.  It keeps a closure only where it
+    would write that closure itself, an unknown under the shift of its
+    binder depth, so precooking its own output changes nothing; any other
+    closure is the error reported, whatever else fails, so the walk reports
+    the other errors only once it is done."""
+    errors: list[str] = []
+
+    def shift(name: str, depth: int) -> int:
+        """The shift precook closes an occurrence of name at depth over; an
+        undeclared unknown or one outside its context records an error."""
+        sort = p.metavars.get(name)
+        if sort is None:
+            errors.append(f"undeclared metavariable {name}")
+            return -1
+        k = depth - (len(sort.ctx) - len(p.ctx))
+        if k < 0:
+            errors.append(f"metavariable {name} occurs outside its declared context")
+        return k
 
     def go(t: Term, depth: int) -> Term:
         tp = type(t)
@@ -176,26 +191,29 @@ def _cook(p: UnifProblem) -> tuple[Term, Term]:
         if tp is Index:
             return t
         if tp is Meta:
-            name = t.name
-            if name not in p.metavars:
-                raise ValueError(f"undeclared metavariable {name}")
-            k = depth - (len(p.metavars[name].ctx) - len(p.ctx))
-            if k < 0:
-                raise ValueError(f"metavariable {name} occurs outside its declared context")
-            return t if k == 0 else Closure(t, Shift(k))
+            k = shift(t.name, depth)
+            return t if k <= 0 else Closure(t, Shift(k))
         if tp is Lam:
             return Lam(go(t.body, depth + 1))
+        if tp is Closure:
+            body, subst = t.body, t.subst
+            if type(body) is Meta and type(subst) is Shift and subst.k > 0 and subst.k == shift(body.name, depth):
+                return t
+            raise ValueError("precooking requires closure-free sides")
         raise TypeError(f"not a lambda-syntax term: {t!r}")
 
-    return go(p.lhs, 0), go(p.rhs, 0)
+    cooked = go(p.lhs, 0), go(p.rhs, 0)
+    if errors:
+        raise ValueError(errors[0])
+    return cooked
 
 
-def _require_closure_free(p: UnifProblem, precooked: bool) -> None:
-    """Raise ValueError if a side holds a closure; with `precooked`, one
-    other than precook's own, an unknown under a shift."""
+def _require_closure_free(p: UnifProblem) -> None:
+    """Raise ValueError if a side holds a closure other than precook's own,
+    an unknown under a shift."""
     for side in (p.lhs, p.rhs):
         for node in subterms(side):
-            if type(node) is Closure and not (precooked and type(node.body) is Meta and type(node.subst) is Shift):
+            if type(node) is Closure and not (type(node.body) is Meta and type(node.subst) is Shift):
                 raise ValueError("precooking requires closure-free sides")
 
 
@@ -203,10 +221,12 @@ def precook(p: UnifProblem) -> UnifProblem:
     """Close each metavariable occurrence over the shift of the binders
     between it and the context the unknown is declared in.
 
-    Requires plain lambda syntax (no closures) in full-equality mode.  An
-    unknown declared in the problem context is shifted by its binder depth;
-    one declared ``:ctx`` in an extension by n binders is shifted n less,
-    and stays bare where no binder lies between.
+    Requires lambda syntax in full-equality mode.  An unknown declared in
+    the problem context is shifted by its binder depth; one declared
+    ``:ctx`` in an extension by n binders is shifted n less, and stays bare
+    where no binder lies between.  The only closure it takes is one it
+    would write, an unknown under exactly that shift, which it keeps, so
+    precooking a precooked problem returns it unchanged.
 
     A valid problem is its own precooked form: the sort check requires a
     bare X under d binders to be declared in the problem context extended
@@ -294,7 +314,7 @@ def reduce_problem(p: UnifProblem, fuel: int = DEFAULT_FUEL) -> ReductionCertifi
     """
     require_valid(p, EqMode.LAMBDA_SIGMA, "reduce_problem")
     lifting, var_map, fresh_metavars = build_lifting_subst(p)
-    _require_closure_free(p, True)
+    _require_closure_free(p)
     target = UnifProblem(
         base_types=p.base_types,
         ctx=p.ctx,

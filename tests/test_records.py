@@ -211,6 +211,16 @@ def test_hidden_slots_are_set_and_not_fields():
         assert "_valid_as" not in repr(p) and repr(fresh) == repr(p)
 
 
+@records
+def test_init_sets_every_slot(record):
+    """Built through its ``__init__``, a record holds a value in each slot
+    of its class and of its bases, hidden slots included."""
+    built = type(record)(*fields(record))
+    for cls in type(built).__mro__:
+        for name in cls.__dict__.get("__slots__", ()):
+            getattr(built, name)  # an unset slot raises AttributeError
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

@@ -134,6 +134,27 @@ def test_precook_reports_a_closure_before_a_misplaced_unknown():
         precook(lp((iota,), metavars, Lam(Meta("Y")), Index(1)))
 
 
+def test_precook_keeps_only_the_closures_it_writes():
+    """A closure of an unknown under the shift precook would write for it
+    there stays, so precooking is idempotent; any other closure of an
+    unknown under a shift is rejected, before a misplaced unknown too."""
+    for name, p in PRECOOK_CASES.items():
+        cooked = precook(p)
+        assert precook(cooked) == cooked, name
+    metavars = {"X": Sort((iota,), iota), "Z": Sort((iota, iota), iota)}
+    kept = Lam(Lam(App(Closure(Meta("X"), Shift(2)), Closure(Meta("Z"), Shift(1)))))
+    assert precook(lp((iota,), metavars, kept, Index(1))).lhs == kept
+    for closure in [
+        Lam(Closure(Meta("X"), Shift(2))),  # one more than its binder depth
+        Lam(Lam(Closure(Meta("X"), Shift(1)))),  # one less
+        Lam(Closure(Meta("Z"), Shift(0))),  # precook leaves Z bare there
+        Lam(Closure(Meta("Y"), Shift(1))),  # undeclared
+    ]:
+        for lhs, rhs in [(closure, Index(1)), (Meta("Z"), closure), (Meta("Y"), closure)]:
+            with pytest.raises(ValueError, match="^precooking requires closure-free sides$"):
+                precook(lp((iota,), metavars, lhs, rhs))
+
+
 def test_precook_rejects_sigma_mode():
     p = UnifProblem(BT, (iota,), {}, Index(1), Index(1), EqMode.SIGMA_ONLY)
     with pytest.raises(ValueError):
@@ -601,8 +622,8 @@ def test_reduce_takes_the_precooked_form():
     passes the Remark checks, and every solution solve_sigma finds for it
     at bounds 1-5, lifted, solves the precooked source.  A file that
     writes X[^1] for an unknown declared in a shorter context reduces as
-    it is, to a closure whose shift is not 0.  precook itself still takes
-    closure-free sides only."""
+    it is, to a closure whose shift is not 0.  Each of these is precook's
+    own form, which precooking again returns unchanged."""
     sources = [(name, precook(parse_problem(text).problem)) for name, text in UNDER_A_BINDER.items()]
     assert all(contains_closure(p) for _, p in sources)
     sources.append(("shorter context", parse_problem(SHORTER_CONTEXT).problem))
@@ -616,8 +637,7 @@ def test_reduce_takes_the_precooked_form():
             for theta in out.solutions if isinstance(out, Solved) else []:
                 assert check_solution(p, lift_solution(cert, theta)), (name, theta)
                 solved += 1
-        with pytest.raises(ValueError, match="^precooking requires closure-free sides$"):
-            precook(p)
+        assert precook(p) == p, name
     assert solved == 31
     shorter = reduce_problem(sources[-1][1]).target
     assert [node.subst for node in subterms(shorter.lhs) if type(node) is Closure] == [Cons(Index(2), Shift(1))]
