@@ -292,9 +292,10 @@ def _corpus_files(directory: str | None) -> list[tuple[str, str]]:
 
 
 def _cmd_corpus(args) -> int:
-    """Check each file's annotation.  A file that cannot be read or fails
-    with an input error is named with the error and the run goes on; the
-    exit status is then 2."""
+    """Check each file's annotation.  A file that cannot be read, fails
+    with an input error or whose search aborts is named with the error or
+    the reason, and the run goes on; the exit status is then 2, as solve's
+    is for the same file."""
     fuel = _fuel(args)
     files = _corpus_files(args.dir)
     if not files:
@@ -309,12 +310,17 @@ def _cmd_corpus(args) -> int:
                 print(f"{name}: no annotation, skipped")
                 continue
             cfg = SearchConfig(size_bound=pf.expect.bound, fuel=fuel, find_all=False)
-            solved = isinstance(_search(pf.problem, cfg), Solved)
+            outcome = _search(pf.problem, cfg)
         except (UsageError, *_INPUT_ERRORS) as err:
             print(f"{name}: error: {_describe(err)}")
             failed += 1
             continue
         checked += 1
+        if isinstance(outcome, Aborted):
+            print(f"{name}: aborted: {outcome.reason}")
+            failed += 1
+            continue
+        solved = isinstance(outcome, Solved)
         expected_solved = pf.expect.kind == "solvable"
         ok = solved == expected_solved
         all_ok = all_ok and ok

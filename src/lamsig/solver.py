@@ -6,8 +6,10 @@ There is one search, _product_search.  It streams well-sorted candidate
 terms for every unknown that occurs in the sides, in a deterministic
 order, normalizes the two sides once with the unknowns left inert, and
 decomposes their rigid structure (Huet's simplification: Decompose and
-Fail).  A rigid clash ends the search before any assignment is tried or
-any stream is read past its first candidate.  Otherwise each flex-rigid pair prunes the stream of the unknown
+Fail).  A rigid clash ends the search before any assignment is tried:
+before any stream is opened when the sides are known to be normal
+already, and otherwise before any stream is read past its first
+candidate.  Otherwise each flex-rigid pair prunes the stream of the unknown
 at the head of its flex side (Huet's rigid-head test, in the
 explicit-substitution form of Dowek, Hardin and Kirchner): the rigid side's
 head survives grafting, and the head of the flex side's instance is a
@@ -68,7 +70,7 @@ from .terms import (
     graft,
     is_simple,
 )
-from .transform import decompose_cons_shift, normal_sides, require_valid
+from .transform import decompose_cons_shift, known_normal_sides, normal_sides, require_valid
 
 
 class SearchConfig(FrozenRecord):
@@ -241,10 +243,11 @@ def _occurring(p: UnifProblem) -> list[str]:
     return [name for name in p.metavars if name in occurring]
 
 
-def _solves(p: UnifProblem, theta: MetaSubst, fuel: int) -> bool:
+def _solves(p: UnifProblem, theta: MetaSubst, fuel: int, occurring: list[str]) -> bool:
     """check_solution without the validation of p, which the search has
-    done before its hits come."""
-    missing = set(_occurring(p)) - set(theta.keys())
+    done before its hits come; occurring is _occurring(p), which the search
+    finds once for all its hits."""
+    missing = set(occurring) - set(theta.keys())
     if missing:
         raise ValueError(f"substitution misses metavariable(s): {', '.join(sorted(missing))}")
 
@@ -269,7 +272,7 @@ def check_solution(p: UnifProblem, theta: MetaSubst, fuel: int = DEFAULT_FUEL) -
     sort-checked against their declarations; non-simple ones and ones with
     inert redexes are accepted but logged."""
     require_valid(p, p.mode, "check_solution")
-    return _solves(p, theta, fuel)
+    return _solves(p, theta, fuel, _occurring(p))
 
 
 # --- bounded search ---------------------------------------------------------
@@ -482,23 +485,35 @@ def _product_search(p: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
     normalize_graft(theta, t) in p's equality, which grafts in the same
     pass as it normalizes; the candidates are ground, simple and normal,
     as it requires of its bindings.  The sides are decomposed as
-    transform.normal_sides gives them.  Each stream is drawn from once
-    before anything is normalized, so an empty product normalizes nothing,
-    and after that only as far as the assignments tried reach (see
-    _assignments): the first hit ends the search without listing the rest.
-    Each flex part with an unknown is instantiated with each assignment
-    tried; a part without one is normal already, and is its own instance.
-    An assignment is tried as a plain dict, and only a hit becomes a
-    MetaSubst, checked as check_solution checks it.  No assignment can
-    fail MetaSubst's idempotency check: candidates are ground.
+    transform.normal_sides gives them, in one of two orders.  When
+    transform.known_normal_sides has them (a reduction's target, or a
+    problem searched before whose sides came back unchanged), nothing is
+    normalized to decompose them, so they are decomposed first: a rigid
+    clash ends the search before the unknowns are found or any stream is
+    opened, and no fuel runs out in either order.  Otherwise each stream is
+    drawn from once before anything is normalized, so an empty product
+    normalizes nothing.  After that, the streams are drawn from only as far
+    as the assignments tried reach (see _assignments): the first hit ends
+    the search without listing the rest.  Each flex part with an unknown is
+    instantiated with each assignment tried; a part without one is normal
+    already, and is its own instance.  An assignment is tried as a plain
+    dict, and only a hit becomes a MetaSubst, checked as check_solution
+    checks it, against the occurring unknowns the search found once.  No
+    assignment can fail MetaSubst's idempotency check: candidates are
+    ground.
     """
+    mode = p.mode
+    sides = known_normal_sides(p)
+    if sides is not None:
+        flex = _decompose(*sides, mode)
+        if flex is None:
+            return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
     names = _occurring(p)
     streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
     firsts = [next(stream, None) for stream in streams]
     if any(first is None for first in firsts):
         return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
     fuel = cfg.fuel
-    mode = p.mode
 
     def instance(part: Term) -> Callable[[dict[str, Term]], Term]:
         if free_metavars(part):
@@ -507,9 +522,10 @@ def _product_search(p: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
 
     solutions: list[MetaSubst] = []
     try:
-        flex = _decompose(*normal_sides(p, fuel), mode)
-        if flex is None:
-            return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
+        if sides is None:
+            flex = _decompose(*normal_sides(p, fuel), mode)
+            if flex is None:
+                return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
         instances = [(instance(a), instance(b)) for a, b in flex]
         beta = mode is EqMode.LAMBDA_SIGMA
         demands = _head_demands(flex, not beta)
@@ -522,7 +538,7 @@ def _product_search(p: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
         for assignment in _assignments(names, streams, firsts):
             if all(a(assignment) == b(assignment) for a, b in instances):
                 theta = MetaSubst(assignment)
-                if not _solves(p, theta, fuel):
+                if not _solves(p, theta, fuel, names):
                     raise RuntimeError(f"search hit {theta!r} fails check_solution")
                 solutions.append(theta)
                 if not cfg.find_all or len(solutions) >= cfg.max_solutions:
@@ -539,7 +555,11 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
 
     Every unknown that occurs ranges over the ground simple-term stream of
     its sort, and assignments are tried in deterministic product order.  A
-    negative outcome only rules out the searched bounds.
+    negative outcome only rules out the searched bounds.  A reduction's
+    target is built with sides known to be normal, so a rigid clash between
+    them is found before any stream is opened; a problem whose sides are
+    not known to be normal draws one candidate per unknown before anything
+    is normalized.
     """
     require_valid(p, EqMode.SIGMA_ONLY, "solve_sigma")
     return _product_search(p, cfg)
@@ -551,13 +571,17 @@ def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> S
     Beta plus the substitution rules.
 
     A valid problem is its own precooked form, so the sides are searched,
-    and every hit checked, as written.  The sides and each flex part's
-    instances are normalized by normalize_graft, which contracts Beta where
-    a candidate's binders meet the unknown's arguments and falls back to
-    the stepper only on a higher-order redex of a side's own; each hit is
-    checked again on a literal graft through lambda_sigma_equal.  The
-    candidates need no per-assignment checks: enumeration yields only
-    well-sorted, simple, normal terms.
+    and every hit checked, as written.  A freshly validated problem draws
+    one candidate per unknown and then normalizes its sides; once a search
+    has found them unchanged they are known to be normal, and a later
+    search finds a rigid clash between them before any stream is opened.
+    The sides and each flex part's instances are normalized by
+    normalize_graft, which contracts Beta where a candidate's binders meet
+    the unknown's arguments and falls back to the stepper only on a
+    higher-order redex of a side's own; each hit is checked again on a
+    literal graft through lambda_sigma_equal.  The candidates need no
+    per-assignment checks: enumeration yields only well-sorted, simple,
+    normal terms.
     Nothing here goes through the reduction machinery, so transfer results
     can be checked against it.
     """

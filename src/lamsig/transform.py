@@ -134,17 +134,28 @@ def _remember(p: UnifProblem, normal: bool) -> None:
     p._valid_as = (p.base_types, tuple(p.ctx), dict(p.metavars), p.lhs, p.rhs, p.mode), normal
 
 
+def known_normal_sides(p: UnifProblem) -> tuple[Term, Term] | None:
+    """p's sides if p's snapshot records them as their own normal forms in
+    p's equality and p's fields still compare equal to it, else None.  A
+    snapshot that records nothing about the sides is not compared, so a
+    problem validated but never searched pays no comparison here."""
+    known = p._valid_as
+    if known is None or not known[1] or not _known(p):
+        return None
+    return p.lhs, p.rhs
+
+
 def normal_sides(p: UnifProblem, fuel: int) -> tuple[Term, Term]:
-    """The normal forms of p's sides in p's equality: the sides, if p's
-    snapshot records them so, else normalize_graft's, recorded in a
-    current snapshot if they equal the sides.  Only that is ever recorded,
-    so no result depends on earlier calls: normalizing a normal form
-    charges no rule instance, and other sides are normalized every time."""
-    known = _known(p)
-    if known:
-        return p.lhs, p.rhs
+    """The normal forms of p's sides in p's equality: known_normal_sides's,
+    if it has them, else normalize_graft's, recorded in a current snapshot
+    if they equal the sides.  Only that is ever recorded, so no result
+    depends on earlier calls: normalizing a normal form charges no rule
+    instance, and other sides are normalized every time."""
+    sides = known_normal_sides(p)
+    if sides is not None:
+        return sides
     sides = normalize_graft({}, p.lhs, p.mode, fuel), normalize_graft({}, p.rhs, p.mode, fuel)
-    if known is False and sides == (p.lhs, p.rhs):
+    if sides == (p.lhs, p.rhs) and _known(p) is False:
         p._valid_as = p._valid_as[0], True
     return sides
 

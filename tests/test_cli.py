@@ -340,6 +340,25 @@ def test_corpus_run_names_a_failing_file_and_checks_the_rest(tmp_path):
     assert lines[3] == "corpus: 3 files, 2 annotated, all as annotated; 1 failed with an error"
 
 
+def test_corpus_run_reports_an_aborted_search_as_solve_does():
+    """At fuel 1, solve aborts on occurs_cycle.sig and exits 2.  corpus run
+    names that file with the same reason instead of a verdict, reports every
+    aborted file so, counts them with the files that failed, still gives
+    the other files' verdicts, and exits 2."""
+    status, out = run_command(["solve", corpus_file("occurs_cycle.sig"), "--bound", "4", "--fuel", "1"])
+    assert status == 2 and out.startswith("aborted: fuel exhausted: ")
+    status, lines = run_command(["corpus", "run", "--fuel", "1"])
+    lines = lines.splitlines()
+    assert status == 2
+    assert f"occurs_cycle.sig: {out.rstrip()}" in lines
+    aborted = [line for line in lines if ": aborted: fuel exhausted: " in line]
+    verdicts = [line for line in lines if " -> " in line]
+    assert len(aborted) == 10 and len(verdicts) == 11
+    assert all(line.endswith(" [ok]") for line in verdicts)
+    assert lines[-1] == "corpus: 21 files, 21 annotated, all as annotated; 10 failed with an error"
+    assert len(lines) == 22
+
+
 # --- fuel environment variable ---
 
 

@@ -345,7 +345,7 @@ def brute_solutions(p, cfg):
     return [
         theta
         for theta in (MetaSubst(dict(zip(names, combo))) for combo in itertools.product(*streams))
-        if solver._solves(p, theta, cfg.fuel)
+        if solver._solves(p, theta, cfg.fuel, names)
     ]
 
 
@@ -565,7 +565,7 @@ def test_search_and_check_solution_agree_on_generated_problems():
 
 
 def test_a_hit_that_fails_check_solution_raises(monkeypatch):
-    monkeypatch.setattr(solver, "_solves", lambda p, theta, fuel: False)
+    monkeypatch.setattr(solver, "_solves", lambda p, theta, fuel, occurring: False)
     with pytest.raises(RuntimeError):
         solve_sigma(reduced_worked_problem(), SearchConfig(size_bound=2))
 
@@ -588,8 +588,11 @@ def counting_draws(monkeypatch) -> list[int]:
 
 
 def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
-    """f (X a) (Y b) = g (Y a): the heads clash, so each stream is read only
-    as far as its first candidate, which shows that it is not empty."""
+    """f (X a) (Y b) = g (Y a): the heads clash.  A freshly validated source
+    normalizes its sides before it decomposes them, so it first reads each
+    stream as far as its first candidate, which shows that it is not empty.
+    A reduction's target, and the source once a search has found its sides
+    normal, decompose their sides first and open no stream at the clash."""
     ctx = (iota, iota, ii, Arrow(iota, ii))
     a, b, g, f = Index(1), Index(2), Index(3), Index(4)
     X, Y = Meta("X"), Meta("Y")
@@ -597,10 +600,15 @@ def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
            App(App(f, App(X, a)), App(Y, b)), App(g, App(Y, a)))
     draws = counting_draws(monkeypatch)
     cfg = SearchConfig(size_bound=4, find_all=True)
-    for search, problem in [(decide_small_lambda, p), (solve_sigma, reduce_problem(p).target)]:
+    assert transform.known_normal_sides(p) is None
+    assert isinstance(decide_small_lambda(p, cfg), ExhaustedNoSolution)
+    assert draws == [1, 1]
+    target = reduce_problem(p).target
+    for search, problem in [(decide_small_lambda, p), (solve_sigma, target)]:
+        assert transform.known_normal_sides(problem) == (problem.lhs, problem.rhs), search.__name__
         draws.clear()
         assert isinstance(search(problem, cfg), ExhaustedNoSolution), search.__name__
-        assert draws == [1, 1], search.__name__
+        assert draws == [], search.__name__
 
 
 def hit_ranks(problem, search, cfg):

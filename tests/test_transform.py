@@ -1004,25 +1004,56 @@ def test_reduction_targets_validate_and_remembered_verdicts_agree():
             assert validate_problem(problem).ok, name
 
 
-def test_a_marked_target_searches_as_an_unmarked_copy():
+def counting_streams(monkeypatch) -> list:
+    """The candidate streams the search opens: one entry, the stream's
+    sort, per stream."""
+    opened = []
+    enumerate_all = solver.enumerate_simple_terms
+
+    def count(sort, pool, cfg):
+        opened.append(sort)
+        return enumerate_all(sort, pool, cfg)
+
+    monkeypatch.setattr(solver, "enumerate_simple_terms", count)
+    return opened
+
+
+def streams_opened(opened: list, search, p, cfg):
+    """search(p, cfg) and the number of streams it opened."""
+    opened.clear()
+    return search(p, cfg), len(opened)
+
+
+def test_a_marked_target_searches_as_an_unmarked_copy(monkeypatch):
     """On the λσ corpus, gen_second_order_problem seeds 0-499 and a side
     with a higher-order redex of its own, at bounds 1-4, with find_all off
     and on, at fuel 1, 2 and the default: solve_sigma gives a reduction's
     target, whose snapshot records its sides as normal, the outcome,
     solutions and find_all list it gives a copy, which starts with no
     snapshot and so normalizes its sides.  Some of the searches abort on
-    fuel."""
+    fuel.  Both orders run: the target decomposes its sides first and
+    opens no stream at a rigid clash, while each fresh copy opens a stream
+    per occurring unknown before it normalizes anything."""
+    opened = counting_streams(monkeypatch)
     outcomes = Counter()
+    clashes = 0
     for name, p in lambda_sigma_sources() + [("higher-order redex", higher_order_redex_problem())]:
         target = reduce_problem(p).target
-        unmarked = copy.copy(target)
-        assert transform._known(target) is True and transform._known(unmarked) is None, name
+        unknowns = len(free_metavars(target.lhs) | free_metavars(target.rhs))
+        clash = solver._decompose(target.lhs, target.rhs, EqMode.SIGMA_ONLY) is None
         for bound, find_all, fuel in itertools.product((1, 2, 3, 4), (False, True), (1, 2, DEFAULT_FUEL)):
             cfg = SearchConfig(size_bound=bound, find_all=find_all, fuel=fuel)
-            got = solve_sigma(target, cfg)
-            assert repr(got) == repr(solve_sigma(unmarked, cfg)), (name, cfg)
+            unmarked = copy.copy(target)
+            assert transform._known(target) is True and transform._known(unmarked) is None, name
+            got, marked_streams = streams_opened(opened, solve_sigma, target, cfg)
+            copied, copy_streams = streams_opened(opened, solve_sigma, unmarked, cfg)
+            assert repr(got) == repr(copied), (name, cfg)
+            assert marked_streams == (0 if clash else unknowns), (name, cfg)
+            assert copy_streams == unknowns, (name, cfg)
             outcomes[type(got).__name__] += 1
+            clashes += clash and unknowns > 0
     assert outcomes["Aborted"] > 100 and outcomes["Solved"] > 1000, outcomes
+    assert clashes > 500, clashes
 
 
 def counting_side_normalizations(monkeypatch) -> list:
@@ -1037,6 +1068,29 @@ def counting_side_normalizations(monkeypatch) -> list:
 
     monkeypatch.setattr(transform, "normalize_graft", count)
     return normalized
+
+
+def test_known_normal_sides_follows_the_snapshot(monkeypatch):
+    """known_normal_sides has the sides of a reduction's target, and of a
+    source once normal_sides has found them unchanged; it has none for a
+    problem never validated, for one validated but never searched, or once
+    a side is reassigned to a different term.  Only a snapshot that records
+    the sides as normal is compared with the fields."""
+    compared = []
+    known = transform._known
+    monkeypatch.setattr(transform, "_known", lambda p: compared.append(p) or known(p))
+    source = parse_problem((CORPUS / "xc_eq_fc.sig").read_text(encoding="utf-8")).problem
+    assert transform.known_normal_sides(source) is None
+    transform.require_valid(source, EqMode.LAMBDA_SIGMA, "test")
+    compared.clear()
+    assert transform.known_normal_sides(source) is None and compared == []
+    target = reduce_problem(source).target
+    compared.clear()
+    assert transform.known_normal_sides(target) == (target.lhs, target.rhs) and compared == [target]
+    assert transform.normal_sides(source, DEFAULT_FUEL) == (source.lhs, source.rhs)
+    assert transform.known_normal_sides(source) == (source.lhs, source.rhs)
+    target.rhs = Closure(target.rhs, Shift(0))
+    assert transform.known_normal_sides(target) is None
 
 
 def test_the_normal_fact_holds_while_the_sides_keep_their_value(monkeypatch):
@@ -1086,22 +1140,34 @@ def test_a_source_with_normal_sides_normalizes_them_once(monkeypatch):
     assert transform._known(normal) is True and transform._known(redex) is False
 
 
-def test_search_history_does_not_matter():
+def test_search_history_does_not_matter(monkeypatch):
     """On the λσ and σ corpus files and gen_second_order_problem seeds
     0-499, once a problem has been searched: at bounds 1-4 and fuel 1, 2,
     3, 5 and the default, searching it again gives what searching a copy
-    of it, with no snapshot, gives.  Some of the searches abort on fuel."""
+    of it, with no snapshot, gives.  Some of the searches abort on fuel.
+    Both orders run: a problem whose first search found its sides normal
+    opens no stream at a rigid clash, while each copy opens a stream per
+    occurring unknown before it normalizes anything."""
     sigma = [(path.name, parse_problem(path.read_text(encoding="utf-8")).problem)
              for path in sorted(CORPUS.glob("sigma_*.sig"))]
     assert len(sigma) == 2 and all(p.mode is EqMode.SIGMA_ONLY for _, p in sigma)
+    opened = counting_streams(monkeypatch)
     outcomes = Counter()
+    clashes = 0
     for name, p in lambda_sigma_sources() + sigma:
         search = solve_sigma if p.mode is EqMode.SIGMA_ONLY else decide_small_lambda
         search(p)
+        unknowns = len(free_metavars(p.lhs) | free_metavars(p.rhs))
+        clash = transform.known_normal_sides(p) is not None and solver._decompose(p.lhs, p.rhs, p.mode) is None
         for bound, fuel in itertools.product((1, 2, 3, 4), (1, 2, 3, 5, DEFAULT_FUEL)):
             cfg = SearchConfig(size_bound=bound, fuel=fuel)
-            got = search(p, cfg)
-            assert repr(got) == repr(search(copy.copy(p), cfg)), (name, cfg)
+            got, searched_streams = streams_opened(opened, search, p, cfg)
+            copied, copy_streams = streams_opened(opened, search, copy.copy(p), cfg)
+            assert repr(got) == repr(copied), (name, cfg)
+            assert searched_streams == (0 if clash else unknowns), (name, cfg)
+            assert copy_streams == unknowns, (name, cfg)
             outcomes[type(got).__name__] += 1
+            clashes += clash and unknowns > 0
     assert sum(outcomes.values()) == 10_420
     assert outcomes["Aborted"] > 100 and outcomes["Solved"] > 1000, outcomes
+    assert clashes > 100, clashes
