@@ -16,18 +16,15 @@ head survives grafting, and the head of the flex side's instance is a
 function of the candidate's head, the closure's entries and the spine's
 arguments.  A candidate whose instance head is decided and clashes fails
 every assignment, so it is dropped before it is grafted or normalized.
-The pruning keeps the order of the candidates it keeps, so what is left
-is the old product order with failing assignments taken out.  Total
-assignments are then tried one by one in product order, comparing the
-normal forms of the grafted flex pairs.  The streams are read only as far
-as the assignments tried reach, so the first hit ends the search without
-listing the rest.  A part without unknowns is normal already and is
-compared as it is, so a matching problem, with one ground side, needs no
-search of its own.  solve_sigma runs the search with the
-substitution rules, decide_small_lambda with Beta added; both build their
-instances with rewrite.normalize_graft, which grafts inside the
-evaluator's one pass.  Each hit gets every check of check_solution, on
-another path: a literal graft, then sigma_equal or lambda_sigma_equal.
+Then the unknowns are bound one at a time, each to its kept candidates in
+turn, and the pairs a candidate's graft touched are decomposed again, so a
+rigid clash refutes every completion of the assignment so far
+(backtracking with a check at each level).  Hits come in product order,
+and the first one ends the search.  solve_sigma runs the search with the
+substitution rules, decide_small_lambda with Beta added; both graft with
+rewrite.normalize_graft, which grafts inside the evaluator's one pass.
+Each hit gets every check of check_solution, on another path: a literal
+graft, then sigma_equal or lambda_sigma_equal.
 Every verdict validates the problem first and reads its sides as
 written: a valid problem is its own precooked form (see
 transform.precook).  That keeps the trusted core small enough for the
@@ -70,7 +67,7 @@ from .terms import (
     graft,
     is_simple,
 )
-from .transform import decompose_cons_shift, known_normal_sides, normal_sides, require_valid
+from .transform import decompose_cons_shift, normal_sides, require_valid
 
 
 class SearchConfig(FrozenRecord):
@@ -412,98 +409,98 @@ def _fits(demands: list[tuple], beta: bool) -> Callable[[Term], bool]:
     return fits
 
 
-def _assignments(
-    names: list[str],
-    streams: list[Iterator[Term]],
-    firsts: list[Term],
-) -> Iterator[dict[str, Term]]:
-    """Every assignment of the streams' candidates to names, in product
-    order with the last name varying fastest, as one dict updated in place.
-
-    A stream is drawn from only when the product first reaches a candidate
-    past those drawn, and what is drawn is kept for the next round of the
-    names before it, so each stream is read at most once and no further
-    than the search goes.  With no names there is one assignment, the empty
-    one.
+def _hits(names, streams, k, pairs, assignment, mode, fuel) -> Iterator[dict[str, Term]]:
+    """Every extension of assignment, which binds the names before
+    names[k], that leaves no flex pair, in product order, as assignment
+    updated in place.  pairs holds (a, b, a's unknowns, b's unknowns) for
+    the pairs the names before names[k] left; a candidate of names[k] is
+    grafted into the parts that mention it, and each pair it touched is
+    decomposed again, or compared once every name is bound.  No part left
+    mentions a name before names[k], so grafting the whole assignment
+    grafts the candidate alone.  streams[k] becomes a copy that keeps what
+    is drawn, for later visits of level k.
     """
-    drawn = [[first] for first in firsts]
-    streams = list(streams)
-    ranks = [0] * len(names)
-    assignment = dict(zip(names, firsts))
-    while True:
-        yield assignment
-        k = len(names) - 1
-        while k >= 0:
-            rank = ranks[k] + 1
-            candidates = drawn[k]
-            if rank == len(candidates) and streams[k] is not None:
-                candidate = next(streams[k], None)
-                if candidate is None:
-                    streams[k] = None
-                else:
-                    candidates.append(candidate)
-            if rank < len(candidates):
-                ranks[k] = rank
-                assignment[names[k]] = candidates[rank]
+    if k == len(names):
+        if not pairs:
+            yield assignment
+        return
+    name = names[k]
+    last = k + 1 == len(names)
+    streams[k], candidates = itertools.tee(streams[k])
+    for candidate in candidates:
+        assignment[name] = candidate
+        left = []
+        for pair in pairs:
+            a, b, in_a, in_b = pair
+            if name not in in_a and name not in in_b:
+                left.append(pair)
+                continue
+            if name in in_a:
+                a = normalize_graft(assignment, a, mode, fuel)
+            if name in in_b:
+                b = normalize_graft(assignment, b, mode, fuel)
+            if last:
+                if a != b:
+                    break
+                continue
+            split = _decompose(a, b, mode)
+            if split is None:
                 break
-            ranks[k] = 0
-            assignment[names[k]] = candidates[0]
-            k -= 1
+            left += [(c, d, free_metavars(c), free_metavars(d)) for c, d in split]
         else:
-            return
+            yield from _hits(names, streams, k + 1, left, assignment, mode, fuel)
+    del assignment[name]
 
 
-def _product_search(p: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
-    """Try every assignment of the candidate streams in product order on
-    the flex pairs left by decomposing the normal forms of p's sides.  The
-    streams are those of the unknowns that occur in the sides, the ones a
-    solution binds: an unknown the sides never mention neither multiplies
-    the product nor, with an empty stream, rules a solution out.
+def _product_search(
+    p: UnifProblem, cfg: SearchConfig, sides: tuple[Term, Term] | None = None
+) -> SearchOutcome:
+    """Bind the unknowns that occur in p's sides one at a time, in
+    declaration order, each to the candidates of its stream in turn, on the
+    flex pairs left by decomposing the normal forms of p's sides.  The
+    streams are those of the unknowns a solution binds: an unknown the
+    sides never mention neither multiplies the product nor, with an empty
+    stream, rules a solution out.
 
     Sound because unknowns are first-order and a closure over one is inert,
     so rewriting is closed under grafting and, normal forms being unique,
     nf(graft theta t) = nf(graft theta (nf t)); no rule fires at a binder,
     along an index-headed spine or, without Beta, at an applied binder, so
-    the rigid structure survives grafting.
+    the rigid structure survives grafting.  So a pair can be grafted one
+    unknown at a time and decomposed again after each, and a rigid clash
+    after a partial graft is a clash for every completion: the candidate
+    is skipped with every assignment below it.  Only failing assignments
+    are skipped, so hits come in product order, the last unknown varying
+    fastest, and find_all lists are those of trying every assignment.
 
-    Before the product, each unknown's stream drops the candidates that
-    fail a flex-rigid pair on every assignment (Huet's rigid-head test).
-    The rigid side's head and argument count survive grafting.  The flex
-    side is a spine X[c1..cp . ^n] a1..am, and the head and argument count
-    of its instance are a function of the candidate's head, the entries
-    and the arguments (see _instance_head): other unknowns occur only in
-    the entries and arguments, below any head that is an index, so their
-    bindings cannot change it.  A candidate whose instance head is decided
-    and differs is dropped.  The filter keeps the order of what it keeps,
-    and the product order of the kept candidates is the old product order
-    with failing assignments left out, so hits come in the same order and
-    find_all lists are unchanged.  A dropped candidate is never grafted or
-    normalized: with too little fuel to normalize one of its assignments,
-    the search no longer aborts there.
+    Before the search, each unknown's stream drops, in order, the
+    candidates that fail a flex-rigid pair on every assignment (Huet's
+    rigid-head test).  The rigid side's head and argument count survive
+    grafting.  The flex side is a spine X[c1..cp . ^n] a1..am, and the head
+    and argument count of its instance are a function of the candidate's
+    head, the entries and the arguments (see _instance_head): other
+    unknowns occur only in the entries and arguments, below any head that
+    is an index, so their bindings cannot change it.  A dropped candidate
+    is never grafted or normalized.
 
-    An instance of a part t under an assignment theta is
-    normalize_graft(theta, t) in p's equality, which grafts in the same
-    pass as it normalizes; the candidates are ground, simple and normal,
-    as it requires of its bindings.  The sides are decomposed as
-    transform.normal_sides gives them, in one of two orders.  When
-    transform.known_normal_sides has them (a reduction's target, or a
-    problem searched before whose sides came back unchanged), nothing is
-    normalized to decompose them, so they are decomposed first: a rigid
-    clash ends the search before the unknowns are found or any stream is
-    opened, and no fuel runs out in either order.  Otherwise each stream is
-    drawn from once before anything is normalized, so an empty product
-    normalizes nothing.  After that, the streams are drawn from only as far
-    as the assignments tried reach (see _assignments): the first hit ends
-    the search without listing the rest.  Each flex part with an unknown is
-    instantiated with each assignment tried; a part without one is normal
-    already, and is its own instance.  An assignment is tried as a plain
-    dict, and only a hit becomes a MetaSubst, checked as check_solution
-    checks it, against the occurring unknowns the search found once.  No
-    assignment can fail MetaSubst's idempotency check: candidates are
-    ground.
+    sides are p's sides when its validation snapshot records them as
+    normal, as transform.require_valid returns them, so a verdict compares
+    the snapshot once; without them they come from transform.normal_sides.
+    Known-normal sides are decomposed first: a rigid clash ends the search
+    before the unknowns are found or any stream is opened, and no fuel runs
+    out in either order.  Otherwise each stream is drawn from once before
+    anything is normalized, so an empty product normalizes nothing.  Later
+    draws go no further than the search (see _hits), and each stream is
+    read at most once.
+
+    A candidate is grafted by normalize_graft, in p's equality, into the
+    flex parts that mention its unknown and nowhere else; candidates are
+    ground, simple and normal, as it requires of its bindings.  Each graft
+    is charged the fuel a whole instance is.  Each hit is checked as
+    check_solution checks it, against the occurring unknowns the search
+    found once.
     """
     mode = p.mode
-    sides = known_normal_sides(p)
     if sides is not None:
         flex = _decompose(*sides, mode)
         if flex is None:
@@ -514,35 +511,31 @@ def _product_search(p: UnifProblem, cfg: SearchConfig) -> SearchOutcome:
     if any(first is None for first in firsts):
         return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
     fuel = cfg.fuel
-
-    def instance(part: Term) -> Callable[[dict[str, Term]], Term]:
-        if free_metavars(part):
-            return lambda theta: normalize_graft(theta, part, mode, fuel)
-        return lambda theta: part
-
     solutions: list[MetaSubst] = []
     try:
         if sides is None:
             flex = _decompose(*normal_sides(p, fuel), mode)
             if flex is None:
                 return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
-        instances = [(instance(a), instance(b)) for a, b in flex]
         beta = mode is EqMode.LAMBDA_SIGMA
         demands = _head_demands(flex, not beta)
         for k, name in enumerate(names):
+            kept = itertools.chain((firsts[k],), streams[k])
             if name in demands:
-                kept = filter(_fits(demands[name], beta), itertools.chain((firsts[k],), streams[k]))
-                streams[k], firsts[k] = kept, next(kept, None)
-                if firsts[k] is None:
+                kept = filter(_fits(demands[name], beta), kept)
+                first = next(kept, None)
+                if first is None:
                     return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
-        for assignment in _assignments(names, streams, firsts):
-            if all(a(assignment) == b(assignment) for a, b in instances):
-                theta = MetaSubst(assignment)
-                if not _solves(p, theta, fuel, names):
-                    raise RuntimeError(f"search hit {theta!r} fails check_solution")
-                solutions.append(theta)
-                if not cfg.find_all or len(solutions) >= cfg.max_solutions:
-                    break
+                kept = itertools.chain((first,), kept)
+            streams[k] = kept
+        pairs = [(a, b, free_metavars(a), free_metavars(b)) for a, b in flex]
+        for assignment in _hits(names, streams, 0, pairs, {}, mode, fuel):
+            theta = MetaSubst(assignment)
+            if not _solves(p, theta, fuel, names):
+                raise RuntimeError(f"search hit {theta!r} fails check_solution")
+            solutions.append(theta)
+            if not cfg.find_all or len(solutions) >= cfg.max_solutions:
+                break
     except FuelExhausted as err:
         return Aborted(f"fuel exhausted: {err}")
     if solutions:
@@ -554,36 +547,35 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
     """Bounded unifier search modulo the substitution rules.
 
     Every unknown that occurs ranges over the ground simple-term stream of
-    its sort, and assignments are tried in deterministic product order.  A
-    negative outcome only rules out the searched bounds.  A reduction's
-    target is built with sides known to be normal, so a rigid clash between
-    them is found before any stream is opened; a problem whose sides are
-    not known to be normal draws one candidate per unknown before anything
-    is normalized.
+    its sort, and hits come in deterministic product order.  A negative
+    outcome only rules out the searched bounds.  A reduction's target is
+    built with sides known to be normal, so a rigid clash between them is
+    found before any stream is opened; a problem whose sides are not known
+    to be normal draws one candidate per unknown before anything is
+    normalized.  The validation snapshot is compared once, in
+    require_valid, which hands the search the known-normal sides.
     """
-    require_valid(p, EqMode.SIGMA_ONLY, "solve_sigma")
-    return _product_search(p, cfg)
+    return _product_search(p, cfg, require_valid(p, EqMode.SIGMA_ONLY, "solve_sigma"))
 
 
 def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
-    """Bounded full-equality oracle: the same product search as solve_sigma,
-    over normal lambda terms for every unknown that occurs, compared modulo
-    Beta plus the substitution rules.
+    """Bounded full-equality oracle: the same search as solve_sigma, over
+    normal lambda terms for every unknown that occurs, compared modulo Beta
+    plus the substitution rules.
 
     A valid problem is its own precooked form, so the sides are searched,
     and every hit checked, as written.  A freshly validated problem draws
     one candidate per unknown and then normalizes its sides; once a search
     has found them unchanged they are known to be normal, and a later
     search finds a rigid clash between them before any stream is opened.
-    The sides and each flex part's instances are normalized by
-    normalize_graft, which contracts Beta where a candidate's binders meet
-    the unknown's arguments and falls back to the stepper only on a
-    higher-order redex of a side's own; each hit is checked again on a
+    The sides, and each flex part a candidate is grafted into, are
+    normalized by normalize_graft, which contracts Beta where a candidate's
+    binders meet the unknown's arguments and falls back to the stepper only
+    on a higher-order redex of a side's own; each hit is checked again on a
     literal graft through lambda_sigma_equal.  The candidates need no
     per-assignment checks: enumeration yields only well-sorted, simple,
     normal terms.
     Nothing here goes through the reduction machinery, so transfer results
     can be checked against it.
     """
-    require_valid(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda")
-    return _product_search(p, cfg)
+    return _product_search(p, cfg, require_valid(p, EqMode.LAMBDA_SIGMA, "decide_small_lambda"))

@@ -94,23 +94,27 @@ class InvalidProblem(Exception):
         super().__init__(f"problem fails validation: {failed}")
 
 
-def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> None:
+def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> tuple[Term, Term] | None:
     """The pre-check before every verdict on a problem: raise ValueError
     unless p is in the mode `caller` expects, and InvalidProblem unless it
-    passes validate_problem.
+    passes validate_problem.  Returns p's sides if its snapshot records
+    them as their own normal forms, as known_normal_sides would, else None.
 
     A problem that passed is validated again only once its fields no
     longer compare equal to its snapshot, so a search operation validates
-    each problem object at most once.  A problem that fails is never
-    remembered, and is reported afresh each time."""
+    each problem object at most once, and a verdict compares the snapshot
+    once.  A problem that fails is never remembered, and is reported afresh
+    each time."""
     if p.mode is not mode:
         kind = "substitution-only" if mode is EqMode.SIGMA_ONLY else "full-equality"
         raise ValueError(f"{caller} expects a {kind} problem")
-    if _known(p) is None:
+    known = _known(p)
+    if known is None:
         report = validate_problem(p)
         if not report.ok:
             raise InvalidProblem(report)
         _remember(p, False)
+    return (p.lhs, p.rhs) if known else None
 
 
 def _known(p: UnifProblem) -> bool | None:

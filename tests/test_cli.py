@@ -164,6 +164,21 @@ def test_solve_no_solution_exits_one(tmp_path):
     assert "no solution within" in out
 
 
+def test_solve_exhausts_h4_at_bound_10(tmp_path):
+    """X a (Y Z) = g (X Z (Y Z)): three unknowns and no solution.  The
+    search refutes each candidate of X at a rigid clash before it binds Y
+    or Z, so bound 10 finishes where trying each assignment would not."""
+    h4 = tmp_path / "h4.sig"
+    h4.write_text(
+        "(problem (base-types iota)\n"
+        "  (context (f (-> iota iota iota)) (g (-> iota iota)) (b iota) (a iota))\n"
+        "  (metavars (?X (-> iota iota iota)) (?Y (-> iota iota)) (?Z iota))\n"
+        "  (mode lambdasigma)\n"
+        "  (equation (app ?X a (app ?Y ?Z)) (app g (app ?X ?Z (app ?Y ?Z)))))\n"
+    )
+    assert run_command(["solve", str(h4), "--bound", "10"]) == (1, "no solution within size <= 10, depth <= 8\n")
+
+
 def test_verify_non_solution_exits_one(tmp_path):
     sub = tmp_path / "wrong.subst"
     # the constant-c function does not send c to d

@@ -1093,6 +1093,26 @@ def test_known_normal_sides_follows_the_snapshot(monkeypatch):
     assert transform.known_normal_sides(target) is None
 
 
+def test_a_search_of_known_normal_sides_compares_the_snapshot_once(monkeypatch):
+    """solve_sigma on a reduction's target, and decide_small_lambda on a
+    source searched before, compare the validation snapshot once: the
+    search takes the known-normal sides from require_valid's comparison.
+    A clash and a search that tries assignments alike."""
+    compared = []
+    known = transform._known
+    monkeypatch.setattr(transform, "_known", lambda p: compared.append(p) or known(p))
+    cfg = SearchConfig(size_bound=3, find_all=True)
+    for name in ("xc_eq_fc.sig", "xcd_swap.sig", "rigid_head.sig"):
+        source = parse_problem((CORPUS / name).read_text(encoding="utf-8")).problem
+        decide_small_lambda(source, cfg)
+        target = reduce_problem(source).target
+        for search, p in ((solve_sigma, target), (decide_small_lambda, source)):
+            assert transform._known(p) is True, name
+            compared.clear()
+            search(p, cfg)
+            assert compared == [p], (name, search.__name__)
+
+
 def test_the_normal_fact_holds_while_the_sides_keep_their_value(monkeypatch):
     """A reduction's target normalizes no side with an empty assignment.
     Once its lhs is reassigned to an equal copy, the fact still holds, and
