@@ -6,16 +6,14 @@ There is one search, _product_search.  It streams well-sorted candidate
 terms for every unknown that occurs in the sides, in a deterministic
 order, normalizes the two sides once with the unknowns left inert, and
 decomposes their rigid structure (Huet's simplification: Decompose and
-Fail).  A rigid clash ends the search before any assignment is tried:
-before any stream is opened when the sides are known to be normal
-already, and otherwise before any stream is read past its first
-candidate.  Otherwise each flex-rigid pair prunes the stream of the unknown
-at the head of its flex side (Huet's rigid-head test, in the
-explicit-substitution form of Dowek, Hardin and Kirchner): the rigid side's
-head survives grafting, and the head of the flex side's instance is a
-function of the candidate's head, the closure's entries and the spine's
-arguments.  A candidate whose instance head is decided and clashes fails
-every assignment, so it is dropped before it is grafted or normalized.
+Fail).  A rigid clash ends the search before any stream is opened.
+Otherwise each flex-rigid pair prunes the stream of the unknown at the
+head of its flex side (Huet's rigid-head test, in the explicit-substitution
+form of Dowek, Hardin and Kirchner): the rigid side's head survives
+grafting, and the head of the flex side's instance is a function of the
+candidate's head, the closure's entries and the spine's arguments.  A
+candidate whose instance head is decided and clashes fails every
+assignment, so it is dropped before it is grafted or normalized.
 Then the unknowns are bound one at a time, each to its kept candidates in
 turn, and the pairs a candidate's graft touched are decomposed again, so a
 rigid clash refutes every completion of the assignment so far
@@ -67,7 +65,7 @@ from .terms import (
     graft,
     is_simple,
 )
-from .transform import decompose_cons_shift, normal_sides, require_valid
+from .transform import _normal_sides, decompose_cons_shift, require_valid
 
 
 class SearchConfig(FrozenRecord):
@@ -452,9 +450,7 @@ def _hits(names, streams, k, pairs, assignment, mode, fuel) -> Iterator[dict[str
     del assignment[name]
 
 
-def _product_search(
-    p: UnifProblem, cfg: SearchConfig, sides: tuple[Term, Term] | None = None
-) -> SearchOutcome:
+def _product_search(p: UnifProblem, cfg: SearchConfig, known: bool | None = None) -> SearchOutcome:
     """Bind the unknowns that occur in p's sides one at a time, in
     declaration order, each to the candidates of its stream in turn, on the
     flex pairs left by decomposing the normal forms of p's sides.  The
@@ -473,25 +469,25 @@ def _product_search(
     are skipped, so hits come in product order, the last unknown varying
     fastest, and find_all lists are those of trying every assignment.
 
-    Before the search, each unknown's stream drops, in order, the
-    candidates that fail a flex-rigid pair on every assignment (Huet's
-    rigid-head test).  The rigid side's head and argument count survive
-    grafting.  The flex side is a spine X[c1..cp . ^n] a1..am, and the head
-    and argument count of its instance are a function of the candidate's
-    head, the entries and the arguments (see _instance_head): other
-    unknowns occur only in the entries and arguments, below any head that
-    is an index, so their bindings cannot change it.  A dropped candidate
-    is never grafted or normalized.
+    Each unknown's stream drops, in order, the candidates that fail a
+    flex-rigid pair on every assignment (Huet's rigid-head test).  The
+    rigid side's head and argument count survive grafting.  The flex side
+    is a spine X[c1..cp . ^n] a1..am, and the head and argument count of
+    its instance are a function of the candidate's head, the entries and
+    the arguments (see _instance_head): other unknowns occur only in the
+    entries and arguments, below any head that is an index, so their
+    bindings cannot change it.  A dropped candidate is never grafted or
+    normalized.
 
-    sides are p's sides when its validation snapshot records them as
-    normal, as transform.require_valid returns them, so a verdict compares
-    the snapshot once; without them they come from transform.normal_sides.
-    Known-normal sides are decomposed first: a rigid clash ends the search
-    before the unknowns are found or any stream is opened, and no fuel runs
-    out in either order.  Otherwise each stream is drawn from once before
-    anything is normalized, so an empty product normalizes nothing.  Later
-    draws go no further than the search (see _hits), and each stream is
-    read at most once.
+    There is one order.  The sides are normalized (not at all when known,
+    require_valid's answer for p, says they are normal already; see
+    transform._normal_sides) and decomposed, so a rigid clash ends the
+    search before the unknowns are found or any stream is opened.  Then
+    each stream is opened and drawn from as far as its first kept
+    candidate; an empty one ends the search.  Later draws go no further
+    than the search (see _hits), and each stream is read at most once.  A
+    side that runs out of fuel aborts the search only if every occurring
+    unknown has a candidate: an empty product has no solution at any fuel.
 
     A candidate is grafted by normalize_graft, in p's equality, into the
     flex parts that mention its unknown and nowhere else; candidates are
@@ -501,33 +497,25 @@ def _product_search(
     found once.
     """
     mode = p.mode
-    if sides is not None:
-        flex = _decompose(*sides, mode)
-        if flex is None:
-            return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
-    names = _occurring(p)
-    streams = [enumerate_simple_terms(p.metavars[name], {}, cfg) for name in names]
-    firsts = [next(stream, None) for stream in streams]
-    if any(first is None for first in firsts):
-        return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
     fuel = cfg.fuel
+    exhausted = ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
     solutions: list[MetaSubst] = []
     try:
-        if sides is None:
-            flex = _decompose(*normal_sides(p, fuel), mode)
-            if flex is None:
-                return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
+        flex = _decompose(*_normal_sides(p, fuel, known), mode)
+        if flex is None:
+            return exhausted
+        names = _occurring(p)
         beta = mode is EqMode.LAMBDA_SIGMA
         demands = _head_demands(flex, not beta)
-        for k, name in enumerate(names):
-            kept = itertools.chain((firsts[k],), streams[k])
+        streams = []
+        for name in names:
+            stream = enumerate_simple_terms(p.metavars[name], {}, cfg)
             if name in demands:
-                kept = filter(_fits(demands[name], beta), kept)
-                first = next(kept, None)
-                if first is None:
-                    return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
-                kept = itertools.chain((first,), kept)
-            streams[k] = kept
+                stream = filter(_fits(demands[name], beta), stream)
+            first = next(stream, None)
+            if first is None:
+                return exhausted
+            streams.append(itertools.chain((first,), stream))
         pairs = [(a, b, free_metavars(a), free_metavars(b)) for a, b in flex]
         for assignment in _hits(names, streams, 0, pairs, {}, mode, fuel):
             theta = MetaSubst(assignment)
@@ -537,10 +525,13 @@ def _product_search(
             if not cfg.find_all or len(solutions) >= cfg.max_solutions:
                 break
     except FuelExhausted as err:
-        return Aborted(f"fuel exhausted: {err}")
+        if all(next(enumerate_simple_terms(p.metavars[name], {}, cfg), None) is not None
+               for name in _occurring(p)):
+            return Aborted(f"fuel exhausted: {err}")
+        return exhausted
     if solutions:
         return Solved(solutions)
-    return ExhaustedNoSolution(cfg.size_bound, cfg.depth_bound)
+    return exhausted
 
 
 def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -549,11 +540,9 @@ def solve_sigma(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> SearchOut
     Every unknown that occurs ranges over the ground simple-term stream of
     its sort, and hits come in deterministic product order.  A negative
     outcome only rules out the searched bounds.  A reduction's target is
-    built with sides known to be normal, so a rigid clash between them is
-    found before any stream is opened; a problem whose sides are not known
-    to be normal draws one candidate per unknown before anything is
-    normalized.  The validation snapshot is compared once, in
-    require_valid, which hands the search the known-normal sides.
+    built with sides known to be normal, so they are decomposed as they
+    are.  The validation snapshot is compared once, in require_valid,
+    which tells the search whether the sides are known to be normal.
     """
     return _product_search(p, cfg, require_valid(p, EqMode.SIGMA_ONLY, "solve_sigma"))
 
@@ -564,17 +553,15 @@ def decide_small_lambda(p: UnifProblem, cfg: SearchConfig = SearchConfig()) -> S
     plus the substitution rules.
 
     A valid problem is its own precooked form, so the sides are searched,
-    and every hit checked, as written.  A freshly validated problem draws
-    one candidate per unknown and then normalizes its sides; once a search
-    has found them unchanged they are known to be normal, and a later
-    search finds a rigid clash between them before any stream is opened.
-    The sides, and each flex part a candidate is grafted into, are
-    normalized by normalize_graft, which contracts Beta where a candidate's
-    binders meet the unknown's arguments and falls back to the stepper only
-    on a higher-order redex of a side's own; each hit is checked again on a
-    literal graft through lambda_sigma_equal.  The candidates need no
-    per-assignment checks: enumeration yields only well-sorted, simple,
-    normal terms.
+    and every hit checked, as written.  Once a search has found the sides
+    unchanged by normalization they are known to be normal, and a later
+    search decomposes them as they are.  The sides, and each flex part a
+    candidate is grafted into, are normalized by normalize_graft, which
+    contracts Beta where a candidate's binders meet the unknown's arguments
+    and falls back to the stepper only on a higher-order redex of a side's
+    own; each hit is checked again on a literal graft through
+    lambda_sigma_equal.  The candidates need no per-assignment checks:
+    enumeration yields only well-sorted, simple, normal terms.
     Nothing here goes through the reduction machinery, so transfer results
     can be checked against it.
     """

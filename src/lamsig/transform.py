@@ -94,17 +94,18 @@ class InvalidProblem(Exception):
         super().__init__(f"problem fails validation: {failed}")
 
 
-def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> tuple[Term, Term] | None:
+def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> bool:
     """The pre-check before every verdict on a problem: raise ValueError
     unless p is in the mode `caller` expects, and InvalidProblem unless it
-    passes validate_problem.  Returns p's sides if its snapshot records
-    them as their own normal forms, as known_normal_sides would, else None.
+    passes validate_problem.  Returns whether p's snapshot records its
+    sides as their own normal forms in p's equality.
 
     A problem that passed is validated again only once its fields no
     longer compare equal to its snapshot, so a search operation validates
     each problem object at most once, and a verdict compares the snapshot
-    once.  A problem that fails is never remembered, and is reported afresh
-    each time."""
+    once: on return the snapshot is current, so _normal_sides can take
+    what it records from this answer.  A problem that fails is never
+    remembered, and is reported afresh each time."""
     if p.mode is not mode:
         kind = "substitution-only" if mode is EqMode.SIGMA_ONLY else "full-equality"
         raise ValueError(f"{caller} expects a {kind} problem")
@@ -114,7 +115,7 @@ def require_valid(p: UnifProblem, mode: EqMode, caller: str) -> tuple[Term, Term
         if not report.ok:
             raise InvalidProblem(report)
         _remember(p, False)
-    return (p.lhs, p.rhs) if known else None
+    return known is True
 
 
 def _known(p: UnifProblem) -> bool | None:
@@ -138,28 +139,20 @@ def _remember(p: UnifProblem, normal: bool) -> None:
     p._valid_as = (p.base_types, tuple(p.ctx), dict(p.metavars), p.lhs, p.rhs, p.mode), normal
 
 
-def known_normal_sides(p: UnifProblem) -> tuple[Term, Term] | None:
-    """p's sides if p's snapshot records them as their own normal forms in
-    p's equality and p's fields still compare equal to it, else None.  A
-    snapshot that records nothing about the sides is not compared, so a
-    problem validated but never searched pays no comparison here."""
-    known = p._valid_as
-    if known is None or not known[1] or not _known(p):
-        return None
-    return p.lhs, p.rhs
-
-
-def normal_sides(p: UnifProblem, fuel: int) -> tuple[Term, Term]:
-    """The normal forms of p's sides in p's equality: known_normal_sides's,
-    if it has them, else normalize_graft's, recorded in a current snapshot
-    if they equal the sides.  Only that is ever recorded, so no result
-    depends on earlier calls: normalizing a normal form charges no rule
-    instance, and other sides are normalized every time."""
-    sides = known_normal_sides(p)
-    if sides is not None:
-        return sides
+def _normal_sides(p: UnifProblem, fuel: int, known: bool | None) -> tuple[Term, Term]:
+    """The normal forms of p's sides in p's equality, where known is what
+    require_valid has just answered for p: the sides themselves while the
+    snapshot records them as normal, else normalize_graft's, recorded in
+    the snapshot if they equal the sides.  Only that is ever recorded, so
+    no result depends on earlier calls: normalizing a normal form charges
+    no rule instance, and other sides are normalized every time.  known is
+    None for a search that did not go through require_valid, of a problem
+    never validated or changed since, so nothing is recorded on a snapshot
+    its fields may no longer equal."""
+    if known:
+        return p.lhs, p.rhs
     sides = normalize_graft({}, p.lhs, p.mode, fuel), normalize_graft({}, p.rhs, p.mode, fuel)
-    if sides == (p.lhs, p.rhs) and _known(p) is False:
+    if known is False and sides == (p.lhs, p.rhs):
         p._valid_as = p._valid_as[0], True
     return sides
 

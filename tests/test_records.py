@@ -32,10 +32,10 @@ from lamsig import (
 from lamsig.records import FrozenRecord, Record
 from lamsig.rewrite import RewriteTrace, TraceStep
 from lamsig.sexpr import SAtom, SList
-from lamsig.solver import Aborted, ExhaustedNoSolution, Solved
+from lamsig.solver import Aborted, ExhaustedNoSolution, Solved, decide_small_lambda
 from lamsig.sorts import CheckEntry, ValidationReport
 from lamsig.surface import Expectation, ProblemFile
-from lamsig.transform import ReductionCertificate, normal_sides, reduce_problem
+from lamsig.transform import ReductionCertificate, reduce_problem
 
 IOTA = Base("iota")
 SORT = Sort((IOTA,), IOTA)
@@ -102,7 +102,7 @@ def snapshotted_problems() -> list[UnifProblem]:
         App(Meta("X"), Index(1)), Index(1), EqMode.LAMBDA_SIGMA,
     )
     target = reduce_problem(source).target
-    normal_sides(source, 10)
+    decide_small_lambda(source)  # finds the sides normal, and records it
     return [source, target]
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import sys
 from collections import Counter
@@ -604,12 +605,12 @@ def counting_draws(monkeypatch) -> list[int]:
     return draws
 
 
-def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
-    """f (X a) (Y b) = g (Y a): the heads clash.  A freshly validated source
-    normalizes its sides before it decomposes them, so it first reads each
-    stream as far as its first candidate, which shows that it is not empty.
-    A reduction's target, and the source once a search has found its sides
-    normal, decompose their sides first and open no stream at the clash."""
+def test_a_rigid_clash_draws_no_candidate(monkeypatch):
+    """f (X a) (Y b) = g (Y a): the heads clash.  Every search decomposes
+    its sides before it opens a stream, so none is opened at the clash: not
+    by a freshly validated source, which normalizes its sides first, nor by
+    a reduction's target or the source once a search has found its sides
+    normal, which decompose them as they are."""
     ctx = (iota, iota, ii, Arrow(iota, ii))
     a, b, g, f = Index(1), Index(2), Index(3), Index(4)
     X, Y = Meta("X"), Meta("Y")
@@ -617,13 +618,12 @@ def test_a_rigid_clash_draws_one_candidate_per_unknown(monkeypatch):
            App(App(f, App(X, a)), App(Y, b)), App(g, App(Y, a)))
     draws = counting_draws(monkeypatch)
     cfg = SearchConfig(size_bound=4, find_all=True)
-    assert transform.known_normal_sides(p) is None
+    assert transform._known(p) is None
     assert isinstance(decide_small_lambda(p, cfg), ExhaustedNoSolution)
-    assert draws == [1, 1]
+    assert draws == []
     target = reduce_problem(p).target
     for search, problem in [(decide_small_lambda, p), (solve_sigma, target)]:
-        assert transform.known_normal_sides(problem) == (problem.lhs, problem.rhs), search.__name__
-        draws.clear()
+        assert transform._known(problem) is True, search.__name__
         assert isinstance(search(problem, cfg), ExhaustedNoSolution), search.__name__
         assert draws == [], search.__name__
 
@@ -777,15 +777,44 @@ def test_evaluator_fuel_abort_names_rule_instances():
     assert out == Aborted("fuel exhausted: no normal form within 2 rule instances")
 
 
-def test_empty_product_normalizes_nothing():
-    """X has no candidate, so no side is normalized: the right side, which
-    needs more than one step, cannot exhaust the fuel."""
+def empty_product_problem(mode):
+    """X[^2] = (1 2)[g . c . ^0] over (g: i->i, c: i), X: i in the empty
+    context: X has no candidate, and the right side needs more than one
+    rule instance."""
     ctx = (iota, ii)
     rhs = Closure(App(Index(1), Index(2)), Cons(Index(2), Cons(Index(1), Shift(0))))
-    p = sp(ctx, {"X": Sort((), iota)}, Closure(Meta("X"), Shift(2)), rhs)
+    return UnifProblem(BT, ctx, {"X": Sort((), iota)}, Closure(Meta("X"), Shift(2)), rhs, mode)
+
+
+def test_an_empty_product_has_no_solution_when_a_side_exhausts_the_fuel():
+    """X has no candidate, so there is no solution at any fuel: the right
+    side, which needs more than one rule instance, exhausts fuel 1, and the
+    search still answers ExhaustedNoSolution, on a first search, a second
+    one and a copy.  The same side next to no unknown aborts."""
+    p = empty_product_problem(EqMode.SIGMA_ONLY)
+    ctx, rhs = p.ctx, p.rhs
     assert validate_problem(p).ok
     assert list(enumerate_simple_terms(p.metavars["X"], {}, SearchConfig())) == []
     with pytest.raises(FuelExhausted):
         normalize_sigma(rhs, 1)
     assert isinstance(solve_sigma(p, SearchConfig(fuel=1)), ExhaustedNoSolution)
     assert isinstance(solve_sigma(sp(ctx, {}, Index(1), rhs), SearchConfig(fuel=1)), Aborted)
+    assert isinstance(solve_sigma(p, SearchConfig(fuel=1)), ExhaustedNoSolution)
+    assert isinstance(solve_sigma(copy.copy(p), SearchConfig(fuel=1)), ExhaustedNoSolution)
+
+
+@pytest.mark.parametrize("searched_before", [False, True], ids=["fresh", "searched before"])
+@pytest.mark.parametrize("mode", [EqMode.SIGMA_ONLY, EqMode.LAMBDA_SIGMA], ids=["sigma", "lambda-sigma"])
+def test_an_empty_product_gives_the_same_outcome_in_both_equalities(mode, searched_before):
+    """The empty product above in either equality, under solve_sigma in
+    sigma mode and decide_small_lambda in lambda-sigma mode: its right side
+    exhausts fuel 1, and the search is ExhaustedNoSolution, not Aborted,
+    whether the problem is searched fresh or was searched before."""
+    p = empty_product_problem(mode)
+    search = solve_sigma if mode is EqMode.SIGMA_ONLY else decide_small_lambda
+    assert validate_problem(p).ok
+    with pytest.raises(FuelExhausted):
+        normalize_graft({}, p.rhs, mode, 1)
+    if searched_before:
+        assert isinstance(search(p), ExhaustedNoSolution)
+    assert search(p, SearchConfig(fuel=1)) == ExhaustedNoSolution(4, 8)

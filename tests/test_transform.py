@@ -1031,9 +1031,8 @@ def test_a_marked_target_searches_as_an_unmarked_copy(monkeypatch):
     target, whose snapshot records its sides as normal, the outcome,
     solutions and find_all list it gives a copy, which starts with no
     snapshot and so normalizes its sides.  Some of the searches abort on
-    fuel.  Both orders run: the target decomposes its sides first and
-    opens no stream at a rigid clash, while each fresh copy opens a stream
-    per occurring unknown before it normalizes anything."""
+    fuel.  Both search in one order, so the copy opens as many streams as
+    the target does, and none at a rigid clash."""
     opened = counting_streams(monkeypatch)
     outcomes = Counter()
     clashes = 0
@@ -1048,8 +1047,9 @@ def test_a_marked_target_searches_as_an_unmarked_copy(monkeypatch):
             got, marked_streams = streams_opened(opened, solve_sigma, target, cfg)
             copied, copy_streams = streams_opened(opened, solve_sigma, unmarked, cfg)
             assert repr(got) == repr(copied), (name, cfg)
-            assert marked_streams == (0 if clash else unknowns), (name, cfg)
-            assert copy_streams == unknowns, (name, cfg)
+            assert marked_streams == copy_streams, (name, cfg)
+            if clash:
+                assert marked_streams == 0, (name, cfg)
             outcomes[type(got).__name__] += 1
             clashes += clash and unknowns > 0
     assert outcomes["Aborted"] > 100 and outcomes["Solved"] > 1000, outcomes
@@ -1058,7 +1058,7 @@ def test_a_marked_target_searches_as_an_unmarked_copy(monkeypatch):
 
 def counting_side_normalizations(monkeypatch) -> list:
     """The sides the search normalizes: the calls of normalize_graft with
-    nothing bound, which transform.normal_sides makes."""
+    nothing bound, which transform._normal_sides makes."""
     normalized = []
 
     def count(theta, t, *args):
@@ -1071,33 +1071,41 @@ def counting_side_normalizations(monkeypatch) -> list:
 
 
 def test_known_normal_sides_follows_the_snapshot(monkeypatch):
-    """known_normal_sides has the sides of a reduction's target, and of a
-    source once normal_sides has found them unchanged; it has none for a
-    problem never validated, for one validated but never searched, or once
-    a side is reassigned to a different term.  Only a snapshot that records
-    the sides as normal is compared with the fields."""
-    compared = []
-    known = transform._known
-    monkeypatch.setattr(transform, "_known", lambda p: compared.append(p) or known(p))
+    """The snapshot records the sides of a reduction's target as normal,
+    and a source's once a search has found them unchanged; it records
+    nothing of the kind for a problem never validated, for one validated
+    but never searched, for one searched with its sides reassigned since it
+    was validated, or once a side is reassigned to a different term.  A
+    search without require_valid's answer records nothing."""
     source = parse_problem((CORPUS / "xc_eq_fc.sig").read_text(encoding="utf-8")).problem
-    assert transform.known_normal_sides(source) is None
-    transform.require_valid(source, EqMode.LAMBDA_SIGMA, "test")
-    compared.clear()
-    assert transform.known_normal_sides(source) is None and compared == []
+    assert transform._known(source) is None
+    solver._product_search(source, SearchConfig())
+    assert transform._known(source) is None
+    assert transform.require_valid(source, EqMode.LAMBDA_SIGMA, "test") is False
+    solver._product_search(source, SearchConfig())
+    assert transform._known(source) is False
     target = reduce_problem(source).target
-    compared.clear()
-    assert transform.known_normal_sides(target) == (target.lhs, target.rhs) and compared == [target]
-    assert transform.normal_sides(source, DEFAULT_FUEL) == (source.lhs, source.rhs)
-    assert transform.known_normal_sides(source) == (source.lhs, source.rhs)
+    assert transform._known(target) is True
+    assert transform.require_valid(target, EqMode.SIGMA_ONLY, "test") is True
+    decide_small_lambda(source)
+    assert transform._known(source) is True
+    assert transform.require_valid(source, EqMode.LAMBDA_SIGMA, "test") is True
     target.rhs = Closure(target.rhs, Shift(0))
-    assert transform.known_normal_sides(target) is None
+    assert transform._known(target) is None
+    stale = copy.copy(source)
+    transform.require_valid(stale, EqMode.LAMBDA_SIGMA, "test")
+    stale.lhs = Closure(stale.lhs, Shift(0))
+    solver._product_search(stale, SearchConfig())
+    assert stale._valid_as[1] is False and transform._known(stale) is None
 
 
 def test_a_search_of_known_normal_sides_compares_the_snapshot_once(monkeypatch):
     """solve_sigma on a reduction's target, and decide_small_lambda on a
     source searched before, compare the validation snapshot once: the
-    search takes the known-normal sides from require_valid's comparison.
-    A clash and a search that tries assignments alike."""
+    search takes the normal fact from require_valid's comparison.  So does
+    a first search of a fresh source, which records the fact without
+    comparing the snapshot again.  A clash and a search that tries
+    assignments alike."""
     compared = []
     known = transform._known
     monkeypatch.setattr(transform, "_known", lambda p: compared.append(p) or known(p))
@@ -1111,6 +1119,11 @@ def test_a_search_of_known_normal_sides_compares_the_snapshot_once(monkeypatch):
             compared.clear()
             search(p, cfg)
             assert compared == [p], (name, search.__name__)
+        fresh = parse_problem((CORPUS / name).read_text(encoding="utf-8")).problem
+        compared.clear()
+        decide_small_lambda(fresh, cfg)
+        assert compared == [fresh], name
+        assert transform._known(fresh) is True, name
 
 
 def test_the_normal_fact_holds_while_the_sides_keep_their_value(monkeypatch):
@@ -1165,9 +1178,8 @@ def test_search_history_does_not_matter(monkeypatch):
     0-499, once a problem has been searched: at bounds 1-4 and fuel 1, 2,
     3, 5 and the default, searching it again gives what searching a copy
     of it, with no snapshot, gives.  Some of the searches abort on fuel.
-    Both orders run: a problem whose first search found its sides normal
-    opens no stream at a rigid clash, while each copy opens a stream per
-    occurring unknown before it normalizes anything."""
+    Both search in one order, so the copy opens as many streams as the
+    problem does, and none at a rigid clash."""
     sigma = [(path.name, parse_problem(path.read_text(encoding="utf-8")).problem)
              for path in sorted(CORPUS.glob("sigma_*.sig"))]
     assert len(sigma) == 2 and all(p.mode is EqMode.SIGMA_ONLY for _, p in sigma)
@@ -1178,14 +1190,15 @@ def test_search_history_does_not_matter(monkeypatch):
         search = solve_sigma if p.mode is EqMode.SIGMA_ONLY else decide_small_lambda
         search(p)
         unknowns = len(free_metavars(p.lhs) | free_metavars(p.rhs))
-        clash = transform.known_normal_sides(p) is not None and solver._decompose(p.lhs, p.rhs, p.mode) is None
+        clash = transform._known(p) is True and solver._decompose(p.lhs, p.rhs, p.mode) is None
         for bound, fuel in itertools.product((1, 2, 3, 4), (1, 2, 3, 5, DEFAULT_FUEL)):
             cfg = SearchConfig(size_bound=bound, fuel=fuel)
             got, searched_streams = streams_opened(opened, search, p, cfg)
             copied, copy_streams = streams_opened(opened, search, copy.copy(p), cfg)
             assert repr(got) == repr(copied), (name, cfg)
-            assert searched_streams == (0 if clash else unknowns), (name, cfg)
-            assert copy_streams == unknowns, (name, cfg)
+            assert searched_streams == copy_streams, (name, cfg)
+            if clash:
+                assert searched_streams == 0, (name, cfg)
             outcomes[type(got).__name__] += 1
             clashes += clash and unknowns > 0
     assert sum(outcomes.values()) == 10_420
